@@ -7,14 +7,12 @@ from .construct import (
     HypothesesNotMet,
     HypothesisReport,
     SpecInvalid,
-    check_th31,
-    check_th33,
-    check_th34,
-    check_th36,
+    check_for,
     construct_eq1,
     construct_eq2,
     construct_pinched_tconorm,
     construct_pinched_tnorm,
+    dual_spec,
     predict_uninorm,
 )
 from .lattice import (
@@ -35,8 +33,6 @@ from .optable import (
     in_class_umax,
     in_class_umin,
     in_class_ut,
-    is_t_conorm,
-    is_t_norm,
     is_uninorm,
     restrict,
     table_from_function,

@@ -30,10 +30,13 @@ from .fileio import (
 )
 from .gen import ExhaustedRejection, GenConfig, gen_spec
 from .lattice import BoundedLattice, LatticeError, case_regions, ids_of
-from .optable import AxiomReport, is_uninorm
+from .optable import AxiomReport, NeutralOutsideCarrier, is_uninorm
 from .verify import UnknownClause, find_counterexample, verify_equivalence
 
 PASS, MATH_FAIL, BAD_INPUT = 0, 1, 2
+
+# unreadable, undecodable, malformed, or naming an unknown element
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, FileFormatError, KeyError)
 
 
 def _err(msg: str) -> None:
@@ -57,16 +60,12 @@ def format_axiom_report(report: AxiomReport, lat: BoundedLattice) -> list[str]:
         )
     if report.monotone is not None:
         a, b, c, ua, ub, side = report.monotone
-        if side == "left":
-            lines.append(
-                f"monotonicity violated: {nm(a)} <= {nm(b)} but "
-                f"U({nm(a)},{nm(c)}) = {nm(ua)} is not <= U({nm(b)},{nm(c)}) = {nm(ub)}"
-            )
-        else:
-            lines.append(
-                f"monotonicity violated: {nm(a)} <= {nm(b)} but "
-                f"U({nm(c)},{nm(a)}) = {nm(ua)} is not <= U({nm(c)},{nm(b)}) = {nm(ub)}"
-            )
+        pair_a, pair_b = ((a, c), (b, c)) if side == "left" else ((c, a), (c, b))
+        lines.append(
+            f"monotonicity violated: {nm(a)} <= {nm(b)} but "
+            f"U({','.join(map(nm, pair_a))}) = {nm(ua)} is not <= "
+            f"U({','.join(map(nm, pair_b))}) = {nm(ub)}"
+        )
     if report.neutral is not None:
         x, got = report.neutral
         e = report.neutral_element
@@ -86,27 +85,18 @@ def format_hypothesis_report(report, lat: BoundedLattice) -> list[str]:
     nm = lat.name
     lines = [f"theorem {report.theorem}: anchor class = {report.anchor_class}"]
     profile = THEOREMS[report.theorem]
-    if report.join_pairs_ok is not None:
-        clause = report.join_pairs_ok
-        if clause.ok:
-            lines.append(f"  {profile.pairs_clause}: pass")
-        else:
-            a, b, v = clause.witness
-            lines.append(
-                f"  {profile.pairs_clause}: FAIL at ({nm(a)},{nm(b)}) -> {nm(v)}"
-            )
-    clause = report.join_anchor_ok
-    if clause.ok:
-        lines.append(f"  {profile.anchor_clause}: pass")
-    else:
-        a, v = clause.witness
-        lines.append(f"  {profile.anchor_clause}: FAIL at {nm(a)} -> {nm(v)}")
-    clause = report.parallel_condition_ok
-    if clause.ok:
-        lines.append("  parallel-condition: pass")
-    else:
-        a, b = clause.witness
-        lines.append(f"  parallel-condition: FAIL at ({nm(a)},{nm(b)}) comparable")
+    clauses = (
+        (profile.pairs_clause, report.join_pairs_ok,
+         lambda a, b, v: f"({nm(a)},{nm(b)}) -> {nm(v)}"),
+        (profile.anchor_clause, report.join_anchor_ok,
+         lambda a, v: f"{nm(a)} -> {nm(v)}"),
+        ("parallel-condition", report.parallel_condition_ok,
+         lambda a, b: f"({nm(a)},{nm(b)}) comparable"),
+    )
+    for label, clause, where in clauses:
+        if clause is not None:
+            outcome = "pass" if clause.ok else "FAIL at " + where(*clause.witness)
+            lines.append(f"  {label}: {outcome}")
     lines.append(f"  inner-class: {'pass' if report.inner_in_ub else 'FAIL'}")
     lines.append(f"  nonempty-guard: {report.nonempty_guard}")
     return lines
@@ -138,10 +128,10 @@ def _spec_from_args(args) -> tuple[ConstructionSpec, str, str]:
 def cmd_check_lattice(args) -> int:
     try:
         name, lat = _load_lattice(args.path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _err(f"cannot read file: {exc}")
         return BAD_INPUT
-    except FileFormatError as exc:
+    except (UnicodeDecodeError, FileFormatError) as exc:
         _err(f"parse error: {exc}")
         return BAD_INPUT
     except LatticeError as exc:
@@ -171,20 +161,21 @@ def cmd_check_lattice(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if (args.rho is not None) != (args.eq == 1):
+        _err(f"--eq {args.eq} takes its threshold with {'--rho' if args.eq == 1 else '--sigma'}")
+        return BAD_INPUT
     try:
         spec, orientation, name = _spec_from_args(args)
-    except (FileNotFoundError, FileFormatError, KeyError) as exc:
+    except _INPUT_ERRORS as exc:
         _err(f"parse error: {exc}")
         return BAD_INPUT
     except LatticeError as exc:
         _err(f"invalid lattice: {exc}")
         return MATH_FAIL
     lat = spec.lattice
+    theorem = "th31" if orientation == "join" else "th34"
     try:
-        if orientation == "join":
-            table = construct_for(spec, "th31", check_inner=not args.no_verify_inner)
-        else:
-            table = construct_for(spec, "th34", check_inner=not args.no_verify_inner)
+        table = construct_for(spec, theorem, check_inner=not args.no_verify_inner)
     except SpecInvalid as exc:
         _err(f"invalid spec: {exc}")
         return MATH_FAIL
@@ -196,7 +187,7 @@ def cmd_construct(args) -> int:
         sys.stdout.write(rendered)
 
     try:
-        if _has_checker(spec, orientation):
+        if spec.threshold not in (lat.bottom, lat.top):
             report = check_for(spec, _matching_theorem(spec, orientation))
             for line in format_hypothesis_report(report, lat):
                 _err(line)
@@ -216,18 +207,9 @@ def cmd_construct(args) -> int:
     return PASS
 
 
-def _has_checker(spec: ConstructionSpec, orientation: str) -> bool:
-    lat = spec.lattice
-    return spec.threshold not in (lat.bottom, lat.top)
-
-
 def _matching_theorem(spec: ConstructionSpec, orientation: str) -> str:
-    lat = spec.lattice
-    if orientation == "join":
-        report = check_for(spec, "th33")
-        return "th33" if report.anchor_class == "beside_threshold" else "th31"
-    report = check_for(spec, "th36")
-    return "th36" if report.anchor_class == "beside_threshold" else "th34"
+    side, other = ("th33", "th31") if orientation == "join" else ("th36", "th34")
+    return side if check_for(spec, side).anchor_class == "beside_threshold" else other
 
 
 def cmd_verify(args) -> int:
@@ -236,13 +218,17 @@ def cmd_verify(args) -> int:
         _, lat = parse_lattice(lattice_text)
         _, table = parse_table(table_text, lat)
         e = lat.index(args.e)
-    except (FileNotFoundError, FileFormatError, KeyError) as exc:
+    except _INPUT_ERRORS as exc:
         _err(f"parse error: {exc}")
         return BAD_INPUT
     except LatticeError as exc:
         _err(f"invalid lattice: {exc}")
         return BAD_INPUT
-    report = is_uninorm(table, e)
+    try:
+        report = is_uninorm(table, e)
+    except NeutralOutsideCarrier as exc:
+        _err(f"invalid input: {exc}")
+        return BAD_INPUT
     if report.ok:
         print("uninorm: all axioms pass")
         return PASS
@@ -254,7 +240,7 @@ def cmd_verify(args) -> int:
 def cmd_theorem(args) -> int:
     try:
         spec, orientation, _ = _spec_from_args(args)
-    except (FileNotFoundError, FileFormatError, KeyError) as exc:
+    except _INPUT_ERRORS as exc:
         _err(f"parse error: {exc}")
         return BAD_INPUT
     except LatticeError as exc:
@@ -288,16 +274,35 @@ def cmd_theorem(args) -> int:
     return PASS
 
 
+def _fuzz_seed(args) -> int:
+    """``--seed``, else ``LATNORM_SEED``, else 0; read only when fuzz runs."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("LATNORM_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"LATNORM_SEED must be an integer, got {raw!r}") from None
+
+
 def cmd_fuzz(args) -> int:
     theorem = args.theorem
     if theorem not in THEOREMS:
         _err(f"unknown theorem {theorem!r}")
         return BAD_INPUT
-    profile = THEOREMS[theorem]
+    if args.seeds < 0:
+        _err(f"--seeds must be a non-negative count, got {args.seeds}")
+        return BAD_INPUT
     size = tuple(args.size)
+    try:
+        GenConfig(seed=0, size_range=size)  # rejects a --size outside the generator's range
+        seed = _fuzz_seed(args)
+    except ValueError as exc:
+        _err(f"invalid fuzz input: {exc}")
+        return BAD_INPUT
     if args.drop_clause is not None:
         try:
-            hit = find_counterexample(theorem, args.drop_clause, budget=args.seeds, seed=args.seed)
+            hit = find_counterexample(theorem, args.drop_clause, budget=args.seeds, seed=seed)
         except UnknownClause as exc:
             _err(str(exc))
             return BAD_INPUT
@@ -311,34 +316,29 @@ def cmd_fuzz(args) -> int:
             _dump_instance(hit.spec, Path(args.dump), f"counterexample-{theorem}")
         return PASS
 
-    classes = {
-        "th31": ("under_neutral", "beside_neutral"),
-        "th33": ("beside_threshold",),
-        "th34": ("over_neutral", "beside_neutral"),
-        "th36": ("beside_threshold",),
-    }[theorem]
+    classes = THEOREMS[theorem].anchor_classes
     agree = 0
     for i in range(args.seeds):
         anchor_class = classes[i % len(classes)]
         try:
             spec = gen_spec(
-                GenConfig(seed=args.seed + i, size_range=size),
+                GenConfig(seed=seed + i, size_range=size),
                 anchor_class,
                 want_hypotheses=True,
                 theorem=theorem,
             )
         except ExhaustedRejection as exc:
-            _err(f"seed {args.seed + i}: {exc}")
+            _err(f"seed {seed + i}: {exc}")
             return BAD_INPUT
         verdict = verify_equivalence(spec, theorem)
         if verdict.agree:
             agree += 1
         else:
-            _err(f"seed {args.seed + i}: prediction {verdict.predicted} but verdict {verdict.observed}")
+            _err(f"seed {seed + i}: prediction {verdict.predicted} but verdict {verdict.observed}")
             for line in format_axiom_report(verdict.report, spec.lattice):
                 _err(line)
             if args.dump:
-                _dump_instance(spec, Path(args.dump), f"disagreement-{theorem}-{args.seed + i}")
+                _dump_instance(spec, Path(args.dump), f"disagreement-{theorem}-{seed + i}")
             print(f"{agree}/{args.seeds} agree")
             return MATH_FAIL
     print(f"{agree}/{args.seeds} agree")
@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("LATNORM_SEED", "0")),
         help="base seed (default: LATNORM_SEED or 0)",
     )
     p.add_argument("--dump", help="directory for counterexample artifacts")

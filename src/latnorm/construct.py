@@ -12,7 +12,13 @@ element.  The join form fills the cell (x, y) as follows:
     threshold                                   -> x v y v anchor
   * anything else                               -> top
 
-The meet form is the order dual (meets, bottom, and the upper interval).
+The meet form is the order dual (meets, bottom, and the upper interval),
+and the code treats it as such: the meet-form construction, the t-conorm
+pinch and the meet-form hypothesis reports are the join-form (t-norm)
+code run on the spec transported to the dual lattice with
+:func:`dual_spec`, the result read back in the original order.  Spec
+validation alone runs in the caller's own orientation, so error texts
+name the caller's bounds and the inner table is verified once.
 
 Constructions are total: they evaluate for any valid spec, including ones
 that violate the theorem hypotheses, so counterexamples can be
@@ -23,17 +29,11 @@ license are exactly the equivalences the verification module fuzzes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .lattice import BoundedLattice, ElementId, case_regions, ids_of
-from .optable import (
-    OpTable,
-    in_class_ub,
-    in_class_ut,
-    is_uninorm,
-    table_from_function,
-)
+from .optable import OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
 class SpecInvalid(Exception):
@@ -126,6 +126,9 @@ class TheoremProfile:
         return (self.anchor_clause,)
 
 
+# Anchor classes whose name changes under duality: join-form -> meet-form.
+MEET_CLASS_NAMES = {"under_neutral": "over_neutral"}
+
 THEOREMS = {
     "th31": TheoremProfile("th31", "join", ("under_neutral", "beside_neutral"), True),
     "th33": TheoremProfile("th33", "join", ("beside_threshold",), False),
@@ -161,18 +164,23 @@ def validate_spec(spec: ConstructionSpec, orientation: str, *, check_inner: bool
             )
 
 
-def _checker_guard(spec: ConstructionSpec) -> None:
-    lat = spec.lattice
-    if spec.threshold in (lat.bottom, lat.top):
-        raise SpecInvalid("theorem checkers require an interior threshold")
+def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
+    """Transport a spec across lattice duality (join form <-> meet form)."""
+    dual = spec.lattice.dual()
+    return ConstructionSpec(
+        lattice=dual,
+        threshold=spec.threshold,
+        neutral=spec.neutral,
+        anchor=spec.anchor,
+        inner=rewrap(spec.inner, dual),
+    )
 
 
 # -- the two constructions --------------------------------------------------
 
 
-def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:
-    """Join-form construction on the full carrier.  Total for valid specs."""
-    validate_spec(spec, "join", check_inner=check_inner)
+def _join_form(spec: ConstructionSpec) -> OpTable:
+    """Cells of the join-form construction; the spec is already validated."""
     lat = spec.lattice
     regions = case_regions(lat, spec.neutral, spec.threshold)
     inner_mask = lat.interval_mask(lat.bottom, spec.threshold)
@@ -199,129 +207,106 @@ def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTabl
     return table_from_function(lat, range(lat.n), cell)
 
 
+def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:
+    """Join-form construction on the full carrier.  Total for valid specs."""
+    validate_spec(spec, "join", check_inner=check_inner)
+    return _join_form(spec)
+
+
 def construct_eq2(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:
-    """Meet-form construction: the order dual of :func:`construct_eq1`."""
+    """Meet-form construction: the join form on the dual, read back."""
     validate_spec(spec, "meet", check_inner=check_inner)
-    lat = spec.lattice
-    inner_mask = lat.interval_mask(spec.threshold, lat.top)
-    high_mask = lat.interval_mask(spec.neutral, lat.top)
-    inc_n = lat.incomparables_mask(spec.neutral)
-    inc_t = lat.incomparables_mask(spec.threshold)
-    iso = inc_n & inc_t
-    inner = spec.inner
-    meet = lat.meet
-    anchor = spec.anchor
-    bottom = lat.bottom
-
-    def cell(x: ElementId, y: ElementId) -> ElementId:
-        x_in = inner_mask >> x & 1
-        y_in = inner_mask >> y & 1
-        if x_in and y_in:
-            return inner.value(x, y)
-        if not x_in and high_mask >> y & 1:
-            return x
-        if high_mask >> x & 1 and not y_in:
-            return y
-        if iso >> x & 1 and iso >> y & 1:
-            return meet(meet(x, y), anchor)
-        return bottom
-
-    return table_from_function(lat, range(lat.n), cell)
+    return rewrap(_join_form(dual_spec(spec)), spec.lattice)
 
 
 def construct_for(spec: ConstructionSpec, theorem: str, *, check_inner: bool = True) -> OpTable:
-    profile = THEOREMS[theorem]
-    if profile.orientation == "join":
-        return construct_eq1(spec, check_inner=check_inner)
-    return construct_eq2(spec, check_inner=check_inner)
+    construct = construct_eq1 if THEOREMS[theorem].orientation == "join" else construct_eq2
+    return construct(spec, check_inner=check_inner)
 
 
 # -- pinch-point constructions (one-interval t-norm / t-conorm extensions) --
 
 
-def construct_pinched_tnorm(
-    lat: BoundedLattice, pivot: ElementId, upper: OpTable, *, check_inner: bool = True
+def pinch_tnorm(
+    lat: BoundedLattice, lo: ElementId, hi: ElementId, pivot: ElementId, upper: OpTable
 ) -> OpTable:
-    """Extend a t-norm on [pivot, top] to the carrier.
+    """Pinch-point t-norm on [lo, hi] around a t-norm ``upper`` on [pivot, hi].
 
-    Cells keep the inner value on the upper interval, take meets when the
-    top element participates, and collapse to bottom otherwise.
+    Cells keep the inner value on [pivot, hi], take meets when ``hi``
+    participates, and collapse to ``lo`` otherwise.
     """
-    want = lat.interval(pivot, lat.top)
-    if set(upper.carrier) != set(want):
-        raise SpecInvalid("upper table carrier is not [pivot, top]")
-    if check_inner:
-        report = is_uninorm(upper, lat.top)
-        if not report.ok:
-            raise SpecInvalid(
-                "upper table fails t-norm axioms: " + ", ".join(report.failures())
-            )
-    upper_mask = lat.interval_mask(pivot, lat.top)
+    upper_mask = lat.interval_mask(pivot, hi)
+    meet = lat.meet
 
     def cell(x: ElementId, y: ElementId) -> ElementId:
         if upper_mask >> x & 1 and upper_mask >> y & 1:
             return upper.value(x, y)
-        if x == lat.top or y == lat.top:
-            return lat.meet(x, y)
-        return lat.bottom
+        if x == hi or y == hi:
+            return meet(x, y)
+        return lo
 
-    return table_from_function(lat, range(lat.n), cell)
+    return table_from_function(lat, lat.interval(lo, hi), cell)
+
+
+_PINCH_SIDES = {"upper": ("[pivot, top]", "t-norm"), "lower": ("[bottom, pivot]", "t-conorm")}
+
+
+def _validate_pinch(table: OpTable, want, neutral: ElementId, check_inner: bool, side: str) -> None:
+    interval, kind = _PINCH_SIDES[side]
+    if set(table.carrier) != set(want):
+        raise SpecInvalid(f"{side} table carrier is not {interval}")
+    if check_inner:
+        report = is_uninorm(table, neutral)
+        if not report.ok:
+            raise SpecInvalid(f"{side} table fails {kind} axioms: " + ", ".join(report.failures()))
+
+
+def construct_pinched_tnorm(
+    lat: BoundedLattice, pivot: ElementId, upper: OpTable, *, check_inner: bool = True
+) -> OpTable:
+    """Extend a t-norm on [pivot, top] to the carrier (see :func:`pinch_tnorm`)."""
+    _validate_pinch(upper, lat.interval(pivot, lat.top), lat.top, check_inner, "upper")
+    return pinch_tnorm(lat, lat.bottom, lat.top, pivot, upper)
 
 
 def construct_pinched_tconorm(
     lat: BoundedLattice, pivot: ElementId, lower: OpTable, *, check_inner: bool = True
 ) -> OpTable:
-    """Extend a t-conorm on [bottom, pivot] to the carrier (dual form)."""
-    want = lat.interval(lat.bottom, pivot)
-    if set(lower.carrier) != set(want):
-        raise SpecInvalid("lower table carrier is not [bottom, pivot]")
-    if check_inner:
-        report = is_uninorm(lower, lat.bottom)
-        if not report.ok:
-            raise SpecInvalid(
-                "lower table fails t-conorm axioms: " + ", ".join(report.failures())
-            )
-    lower_mask = lat.interval_mask(lat.bottom, pivot)
-
-    def cell(x: ElementId, y: ElementId) -> ElementId:
-        if lower_mask >> x & 1 and lower_mask >> y & 1:
-            return lower.value(x, y)
-        if x == lat.bottom or y == lat.bottom:
-            return lat.join(x, y)
-        return lat.top
-
-    return table_from_function(lat, range(lat.n), cell)
+    """Extend a t-conorm on [bottom, pivot] to the carrier: the dual pinch."""
+    _validate_pinch(lower, lat.interval(lat.bottom, pivot), lat.bottom, check_inner, "lower")
+    dual = lat.dual()
+    return rewrap(pinch_tnorm(dual, dual.bottom, dual.top, pivot, rewrap(lower, dual)), lat)
 
 
 # -- hypothesis checkers -----------------------------------------------------
 
 
-def _check(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
+def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
+    """Hypothesis report of one theorem; meet-form theorems are checked in
+    join form on the dual spec."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem!r}")
     profile = THEOREMS[theorem]
-    lat = spec.lattice
-    _checker_guard(spec)
+    if spec.threshold in (spec.lattice.bottom, spec.lattice.top):
+        raise SpecInvalid("theorem checkers require an interior threshold")
     validate_spec(spec, profile.orientation)
-    q = spec.anchor
-
     if profile.orientation == "join":
-        regions = case_regions(lat, spec.neutral, spec.threshold)
-        unit = lat.top
-        combine = lat.join
-        inner_ok = in_class_ub(spec.inner, spec.neutral)
-        guard_extra = lat.interval_mask(spec.threshold, lat.top, lower_open=True, upper_open=True)
-        strictly_inside = lat.lt(lat.bottom, q) and lat.lt(q, spec.neutral)
-        inside_class = "under_neutral"
-    else:
-        regions = case_regions(lat.dual(), spec.neutral, spec.threshold)
-        unit = lat.bottom
-        combine = lat.meet
-        inner_ok = in_class_ut(spec.inner, spec.neutral)
-        guard_extra = lat.interval_mask(lat.bottom, spec.threshold, lower_open=True, upper_open=True)
-        strictly_inside = lat.lt(spec.neutral, q) and lat.lt(q, lat.top)
-        inside_class = "over_neutral"
+        return _join_report(spec, profile)
+    report = _join_report(dual_spec(spec), profile)
+    return replace(
+        report, anchor_class=MEET_CLASS_NAMES.get(report.anchor_class, report.anchor_class)
+    )
 
-    if strictly_inside:
-        anchor_class = inside_class
+
+def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisReport:
+    lat = spec.lattice
+    q = spec.anchor
+    regions = case_regions(lat, spec.neutral, spec.threshold)
+    top = lat.top
+    join = lat.join
+
+    if lat.lt(lat.bottom, q) and lat.lt(q, spec.neutral):
+        anchor_class = "under_neutral"
     elif regions.side_inner >> q & 1:
         anchor_class = "beside_neutral"
     elif regions.side_outer >> q & 1:
@@ -336,8 +321,8 @@ def _check(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
         pairs = Clause(ok=True)
         for i, a in enumerate(iso):
             for b in iso[i + 1:]:
-                v = combine(a, b)
-                if v != unit:
+                v = join(a, b)
+                if v != top:
                     pairs = Clause(ok=False, witness=(a, b, v))
                     break
             if not pairs.ok:
@@ -346,8 +331,8 @@ def _check(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
     anchor_clause = Clause(ok=True)
     for a in iso:
         if lat.parallel(a, q):
-            v = combine(a, q)
-            if v != unit:
+            v = join(a, q)
+            if v != top:
                 anchor_clause = Clause(ok=False, witness=(a, v))
                 break
 
@@ -362,39 +347,18 @@ def _check(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
         if not parallel_clause.ok:
             break
 
+    guard_extra = lat.interval_mask(spec.threshold, top, lower_open=True, upper_open=True)
     guard = bool(regions.side_outer | regions.isolated | guard_extra)
 
     return HypothesisReport(
-        theorem=theorem,
+        theorem=profile.id,
         anchor_class=anchor_class,
         join_pairs_ok=pairs,
         join_anchor_ok=anchor_clause,
         parallel_condition_ok=parallel_clause,
-        inner_in_ub=inner_ok,
+        inner_in_ub=in_class_ub(spec.inner, spec.neutral),
         nonempty_guard=guard,
     )
-
-
-def check_th31(spec: ConstructionSpec) -> HypothesisReport:
-    return _check(spec, "th31")
-
-
-def check_th33(spec: ConstructionSpec) -> HypothesisReport:
-    return _check(spec, "th33")
-
-
-def check_th34(spec: ConstructionSpec) -> HypothesisReport:
-    return _check(spec, "th34")
-
-
-def check_th36(spec: ConstructionSpec) -> HypothesisReport:
-    return _check(spec, "th36")
-
-
-def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    return _check(spec, theorem)
 
 
 def predict_uninorm(spec: ConstructionSpec, theorem: str) -> bool:

@@ -12,7 +12,7 @@ import json
 from typing import Optional
 
 from .lattice import BoundedLattice, build_lattice, ids_of
-from .optable import OpTable
+from .optable import OpTable, OpTableError
 
 
 class FileFormatError(Exception):
@@ -66,11 +66,23 @@ def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
         pairs, mode = doc["le_pairs"], "full"
     else:
         raise FileFormatError("lattice file needs a 'covers' or 'le_pairs' key")
+    if not _is_str_list(elements):
+        raise FileFormatError("'elements' must be a list of strings")
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
+        _is_str_list(p) and len(p) == 2 for p in pairs
     ):
-        raise FileFormatError("order pairs must be two-element lists")
-    return name, build_lattice(elements, [tuple(p) for p in pairs], mode=mode)
+        raise FileFormatError("order pairs must be two-element lists of strings")
+    unknown = {x for p in pairs for x in p} - set(elements)
+    if unknown:
+        raise FileFormatError(f"order pair references unknown element {min(unknown)!r}")
+    try:
+        return name, build_lattice(elements, [tuple(p) for p in pairs], mode=mode)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 # -- tables ------------------------------------------------------------------
@@ -104,6 +116,10 @@ def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
         rows = doc["rows"]
     except KeyError as exc:
         raise FileFormatError(f"table file missing key {exc}") from None
+    if not _is_str_list(carrier_names):
+        raise FileFormatError("'carrier' must be a list of strings")
+    if not isinstance(rows, list) or not all(_is_str_list(row) for row in rows):
+        raise FileFormatError("'rows' must be a list of lists of strings")
     try:
         carrier = tuple(lat.index(name) for name in carrier_names)
         values = tuple(tuple(lat.index(cell) for cell in row) for row in rows)
@@ -111,16 +127,21 @@ def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
         raise FileFormatError(str(exc)) from None
     if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
         raise FileFormatError("table is not square over its carrier")
-    return lattice_name, OpTable(lattice=lat, carrier=carrier, values=values)
+    try:
+        return lattice_name, OpTable(lattice=lat, carrier=carrier, values=values)
+    except OpTableError as exc:
+        raise FileFormatError(str(exc)) from None
 
 
 def table_lattice_name(text: str) -> str:
     """The lattice a table file references, without resolving it."""
     try:
-        doc = json.loads(text)
-        return doc["lattice"]
+        name = json.loads(text)["lattice"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise FileFormatError(f"cannot read lattice reference: {exc}") from None
+    if not isinstance(name, str):
+        raise FileFormatError("the table's 'lattice' reference must be a string")
+    return name
 
 
 def render_table_text(table: OpTable, label: str = "U") -> str:

@@ -1,5 +1,11 @@
 """Seeded random generation of lattices, uninorms, and construction specs.
 
+The t-conorm cores and the ``join_core`` uninorm family are not written
+out: they are the t-norm cores and the ``meet_core`` family built on the
+dual lattice and read back, drawing from the generator in the same
+order.  Meet-form specs are generated in join form and transported with
+:func:`~latnorm.construct.dual_spec`.
+
 Everything here is deterministic: generator state is an explicit
 ``random.Random`` seeded from the config, there is no hidden global
 randomness, and identical configs produce identical objects.  Rejection
@@ -14,12 +20,20 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .construct import THEOREMS, ConstructionSpec, check_for
+from .construct import (
+    MEET_CLASS_NAMES,
+    THEOREMS,
+    ConstructionSpec,
+    check_for,
+    dual_spec,
+    pinch_tnorm,
+)
 from .lattice import (
     BoundedLattice,
     ElementId,
     LatticeError,
     build_lattice,
+    case_regions,
     ids_of,
     mask_of,
 )
@@ -31,6 +45,7 @@ from .optable import (
     in_class_ut,
     is_uninorm,
     meet_table,
+    rewrap,
     table_from_function,
 )
 
@@ -151,52 +166,16 @@ def _rand_tnorm(lat: BoundedLattice, lo: ElementId, hi: ElementId, rng: random.R
         return table_from_function(lat, carrier, drastic)
     interior = [x for x in carrier if x not in (lo, hi)]
     pivot = rng.choice(interior)
-    upper = _rand_tnorm(lat, pivot, hi, rng)
-    upper_mask = lat.interval_mask(pivot, hi)
-
-    def pinched(x, y):
-        if upper_mask >> x & 1 and upper_mask >> y & 1:
-            return upper.value(x, y)
-        if x == hi or y == hi:
-            return lat.meet(x, y)
-        return lo
-
-    return table_from_function(lat, carrier, pinched)
-
-
-def _rand_tconorm(lat: BoundedLattice, lo: ElementId, hi: ElementId, rng: random.Random) -> OpTable:
-    """Random t-conorm on [lo, hi] (neutral lo); mirror of :func:`_rand_tnorm`."""
-    carrier = lat.interval(lo, hi)
-    if len(carrier) <= 2:
-        return table_from_function(lat, carrier, lat.join)
-    roll = rng.random()
-    if roll < 0.34:
-        return table_from_function(lat, carrier, lat.join)
-    if roll < 0.67:
-        def drastic(x, y):
-            if x == lo or y == lo:
-                return lat.join(x, y)
-            return hi
-        return table_from_function(lat, carrier, drastic)
-    interior = [x for x in carrier if x not in (lo, hi)]
-    pivot = rng.choice(interior)
-    lower = _rand_tconorm(lat, lo, pivot, rng)
-    lower_mask = lat.interval_mask(lo, pivot)
-
-    def pinched(x, y):
-        if lower_mask >> x & 1 and lower_mask >> y & 1:
-            return lower.value(x, y)
-        if x == lo or y == lo:
-            return lat.join(x, y)
-        return hi
-
-    return table_from_function(lat, carrier, pinched)
+    return pinch_tnorm(lat, lo, hi, pivot, _rand_tnorm(lat, pivot, hi, rng))
 
 
 def _meet_core_uninorm(
-    lat: BoundedLattice, carrier, e: ElementId, core: OpTable, hi: ElementId
+    lat: BoundedLattice, carrier, e: ElementId, lo: ElementId, hi: ElementId, rng: random.Random
 ) -> OpTable:
-    lo_mask = lat.interval_mask(_interval_bounds(lat, carrier)[0], e)
+    """A random t-norm core on [lo, e]; outside it the other argument wins,
+    and two outside arguments give ``hi``."""
+    core = _rand_tnorm(lat, lo, e, rng)
+    lo_mask = lat.interval_mask(lo, e)
 
     def cell(x, y):
         x_in = lo_mask >> x & 1
@@ -208,25 +187,6 @@ def _meet_core_uninorm(
         if x_in and not y_in:
             return y
         return hi
-
-    return table_from_function(lat, carrier, cell)
-
-
-def _join_core_uninorm(
-    lat: BoundedLattice, carrier, e: ElementId, core: OpTable, lo: ElementId
-) -> OpTable:
-    hi_mask = lat.interval_mask(e, _interval_bounds(lat, carrier)[1])
-
-    def cell(x, y):
-        x_in = hi_mask >> x & 1
-        y_in = hi_mask >> y & 1
-        if x_in and y_in:
-            return core.value(x, y)
-        if not x_in and y_in:
-            return x
-        if x_in and not y_in:
-            return y
-        return lo
 
     return table_from_function(lat, carrier, cell)
 
@@ -271,11 +231,9 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
         else:
             family = rng.choice(("meet_core", "join_core"))
         if family == "meet_core":
-            core = _rand_tnorm(lat, lo, e, rng)
-            table = _meet_core_uninorm(lat, carrier, e, core, hi)
+            table = _meet_core_uninorm(lat, carrier, e, lo, hi, rng)
         else:
-            core = _rand_tconorm(lat, e, hi, rng)
-            table = _join_core_uninorm(lat, carrier, e, core, lo)
+            table = rewrap(_meet_core_uninorm(lat.dual(), carrier, e, hi, lo, rng), lat)
         for _ in range(rng.randint(0, 2)):
             mutated = _mutate(table, e, rng)
             if mutated is not None and (cf is None or _CLASS_CHECKS[cf](mutated, e)):
@@ -328,18 +286,7 @@ def enumerate_uninorms(lat: BoundedLattice, carrier, e: ElementId) -> list[OpTab
 # -- construction specs ------------------------------------------------------
 
 
-def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
-    """Transport a spec across lattice duality (join form <-> meet form)."""
-    dual = spec.lattice.dual()
-    inner = OpTable(lattice=dual, carrier=spec.inner.carrier, values=spec.inner.values)
-    return ConstructionSpec(
-        lattice=dual,
-        threshold=spec.threshold,
-        neutral=spec.neutral,
-        anchor=spec.anchor,
-        inner=inner,
-    )
-
+_JOIN_CLASS_NAMES = {meet: join for join, meet in MEET_CLASS_NAMES.items()}
 
 _ANCHOR_DEFAULT_THEOREM = {
     "under_neutral": "th31",
@@ -352,8 +299,6 @@ _ANCHOR_DEFAULT_THEOREM = {
 def _anchor_candidates(
     lat: BoundedLattice, neutral: ElementId, threshold: ElementId, anchor_class: str
 ) -> tuple[ElementId, ...]:
-    from .lattice import case_regions
-
     regions = case_regions(lat, neutral, threshold)
     if anchor_class == "under_neutral":
         return lat.interval(lat.bottom, neutral, lower_open=True, upper_open=True)
@@ -377,8 +322,9 @@ def gen_spec_candidates(
     """
     profile = THEOREMS[theorem]
     join_class = anchor_class
-    if profile.orientation == "meet" and anchor_class == "over_neutral":
-        join_class = "under_neutral"
+    if profile.orientation == "meet":
+        join_class = _JOIN_CLASS_NAMES.get(anchor_class, anchor_class)
+    join_classes = tuple(_JOIN_CLASS_NAMES.get(c, c) for c in profile.anchor_classes)
     rng = random.Random(cfg.seed)
     dry_run = 0
     while True:
@@ -399,15 +345,7 @@ def gen_spec_candidates(
         threshold = rng.choice(interior)
         below = lat.interval(lat.bottom, threshold)
         neutral = rng.choice(below)
-        if join_class is None:
-            classes = (
-                ("under_neutral", "beside_neutral")
-                if profile.has_pairs_clause
-                else ("beside_threshold",)
-            )
-            pick = rng.choice(classes)
-        else:
-            pick = join_class
+        pick = rng.choice(join_classes) if join_class is None else join_class
         candidates = _anchor_candidates(lat, neutral, threshold, pick)
         if not candidates:
             continue
@@ -443,6 +381,9 @@ def gen_spec(
     that kept failing.
     """
     theorem = theorem or _ANCHOR_DEFAULT_THEOREM[anchor_class]
+    want_class = anchor_class
+    if THEOREMS[theorem].orientation == "meet":
+        want_class = MEET_CLASS_NAMES.get(anchor_class, anchor_class)
     last_failure = "anchor-class availability"
     count = 0
     for spec in gen_spec_candidates(cfg, theorem, anchor_class=anchor_class):
@@ -450,9 +391,6 @@ def gen_spec(
         if count > ATTEMPT_CAP:
             break
         report = check_for(spec, theorem)
-        want_class = anchor_class
-        if THEOREMS[theorem].orientation == "meet" and anchor_class == "under_neutral":
-            want_class = "over_neutral"
         if report.anchor_class != want_class:
             last_failure = "anchor-class"
             continue

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 ElementId = int
 
+MAX_ELEMENTS = 64  # the design limit of the bit-mask representation
+
 
 class LatticeError(Exception):
     """Base class for order-structure construction failures."""
@@ -259,13 +261,16 @@ def build_lattice(
     ``mode="covers"``, any subset of the order when ``mode="full"``.
     Either way the reflexive-transitive closure is taken, then every
     invariant is checked: antisymmetry, global bounds, and existence of a
-    unique join and meet for each pair.
+    unique join and meet for each pair.  More than :data:`MAX_ELEMENTS`
+    elements raise ``ValueError``.
     """
     if mode not in ("covers", "full"):
         raise ValueError(f"mode must be 'covers' or 'full', got {mode!r}")
     names = tuple(names)
     if not names:
         raise NotAPoset("empty carrier")
+    if len(names) > MAX_ELEMENTS:
+        raise ValueError(f"{len(names)} elements exceed the limit of {MAX_ELEMENTS}")
     seen = set()
     for name in names:
         if not name:
@@ -306,28 +311,20 @@ def build_lattice(
 
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
+    # the meet is the join of the reversed order: the least common upper
+    # bound read in ``down`` instead of ``up``
+    orders = (("join", up, join_table), ("meet", down, meet_table))
     for a in range(n):
-        join_table[a][a] = a
-        meet_table[a][a] = a
+        join_table[a][a] = meet_table[a][a] = a
         for b in range(a + 1, n):
-            common = up[a] & up[b]
-            least = None
-            for c in _bits(common):
-                if common & ~up[c] == 0:
-                    least = c
-                    break
-            if least is None:
-                raise NotALattice("join", names[a], names[b])
-            join_table[a][b] = join_table[b][a] = least
-            common = down[a] & down[b]
-            greatest = None
-            for c in _bits(common):
-                if common & ~down[c] == 0:
-                    greatest = c
-                    break
-            if greatest is None:
-                raise NotALattice("meet", names[a], names[b])
-            meet_table[a][b] = meet_table[b][a] = greatest
+            for kind, rows, table in orders:
+                common = rows[a] & rows[b]
+                for c in _bits(common):
+                    if common & ~rows[c] == 0:
+                        table[a][b] = table[b][a] = c
+                        break
+                else:
+                    raise NotALattice(kind, names[a], names[b])
 
     return BoundedLattice(
         names=names,

@@ -8,6 +8,10 @@ that can be re-evaluated against the table.
 
 Witness enumeration order is lexicographic over element identifiers so
 reports are reproducible run to run.
+
+The ``ut`` and ``umin`` class predicates are not written out: each is its
+twin (``ub``, ``umax``) evaluated on the table transported to the order
+dual of its lattice with :func:`rewrap`.
 """
 
 from __future__ import annotations
@@ -108,6 +112,15 @@ def table_from_function(
     carrier = tuple(carrier)
     values = tuple(tuple(fn(a, b) for b in carrier) for a in carrier)
     return OpTable(lattice=lattice, carrier=carrier, values=values)
+
+
+def rewrap(t: OpTable, lattice: BoundedLattice) -> OpTable:
+    """The same cells on the same carrier, read in ``lattice``.
+
+    With ``lattice = t.lattice.dual()`` this transports a table across
+    duality; a second call with the original lattice brings it back.
+    """
+    return OpTable(lattice=lattice, carrier=t.carrier, values=t.values)
 
 
 def meet_table(lattice: BoundedLattice, carrier=None) -> OpTable:
@@ -269,15 +282,6 @@ def is_uninorm(t: OpTable, e: ElementId) -> AxiomReport:
     )
 
 
-def is_t_norm(t: OpTable, carrier_top: ElementId) -> AxiomReport:
-    """Uninorm battery with the designated neutral taken as the carrier top."""
-    return is_uninorm(t, carrier_top)
-
-
-def is_t_conorm(t: OpTable, carrier_bottom: ElementId) -> AxiomReport:
-    return is_uninorm(t, carrier_bottom)
-
-
 def restrict(t: OpTable, sub) -> OpTable:
     """Restrict the table to sub x sub, keeping the sub order given."""
     sub = tuple(sub)
@@ -291,36 +295,21 @@ def restrict(t: OpTable, sub) -> OpTable:
 # -- class predicates ------------------------------------------------------
 
 
-def _carrier_interval_masks(t: OpTable, e: ElementId) -> tuple[int, int, int]:
-    """(below-e, above-e, full) masks within the carrier interval."""
-    lat = t.lattice
+def _carrier_interval_masks(t: OpTable, e: ElementId) -> tuple[int, int]:
+    """(below-e, full) masks within the carrier interval."""
     cm = t.carrier_mask
     lo = t.carrier_bottom()
-    hi = t.carrier_top()
-    below = lat.interval_mask(lo, e)
-    above = lat.interval_mask(e, hi)
-    return below & cm, above & cm, cm
+    t.carrier_top()  # raises unless the carrier is an interval
+    return t.lattice.interval_mask(lo, e) & cm, cm
 
 
-def in_class_umin(t: OpTable, e: ElementId) -> bool:
-    """Projection onto the second argument on (e, top] x (carrier - [e, top]).
+def in_class_umax(t: OpTable, e: ElementId) -> bool:
+    """Projection onto the second argument on [bottom, e) x (carrier - [bottom, e]).
 
     The commuted rectangle is checked as well so the predicate is
     meaningful on raw candidate tables.
     """
-    _, above, cm = _carrier_interval_masks(t, e)
-    strict_above = above & ~(1 << e)
-    outside = cm & ~above
-    for a in ids_of(strict_above):
-        for b in ids_of(outside):
-            if t.value(a, b) != b or t.value(b, a) != b:
-                return False
-    return True
-
-
-def in_class_umax(t: OpTable, e: ElementId) -> bool:
-    """Projection onto the second argument on [bottom, e) x (carrier - [bottom, e])."""
-    below, _, cm = _carrier_interval_masks(t, e)
+    below, cm = _carrier_interval_masks(t, e)
     strict_below = below & ~(1 << e)
     outside = cm & ~below
     for a in ids_of(strict_below):
@@ -332,7 +321,7 @@ def in_class_umax(t: OpTable, e: ElementId) -> bool:
 
 def in_class_ub(t: OpTable, e: ElementId) -> bool:
     """Values landing in [bottom, e] force both arguments into [bottom, e]."""
-    below, _, _ = _carrier_interval_masks(t, e)
+    below, _ = _carrier_interval_masks(t, e)
     for a in t.carrier:
         a_in = below >> a & 1
         for b in t.carrier:
@@ -344,11 +333,9 @@ def in_class_ub(t: OpTable, e: ElementId) -> bool:
 
 def in_class_ut(t: OpTable, e: ElementId) -> bool:
     """Values landing in [e, top] force both arguments into [e, top]."""
-    _, above, _ = _carrier_interval_masks(t, e)
-    for a in t.carrier:
-        a_in = above >> a & 1
-        for b in t.carrier:
-            v = t.value(a, b)
-            if above >> v & 1 and not (a_in and above >> b & 1):
-                return False
-    return True
+    return in_class_ub(rewrap(t, t.lattice.dual()), e)
+
+
+def in_class_umin(t: OpTable, e: ElementId) -> bool:
+    """Projection onto the second argument on (e, top] x (carrier - [e, top])."""
+    return in_class_umax(rewrap(t, t.lattice.dual()), e)

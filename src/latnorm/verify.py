@@ -22,9 +22,10 @@ from typing import Optional
 from .construct import (
     THEOREMS,
     ConstructionSpec,
-    HypothesesNotMet,
     check_for,
     construct_for,
+    dual_spec,
+    predict_uninorm,
 )
 from .optable import (
     AxiomReport,
@@ -159,11 +160,7 @@ def verify_equivalence(spec: ConstructionSpec, theorem: str) -> EquivalenceVerdi
     Raises :class:`HypothesesNotMet` when the standing hypotheses fail,
     exactly as the prediction itself does.
     """
-    report = check_for(spec, theorem)
-    failures = report.standing_failures()
-    if failures:
-        raise HypothesesNotMet(failures[0])
-    predicted = report.parallel_condition_ok.ok
+    predicted = predict_uninorm(spec, theorem)
     table = construct_for(spec, theorem)
     axioms = is_uninorm(table, spec.neutral)
     counter = None
@@ -235,7 +232,7 @@ def find_counterexample(
     ``drop_clause=None`` that is the only possible outcome.
     """
     from . import corpus as corpus_mod  # deferred: corpus imports construct
-    from .gen import ExhaustedRejection, GenConfig, dual_spec, gen_spec_candidates
+    from .gen import ExhaustedRejection, GenConfig, gen_spec_candidates
 
     profile = THEOREMS[theorem]
     if drop_clause is not None and drop_clause not in profile.droppable_clauses:

@@ -259,3 +259,85 @@ def test_le_pairs_alternative_key(tmp_path):
     path = tmp_path / "tiny.lattice.json"
     path.write_text(json.dumps(doc))
     assert main(["check-lattice", str(path)]) == 0
+
+
+def _one_line(text: str) -> bool:
+    return len(text.splitlines()) == 1 and "Traceback" not in text
+
+
+@pytest.mark.parametrize("eq, flag", [("1", "--sigma"), ("2", "--rho")])
+def test_construct_eq_must_match_threshold_flag(golden, capsys, eq, flag):
+    code = main([
+        "construct", str(golden / "L11.lattice.json"), str(golden / "L11.Ustar.table.json"),
+        "--eq", eq, flag, "rho", "--e", "e", "--anchor", "q",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and _one_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--seeds", "3", "--size", "1", "40"], None),
+        (["--seeds", "-3"], None),
+        (["--seeds", "3"], "abc"),
+        (["--seeds", "3", "--drop-clause", "join-pairs"], "1.5"),
+    ],
+)
+def test_fuzz_bad_input_exits_two(monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("LATNORM_SEED", env)
+    code = main(["fuzz", "--theorem", "th31", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and _one_line(captured.err)
+
+
+def test_bad_seed_variable_only_matters_to_fuzz(monkeypatch, capsys):
+    monkeypatch.setenv("LATNORM_SEED", "abc")
+    assert main(["corpus", "--replay"]) == 0
+    assert main(["fuzz", "--theorem", "th33", "--seeds", "2", "--seed", "4"]) == 0
+    assert "2/2 agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": "s", "elements": "abc", "covers": []},
+        {"name": "n", "elements": [0, 1], "covers": [[0, 1]]},
+        {"name": "u", "elements": ["0", "1"], "covers": [["0", "x"]]},
+        {"name": "c", "elements": ["0", "1"], "covers": [[["0"], "1"]]},
+        {
+            "name": "chain70",
+            "elements": [f"x{i}" for i in range(70)],
+            "covers": [[f"x{i}", f"x{i + 1}"] for i in range(69)],
+        },
+    ],
+)
+def test_malformed_lattice_file_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "bad.lattice.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-lattice", str(path)])
+    assert code == 2
+    assert _one_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"rows": 5}, {"rows": [5]}, {"carrier": "e"}, {"carrier": ["e", "e"]}, {"lattice": 3}],
+)
+def test_malformed_table_file_exits_two(golden, capsys, patch):
+    doc = json.loads((golden / "L11.U1.table.json").read_text())
+    doc.update(patch)
+    path = golden / "bad.table.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path), "--e", "e"])
+    assert code == 2
+    assert _one_line(capsys.readouterr().err)
+
+
+def test_verify_neutral_outside_carrier_exits_two(golden, capsys):
+    code = main(["verify", str(golden / "L11.Ustar.table.json"), "--e", "m"])
+    assert code == 2
+    assert _one_line(capsys.readouterr().err)

@@ -5,9 +5,6 @@ from latnorm.construct import (
     HypothesesNotMet,
     SpecInvalid,
     check_for,
-    check_th31,
-    check_th33,
-    check_th34,
     construct_eq1,
     construct_eq2,
     construct_for,
@@ -17,7 +14,7 @@ from latnorm.construct import (
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import build_lattice, case_regions
-from latnorm.optable import is_t_conorm, is_t_norm, is_uninorm, join_table, table_from_function
+from latnorm.optable import is_uninorm, join_table, table_from_function
 
 
 def chain(n):
@@ -162,13 +159,13 @@ def test_pinched_three_chain_example():
     assert s.value(0, 2) == 2 and s.value(0, 1) == 1
     assert s.value(1, 1) == 1
     assert s.value(1, 2) == 2
-    assert is_t_conorm(s, lat.bottom).ok
+    assert is_uninorm(s, lat.bottom).ok
 
     upper = table_from_function(lat, lat.interval(1, 2), lat.meet)
     t = construct_pinched_tnorm(lat, 1, upper)
     for x in range(3):
         assert t.value(2, x) == x
-    assert is_t_norm(t, lat.top).ok
+    assert is_uninorm(t, lat.top).ok
 
 
 def test_pinched_outputs_verify_on_random_lattices():
@@ -180,8 +177,8 @@ def test_pinched_outputs_verify_on_random_lattices():
         pivot = interior[0]
         lower = gen_uninorm(lat, lat.interval(lat.bottom, pivot), lat.bottom, GenConfig(seed=seed))
         upper = gen_uninorm(lat, lat.interval(pivot, lat.top), lat.top, GenConfig(seed=seed))
-        assert is_t_conorm(construct_pinched_tconorm(lat, pivot, lower), lat.bottom).ok
-        assert is_t_norm(construct_pinched_tnorm(lat, pivot, upper), lat.top).ok
+        assert is_uninorm(construct_pinched_tconorm(lat, pivot, lower), lat.bottom).ok
+        assert is_uninorm(construct_pinched_tnorm(lat, pivot, upper), lat.top).ok
 
 
 def test_eq2_matches_dual_transport(l22):
@@ -211,7 +208,7 @@ def test_check_reports_on_corpus(entries):
 
 def test_l13_join_clause_witnesses(l13):
     lat = l13.lattice
-    report = check_th31(l13.spec)
+    report = check_for(l13.spec, "th31")
     a, b, v = report.join_pairs_ok.witness
     assert lat.join(a, b) == v and v != lat.top
     # the cited failing pair joins to d as well
@@ -224,7 +221,7 @@ def test_l13_join_clause_witnesses(l13):
 
 def test_l22_anchor_clause_witness(l22):
     lat = l22.lattice
-    report = check_th33(l22.spec)
+    report = check_for(l22.spec, "th33")
     assert report.join_pairs_ok is None
     assert not report.join_anchor_ok.ok
     assert lat.join(lat.index("m"), lat.index("q")) == lat.index("d")
@@ -248,7 +245,7 @@ def test_predict_vacuous_on_chain():
     inner = gen_uninorm(lat, lat.interval(0, threshold), e, GenConfig(seed=2, class_filter="ub"))
     spec = ConstructionSpec(lat, threshold, e, 0, inner)  # anchor strictly below e? 0 is bottom
     spec = ConstructionSpec(lat, threshold, e, 2, inner)  # interior anchor above e -> other
-    report = check_th31(spec)
+    report = check_for(spec, "th31")
     assert report.anchor_class == "other"
     with pytest.raises(HypothesesNotMet) as err:
         predict_uninorm(spec, "th31")
@@ -271,7 +268,7 @@ def test_checker_rejects_boundary_threshold(l11):
     inner = gen_uninorm(lat, tuple(range(lat.n)), l11.spec.neutral, GenConfig(seed=1))
     spec = ConstructionSpec(lat, lat.top, l11.spec.neutral, l11.spec.anchor, inner)
     with pytest.raises(SpecInvalid):
-        check_th31(spec)
+        check_for(spec, "th31")
 
 
 def test_dual_checkers_mirror(entries):
@@ -295,7 +292,7 @@ def test_construct_for_dispatch(l11):
 
 def test_dualized_l11_passes_th34(entries):
     spec = dual_spec(entries["L11"].spec)
-    report = check_th34(spec)
+    report = check_for(spec, "th34")
     assert report.standing_failures() == ()
     assert report.parallel_condition_ok.ok
     assert is_uninorm(construct_eq2(spec), spec.neutral).ok

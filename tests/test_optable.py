@@ -10,8 +10,6 @@ from latnorm.optable import (
     in_class_umax,
     in_class_umin,
     in_class_ut,
-    is_t_conorm,
-    is_t_norm,
     is_uninorm,
     join_table,
     meet_table,
@@ -28,14 +26,14 @@ def chain(n):
 def test_meet_is_t_norm():
     for seed in range(10):
         lat = gen_lattice(GenConfig(seed=seed, size_range=(3, 8)))
-        report = is_t_norm(meet_table(lat), lat.top)
+        report = is_uninorm(meet_table(lat), lat.top)
         assert report.ok
 
 
 def test_join_is_t_conorm_and_uninorm_with_bottom_neutral():
     for seed in range(10):
         lat = gen_lattice(GenConfig(seed=seed, size_range=(3, 8)))
-        assert is_t_conorm(join_table(lat), lat.bottom).ok
+        assert is_uninorm(join_table(lat), lat.bottom).ok
         assert is_uninorm(join_table(lat), lat.bottom).ok
 
 
@@ -83,7 +81,7 @@ def test_restrict_table1_to_low_interval_is_t_norm(l11):
     low = lat.interval(lat.bottom, lat.index("e"))
     assert [lat.name(x) for x in low] == ["0", "q", "e"]
     sub = restrict(l11.spec.inner, low)
-    assert is_t_norm(sub, lat.index("e")).ok
+    assert is_uninorm(sub, lat.index("e")).ok
 
 
 def test_restrict_constructed_to_both_sides(l11):
@@ -91,15 +89,15 @@ def test_restrict_constructed_to_both_sides(l11):
     e = l11.spec.neutral
     low = restrict(l11.stored, lat.interval(lat.bottom, e))
     high = restrict(l11.stored, lat.interval(e, lat.top))
-    assert is_t_norm(low, e).ok
-    assert is_t_conorm(high, e).ok
+    assert is_uninorm(low, e).ok
+    assert is_uninorm(high, e).ok
 
 
 def test_table1_is_not_a_t_norm_with_threshold_neutral(l11):
     # the inner operator is a uninorm on its interval but the t-norm check
     # with the carrier top as neutral fails on the neutral axiom
     lat = l11.lattice
-    report = is_t_norm(l11.spec.inner, lat.index("rho"))
+    report = is_uninorm(l11.spec.inner, lat.index("rho"))
     assert report.neutral is not None
     x, got = report.neutral
     assert lat.name(x) == "0" and lat.name(got) == "rho"
@@ -162,8 +160,8 @@ def test_uninorm_restriction_property_generated():
         t = gen_uninorm(lat, carrier, e, GenConfig(seed=seed * 7 + 1))
         low = restrict(t, lat.interval(lat.bottom, e))
         high = restrict(t, lat.interval(e, lat.top))
-        assert is_t_norm(low, e).ok
-        assert is_t_conorm(high, e).ok
+        assert is_uninorm(low, e).ok
+        assert is_uninorm(high, e).ok
 
 
 def test_witnesses_recheck_on_corrupted_tables():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latnorm.construct import ConstructionSpec, HypothesesNotMet, check_th33
+from latnorm.construct import ConstructionSpec, HypothesesNotMet, check_for
 from latnorm.gen import GenConfig, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import build_lattice, case_regions, ids_of
 from latnorm.optable import (
@@ -165,7 +165,7 @@ def hand_built_side_anchor_counterexample():
 def test_hand_built_instance_breaks_without_anchor_clause():
     spec = hand_built_side_anchor_counterexample()
     lat = spec.lattice
-    report = check_th33(spec)
+    report = check_for(spec, "th33")
     assert report.anchor_class == "beside_threshold"
     assert report.standing_failures() == ("join-anchor",)
     assert report.parallel_condition_ok.ok
