@@ -182,7 +182,11 @@ def cmd_construct(args) -> int:
 
     rendered = render_table(table, args.format, lattice_name=name)
     if args.out:
-        Path(args.out).write_text(rendered)
+        try:
+            Path(args.out).write_text(rendered)
+        except OSError as exc:
+            _err(f"cannot write file: {exc}")
+            return BAD_INPUT
     else:
         sys.stdout.write(rendered)
 
@@ -293,7 +297,10 @@ def cmd_fuzz(args) -> int:
     if args.seeds < 0:
         _err(f"--seeds must be a non-negative count, got {args.seeds}")
         return BAD_INPUT
-    size = tuple(args.size)
+    if args.drop_clause is not None and args.size is not None:
+        _err("--size does not apply to --drop-clause, whose search draws sizes 5..9")
+        return BAD_INPUT
+    size = (4, 9) if args.size is None else tuple(args.size)
     try:
         GenConfig(seed=0, size_range=size)  # rejects a --size outside the generator's range
         seed = _fuzz_seed(args)
@@ -437,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded equivalence fuzzing / clause-drop search")
     p.add_argument("--theorem", required=True)
     p.add_argument("--seeds", type=int, required=True, help="instance count")
-    p.add_argument("--size", type=int, nargs=2, default=(4, 9), metavar=("MIN", "MAX"))
+    p.add_argument("--size", type=int, nargs=2, metavar=("MIN", "MAX"), help="default: 4 9")
     p.add_argument("--drop-clause")
     p.add_argument(
         "--seed",

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .lattice import BoundedLattice, ElementId, case_regions, ids_of
+from .lattice import BoundedLattice, CaseRegions, ElementId, case_regions, ids_of
 from .optable import OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
@@ -135,6 +135,21 @@ THEOREMS = {
     "th34": TheoremProfile("th34", "meet", ("over_neutral", "beside_neutral"), True),
     "th36": TheoremProfile("th36", "meet", ("beside_threshold",), False),
 }
+
+
+def anchor_class_masks(
+    lat: BoundedLattice, neutral: ElementId, regions: CaseRegions
+) -> dict[str, int]:
+    """The join-form anchor classes as disjoint masks of the carrier.
+
+    ``regions`` is ``case_regions(lat, neutral, threshold)``.  An anchor in
+    none of them is of class ``"other"``.
+    """
+    return {
+        "under_neutral": lat.interval_mask(lat.bottom, neutral, lower_open=True, upper_open=True),
+        "beside_neutral": regions.side_inner,
+        "beside_threshold": regions.side_outer,
+    }
 
 
 # -- spec validation --------------------------------------------------------
@@ -251,29 +266,24 @@ def pinch_tnorm(
 _PINCH_SIDES = {"upper": ("[pivot, top]", "t-norm"), "lower": ("[bottom, pivot]", "t-conorm")}
 
 
-def _validate_pinch(table: OpTable, want, neutral: ElementId, check_inner: bool, side: str) -> None:
+def _validate_pinch(table: OpTable, want, neutral: ElementId, side: str) -> None:
     interval, kind = _PINCH_SIDES[side]
     if set(table.carrier) != set(want):
         raise SpecInvalid(f"{side} table carrier is not {interval}")
-    if check_inner:
-        report = is_uninorm(table, neutral)
-        if not report.ok:
-            raise SpecInvalid(f"{side} table fails {kind} axioms: " + ", ".join(report.failures()))
+    report = is_uninorm(table, neutral)
+    if not report.ok:
+        raise SpecInvalid(f"{side} table fails {kind} axioms: " + ", ".join(report.failures()))
 
 
-def construct_pinched_tnorm(
-    lat: BoundedLattice, pivot: ElementId, upper: OpTable, *, check_inner: bool = True
-) -> OpTable:
+def construct_pinched_tnorm(lat: BoundedLattice, pivot: ElementId, upper: OpTable) -> OpTable:
     """Extend a t-norm on [pivot, top] to the carrier (see :func:`pinch_tnorm`)."""
-    _validate_pinch(upper, lat.interval(pivot, lat.top), lat.top, check_inner, "upper")
+    _validate_pinch(upper, lat.interval(pivot, lat.top), lat.top, "upper")
     return pinch_tnorm(lat, lat.bottom, lat.top, pivot, upper)
 
 
-def construct_pinched_tconorm(
-    lat: BoundedLattice, pivot: ElementId, lower: OpTable, *, check_inner: bool = True
-) -> OpTable:
+def construct_pinched_tconorm(lat: BoundedLattice, pivot: ElementId, lower: OpTable) -> OpTable:
     """Extend a t-conorm on [bottom, pivot] to the carrier: the dual pinch."""
-    _validate_pinch(lower, lat.interval(lat.bottom, pivot), lat.bottom, check_inner, "lower")
+    _validate_pinch(lower, lat.interval(lat.bottom, pivot), lat.bottom, "lower")
     dual = lat.dual()
     return rewrap(pinch_tnorm(dual, dual.bottom, dual.top, pivot, rewrap(lower, dual)), lat)
 
@@ -305,14 +315,11 @@ def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisR
     top = lat.top
     join = lat.join
 
-    if lat.lt(lat.bottom, q) and lat.lt(q, spec.neutral):
-        anchor_class = "under_neutral"
-    elif regions.side_inner >> q & 1:
-        anchor_class = "beside_neutral"
-    elif regions.side_outer >> q & 1:
-        anchor_class = "beside_threshold"
-    else:
-        anchor_class = "other"
+    anchor_class = next(
+        (name for name, mask in anchor_class_masks(lat, spec.neutral, regions).items()
+         if mask >> q & 1),
+        "other",
+    )
 
     iso = ids_of(regions.isolated)
 

@@ -61,9 +61,9 @@ def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
     except KeyError as exc:
         raise FileFormatError(f"lattice file missing key {exc}") from None
     if "covers" in doc:
-        pairs, mode = doc["covers"], "covers"
+        pairs = doc["covers"]
     elif "le_pairs" in doc:
-        pairs, mode = doc["le_pairs"], "full"
+        pairs = doc["le_pairs"]
     else:
         raise FileFormatError("lattice file needs a 'covers' or 'le_pairs' key")
     if not _is_str_list(elements):
@@ -76,7 +76,7 @@ def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
     if unknown:
         raise FileFormatError(f"order pair references unknown element {min(unknown)!r}")
     try:
-        return name, build_lattice(elements, [tuple(p) for p in pairs], mode=mode)
+        return name, build_lattice(elements, [tuple(p) for p in pairs])
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator, Optional
 
 from .construct import (
     MEET_CLASS_NAMES,
     THEOREMS,
     ConstructionSpec,
+    anchor_class_masks,
     check_for,
     dual_spec,
     pinch_tnorm,
@@ -50,6 +52,7 @@ from .optable import (
 )
 
 ATTEMPT_CAP = 10_000
+COVER_DENSITY = 0.35  # chance that an earlier node becomes a lower cover of a new node
 
 _CLASS_CHECKS = {
     "ub": in_class_ub,
@@ -69,15 +72,12 @@ class ExhaustedRejection(Exception):
 class GenConfig:
     seed: int
     size_range: tuple[int, int] = (4, 9)
-    density: float = 0.35
     class_filter: Optional[str] = None
 
     def __post_init__(self):
         lo, hi = self.size_range
         if not (2 <= lo <= hi <= 12):
             raise ValueError("size_range must satisfy 2 <= min <= max <= 12")
-        if not (0.0 <= self.density <= 1.0):
-            raise ValueError("density must lie in [0, 1]")
         if self.class_filter is not None and self.class_filter not in _CLASS_CHECKS:
             raise ValueError(f"unknown class filter {self.class_filter!r}")
 
@@ -102,7 +102,7 @@ def _attempt_lattice(rng: random.Random, cfg: GenConfig) -> Optional[BoundedLatt
     has_upper = set()
     for layer in layers:
         for node in layer:
-            parents = [p for p in lower if rng.random() < cfg.density]
+            parents = [p for p in lower if rng.random() < COVER_DENSITY]
             if not parents:
                 parents = [rng.choice(lower)]
             for p in parents:
@@ -131,19 +131,6 @@ def gen_lattice(cfg: GenConfig) -> BoundedLattice:
 
 
 # -- inner operators --------------------------------------------------------
-
-
-def _interval_bounds(lat: BoundedLattice, carrier) -> tuple[ElementId, ElementId]:
-    cm = mask_of(carrier)
-    lo = hi = None
-    for a in carrier:
-        if cm & ~lat.up[a] == 0:
-            lo = a
-        if cm & ~lat.down[a] == 0:
-            hi = a
-    if lo is None or hi is None:
-        raise ValueError("carrier is not an interval")
-    return lo, hi
 
 
 def _rand_tnorm(lat: BoundedLattice, lo: ElementId, hi: ElementId, rng: random.Random) -> OpTable:
@@ -220,7 +207,10 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
     carrier = tuple(carrier)
     if e not in carrier:
         raise ValueError("neutral element must belong to the carrier")
-    lo, hi = _interval_bounds(lat, carrier)
+    bounds = lat.extremes(mask_of(carrier))
+    if bounds is None:
+        raise ValueError("carrier is not an interval")
+    lo, hi = bounds
     rng = random.Random(cfg.seed)
     cf = cfg.class_filter
     for _ in range(ATTEMPT_CAP):
@@ -288,26 +278,6 @@ def enumerate_uninorms(lat: BoundedLattice, carrier, e: ElementId) -> list[OpTab
 
 _JOIN_CLASS_NAMES = {meet: join for join, meet in MEET_CLASS_NAMES.items()}
 
-_ANCHOR_DEFAULT_THEOREM = {
-    "under_neutral": "th31",
-    "beside_neutral": "th31",
-    "beside_threshold": "th33",
-    "over_neutral": "th34",
-}
-
-
-def _anchor_candidates(
-    lat: BoundedLattice, neutral: ElementId, threshold: ElementId, anchor_class: str
-) -> tuple[ElementId, ...]:
-    regions = case_regions(lat, neutral, threshold)
-    if anchor_class == "under_neutral":
-        return lat.interval(lat.bottom, neutral, lower_open=True, upper_open=True)
-    if anchor_class == "beside_neutral":
-        return ids_of(regions.side_inner)
-    if anchor_class == "beside_threshold":
-        return ids_of(regions.side_outer)
-    raise ValueError(f"unknown anchor class {anchor_class!r}")
-
 
 def gen_spec_candidates(
     cfg: GenConfig,
@@ -346,7 +316,10 @@ def gen_spec_candidates(
         below = lat.interval(lat.bottom, threshold)
         neutral = rng.choice(below)
         pick = rng.choice(join_classes) if join_class is None else join_class
-        candidates = _anchor_candidates(lat, neutral, threshold, pick)
+        masks = anchor_class_masks(lat, neutral, case_regions(lat, neutral, threshold))
+        if pick not in masks:
+            raise ValueError(f"unknown anchor class {pick!r}")
+        candidates = ids_of(masks[pick])
         if not candidates:
             continue
         anchor = rng.choice(candidates)
@@ -372,32 +345,20 @@ def gen_spec(
     cfg: GenConfig,
     anchor_class: str,
     want_hypotheses: bool,
-    theorem: Optional[str] = None,
+    theorem: str,
 ) -> ConstructionSpec:
-    """First spec whose anchor lies in the requested class.
+    """First spec for ``theorem`` whose anchor lies in the requested class.
 
-    With ``want_hypotheses`` the theorem's standing clauses must hold as
-    well; sampling is capped and the exhaustion error names the clause
-    that kept failing.
+    Every candidate's anchor is drawn from that class.  With
+    ``want_hypotheses`` the theorem's standing clauses must hold as well;
+    sampling is capped and the exhaustion error names the clause that
+    kept failing.
     """
-    theorem = theorem or _ANCHOR_DEFAULT_THEOREM[anchor_class]
-    want_class = anchor_class
-    if THEOREMS[theorem].orientation == "meet":
-        want_class = MEET_CLASS_NAMES.get(anchor_class, anchor_class)
-    last_failure = "anchor-class availability"
-    count = 0
-    for spec in gen_spec_candidates(cfg, theorem, anchor_class=anchor_class):
-        count += 1
-        if count > ATTEMPT_CAP:
-            break
-        report = check_for(spec, theorem)
-        if report.anchor_class != want_class:
-            last_failure = "anchor-class"
-            continue
-        if want_hypotheses:
-            failures = report.standing_failures()
-            if failures:
-                last_failure = failures[0]
-                continue
-        return spec
-    raise ExhaustedRejection(f"no spec within cap; last failing clause: {last_failure}")
+    candidates = gen_spec_candidates(cfg, theorem, anchor_class=anchor_class)
+    if not want_hypotheses:
+        return next(candidates)
+    for spec in islice(candidates, ATTEMPT_CAP):
+        failures = check_for(spec, theorem).standing_failures()
+        if not failures:
+            return spec
+    raise ExhaustedRejection(f"no spec within cap; last failing clause: {failures[0]}")

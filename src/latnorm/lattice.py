@@ -14,6 +14,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 ElementId = int
 
@@ -26,6 +27,11 @@ class LatticeError(Exception):
 
 class NotAPoset(LatticeError):
     """Input relation is not a partial order (cycle, or bad names)."""
+
+
+class BadElementName(NotAPoset, ValueError):
+    """An element name is empty or repeated.  Also a ``ValueError``, so file
+    readers report it as malformed input rather than as a bad order."""
 
 
 class NotALattice(LatticeError):
@@ -163,6 +169,19 @@ class BoundedLattice:
             _bits(self.interval_mask(lo, hi, lower_open=lower_open, upper_open=upper_open))
         )
 
+    def extremes(self, mask: int) -> Optional[tuple[ElementId, ElementId]]:
+        """(least, greatest) element of the subset ``mask``; ``None`` when it
+        lacks either, so a subset without both is not an interval."""
+        lo = hi = None
+        for a in _bits(mask):
+            if mask & ~self.up[a] == 0:
+                lo = a
+            if mask & ~self.down[a] == 0:
+                hi = a
+        if lo is None or hi is None:
+            return None
+        return lo, hi
+
     def incomparables_mask(self, a: ElementId) -> int:
         return self.all_mask & ~(self.up[a] | self.down[a])
 
@@ -250,22 +269,16 @@ def _closure(up: list[int], n: int) -> None:
                 up[i] |= row_k
 
 
-def build_lattice(
-    names,
-    order_pairs,
-    mode: str = "covers",
-) -> BoundedLattice:
+def build_lattice(names, order_pairs) -> BoundedLattice:
     """Build and fully validate a bounded lattice.
 
-    ``order_pairs`` lists (lower, upper) name pairs: cover edges when
-    ``mode="covers"``, any subset of the order when ``mode="full"``.
-    Either way the reflexive-transitive closure is taken, then every
-    invariant is checked: antisymmetry, global bounds, and existence of a
-    unique join and meet for each pair.  More than :data:`MAX_ELEMENTS`
-    elements raise ``ValueError``.
+    ``order_pairs`` lists (lower, upper) name pairs: the cover edges, or
+    any other subset of the order that generates it.  The
+    reflexive-transitive closure is taken, then every invariant is
+    checked: antisymmetry, global bounds, and existence of a unique join
+    and meet for each pair.  More than :data:`MAX_ELEMENTS` elements raise
+    ``ValueError``.
     """
-    if mode not in ("covers", "full"):
-        raise ValueError(f"mode must be 'covers' or 'full', got {mode!r}")
     names = tuple(names)
     if not names:
         raise NotAPoset("empty carrier")
@@ -274,9 +287,9 @@ def build_lattice(
     seen = set()
     for name in names:
         if not name:
-            raise NotAPoset("empty element name")
+            raise BadElementName("empty element name")
         if name in seen:
-            raise NotAPoset(f"duplicate element name {name!r}")
+            raise BadElementName(f"duplicate element name {name!r}")
         seen.add(name)
     index = {name: i for i, name in enumerate(names)}
     n = len(names)

@@ -78,20 +78,6 @@ class OpTable:
     def __hash__(self) -> int:
         return hash((self.carrier, self.values))
 
-    def carrier_bottom(self) -> ElementId:
-        # the element whose up-set contains the whole carrier
-        return self._extreme(self.lattice.up)
-
-    def carrier_top(self) -> ElementId:
-        return self._extreme(self.lattice.down)
-
-    def _extreme(self, rows) -> ElementId:
-        cm = self.carrier_mask
-        for a in self.carrier:
-            if cm & ~rows[a] == 0:
-                return a
-        raise OpTableError("carrier has no extreme element; not an interval")
-
     def diff(self, other: "OpTable") -> tuple[tuple[ElementId, ElementId], ...]:
         """Cells (row, col) where the two tables disagree; carriers must match."""
         if set(self.carrier) != set(other.carrier):
@@ -148,8 +134,7 @@ class AxiomReport:
     """Outcome of the exhaustive uninorm axiom battery.
 
     Each field is ``None`` on pass, else the lexicographically first
-    witness.  ``second_side_checked`` records whether monotonicity was
-    checked in both arguments (needed when commutativity fails).
+    witness.
     """
 
     neutral_element: ElementId
@@ -158,7 +143,12 @@ class AxiomReport:
     monotone: Optional[MonotonicityWitness]
     neutral: Optional[NeutralWitness]
     closed: Optional[ClosureWitness]
-    second_side_checked: bool = False
+
+    @property
+    def second_side_checked(self) -> bool:
+        """Whether monotonicity was checked in both arguments, as it must be
+        when commutativity fails."""
+        return self.commutative is not None
 
     @property
     def ok(self) -> bool:
@@ -270,15 +260,13 @@ def is_uninorm(t: OpTable, e: ElementId) -> AxiomReport:
             f"neutral {t.lattice.name(e)!r} is outside the table carrier"
         )
     commutative = first_commutativity_witness(t)
-    both = commutative is not None
     return AxiomReport(
         neutral_element=e,
         commutative=commutative,
         associative=first_associativity_witness(t),
-        monotone=first_monotonicity_witness(t, both_sides=both),
+        monotone=first_monotonicity_witness(t, both_sides=commutative is not None),
         neutral=first_neutral_witness(t, e),
         closed=first_closure_witness(t),
-        second_side_checked=both,
     )
 
 
@@ -298,9 +286,10 @@ def restrict(t: OpTable, sub) -> OpTable:
 def _carrier_interval_masks(t: OpTable, e: ElementId) -> tuple[int, int]:
     """(below-e, full) masks within the carrier interval."""
     cm = t.carrier_mask
-    lo = t.carrier_bottom()
-    t.carrier_top()  # raises unless the carrier is an interval
-    return t.lattice.interval_mask(lo, e) & cm, cm
+    bounds = t.lattice.extremes(cm)
+    if bounds is None:
+        raise OpTableError("carrier has no extreme element; not an interval")
+    return t.lattice.interval_mask(bounds[0], e) & cm, cm
 
 
 def in_class_umax(t: OpTable, e: ElementId) -> bool:

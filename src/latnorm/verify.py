@@ -9,8 +9,9 @@ agreement on random commutative tables is part of the acceptance suite.
 :func:`verify_equivalence` runs a theorem prediction side by side with
 the brute-force axiom verdict on the constructed table; the two must
 agree whenever the standing hypotheses hold.  :func:`find_counterexample`
-searches for instances where dropping a single hypothesis clause breaks
-the construction, trying the example corpus before random generation.
+searches seeded random specs for an instance where dropping a single
+hypothesis clause breaks the construction.  The example corpus is not
+searched: no entry isolates a single clause.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Optional
 from .construct import (
     THEOREMS,
     ConstructionSpec,
+    SpecInvalid,
     check_for,
     construct_for,
-    dual_spec,
     predict_uninorm,
 )
 from .optable import (
@@ -185,7 +186,7 @@ class Counterexample:
     dropped_clause: str
     hypothesis_report: object
     axiom_report: AxiomReport
-    source: str  # "corpus" or "generated:<seed>"
+    source: str  # "generated:<seed>:<index>"
 
 
 def _qualifies(
@@ -197,7 +198,7 @@ def _qualifies(
     must hold, so the theorem guarantees nothing qualifies."""
     try:
         report = check_for(spec, theorem)
-    except Exception:
+    except SpecInvalid:
         return None
     failures = set(report.standing_failures())
     if failures != ({dropped} if dropped is not None else set()):
@@ -226,12 +227,11 @@ def find_counterexample(
 ) -> Optional[Counterexample]:
     """Search for an instance proving the dropped clause necessary.
 
-    Corpus instances are tried first (dualized for the meet-form
-    theorems), then seeded random specs, so results are deterministic for
-    a given seed.  Returns ``None`` when the budget is exhausted; with
-    ``drop_clause=None`` that is the only possible outcome.
+    Tries the first ``budget`` seeded random specs of sizes 5..9, so
+    results are deterministic for a given seed.  Returns ``None`` when the
+    budget is exhausted; with ``drop_clause=None`` that is the only
+    possible outcome.
     """
-    from . import corpus as corpus_mod  # deferred: corpus imports construct
     from .gen import ExhaustedRejection, GenConfig, gen_spec_candidates
 
     profile = THEOREMS[theorem]
@@ -240,15 +240,6 @@ def find_counterexample(
             f"{theorem} has no droppable clause {drop_clause!r}; "
             f"choose from {profile.droppable_clauses}"
         )
-
-    for entry_id in corpus_mod.ENTRY_IDS:
-        entry = corpus_mod.load(entry_id)
-        spec = entry.spec
-        if profile.orientation == "meet":
-            spec = dual_spec(spec)
-        hit = _qualifies(spec, theorem, drop_clause)
-        if hit is not None:
-            return replace(hit, source=f"corpus:{entry_id}")
 
     cfg = GenConfig(seed=seed, size_range=(5, 9))
     try:

@@ -283,6 +283,8 @@ def test_construct_eq_must_match_threshold_flag(golden, capsys, eq, flag):
         (["--seeds", "-3"], None),
         (["--seeds", "3"], "abc"),
         (["--seeds", "3", "--drop-clause", "join-pairs"], "1.5"),
+        (["--seeds", "3", "--size", "5", "9", "--drop-clause", "join-pairs"], None),
+        (["--theorem", "th99", "--seeds", "3"], None),  # the last --theorem wins
     ],
 )
 def test_fuzz_bad_input_exits_two(monkeypatch, capsys, argv, env):
@@ -313,6 +315,8 @@ def test_bad_seed_variable_only_matters_to_fuzz(monkeypatch, capsys):
             "elements": [f"x{i}" for i in range(70)],
             "covers": [[f"x{i}", f"x{i + 1}"] for i in range(69)],
         },
+        {"name": "d", "elements": ["0", "a", "a", "1"], "covers": [["0", "a"], ["a", "1"]]},
+        {"name": "e", "elements": ["0", "", "1"], "covers": [["0", ""], ["", "1"]]},
     ],
 )
 def test_malformed_lattice_file_exits_two(tmp_path, capsys, doc):
@@ -341,3 +345,54 @@ def test_verify_neutral_outside_carrier_exits_two(golden, capsys):
     code = main(["verify", str(golden / "L11.Ustar.table.json"), "--e", "m"])
     assert code == 2
     assert _one_line(capsys.readouterr().err)
+
+
+def test_bad_element_names_exit_two_from_construct(golden, tmp_path, capsys):
+    path = tmp_path / "dup.lattice.json"
+    path.write_text(json.dumps({"name": "dup", "elements": ["0", "a", "a", "1"], "covers": []}))
+    code = main([
+        "construct", str(path), str(golden / "L11.Ustar.table.json"),
+        "--eq", "1", "--rho", "a", "--e", "a", "--anchor", "a",
+    ])
+    assert code == 2
+    assert _one_line(capsys.readouterr().err)
+
+
+def test_construct_out_into_missing_directory_exits_two(golden, tmp_path, capsys):
+    code = main([
+        "construct", str(golden / "L11.lattice.json"), str(golden / "L11.Ustar.table.json"),
+        "--eq", "1", "--rho", "rho", "--e", "e", "--anchor", "q",
+        "--out", str(tmp_path / "missing" / "out.txt"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and _one_line(captured.err)
+
+
+def test_construct_on_a_non_lattice_exits_one(golden, tmp_path, capsys):
+    path = tmp_path / "vee.lattice.json"
+    path.write_text(json.dumps({"name": "vee", "elements": ["0", "a", "b"],
+                                "covers": [["0", "a"], ["0", "b"]]}))
+    code = main([
+        "construct", str(path), str(golden / "L11.Ustar.table.json"),
+        "--eq", "1", "--rho", "a", "--e", "0", "--anchor", "b",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("invalid lattice:")
+
+
+def test_fuzz_drop_clause_with_zero_seeds(capsys):
+    code = main(["fuzz", "--theorem", "th31", "--seeds", "0", "--drop-clause", "join-pairs"])
+    assert code == 0
+    assert capsys.readouterr().out == "no counterexample within 0 instances\n"
+
+
+def test_verify_reports_a_cell_outside_the_carrier(tmp_path, capsys):
+    doc = {"name": "c3", "elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]]}
+    (tmp_path / "c3.lattice.json").write_text(json.dumps(doc))
+    table = {"lattice": "c3", "carrier": ["0", "a"], "rows": [["1", "0"], ["0", "a"]]}
+    path = tmp_path / "c3.U.table.json"
+    path.write_text(json.dumps(table))
+    assert main(["verify", str(path), "--e", "a"]) == 1
+    err = capsys.readouterr().err
+    assert "closure violated: U(0,0) = 1 lies outside the carrier" in err

@@ -26,8 +26,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(seed=0, size_range=(5, 13))
     with pytest.raises(ValueError):
-        GenConfig(seed=0, density=1.5)
-    with pytest.raises(ValueError):
         GenConfig(seed=0, class_filter="nope")
 
 

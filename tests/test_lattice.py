@@ -66,7 +66,7 @@ def test_no_unique_join_rejected():
 
 
 def test_full_relation_mode():
-    lat = build_lattice(("0", "1"), [("0", "1"), ("0", "0")], mode="full")
+    lat = build_lattice(("0", "1"), [("0", "1"), ("0", "0")])
     assert lat.leq(0, 1)
 
 

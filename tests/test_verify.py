@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latnorm.construct import ConstructionSpec, HypothesesNotMet, check_for
+from latnorm.construct import THEOREMS, ConstructionSpec, HypothesesNotMet, check_for, dual_spec
 from latnorm.gen import GenConfig, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import build_lattice, case_regions, ids_of
 from latnorm.optable import (
@@ -15,6 +15,7 @@ from latnorm.verify import (
     NotCommutative,
     Partition,
     UnknownClause,
+    _qualifies,
     assoc_partitioned,
     find_counterexample,
     verify_equivalence,
@@ -219,6 +220,15 @@ def test_corpus_entries_do_not_qualify_for_single_clause_drops():
     hit = find_counterexample("th31", "join-pairs", budget=500, seed=0)
     assert hit is not None
     assert hit.source.startswith("generated:")
+
+
+def test_no_corpus_entry_qualifies_for_any_clause_drop(entries):
+    # the premise on which the clause-drop search leaves the corpus out
+    for entry in entries.values():
+        for theorem, profile in THEOREMS.items():
+            spec = entry.spec if profile.orientation == "join" else dual_spec(entry.spec)
+            for clause in (*profile.droppable_clauses, None):
+                assert _qualifies(spec, theorem, clause) is None, (entry.id, theorem, clause)
 
 
 def test_chain_specs_always_agree():
