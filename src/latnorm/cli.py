@@ -316,11 +316,11 @@ def cmd_fuzz(args) -> int:
         if hit is None:
             print(f"no counterexample within {args.seeds} instances")
             return PASS
+        if args.dump and not _dump_instance(hit.spec, Path(args.dump), f"counterexample-{theorem}"):
+            return BAD_INPUT
         print(f"counterexample found ({hit.source}); dropped clause: {hit.dropped_clause}")
         for line in format_axiom_report(hit.axiom_report, hit.spec.lattice):
             _err(line)
-        if args.dump:
-            _dump_instance(hit.spec, Path(args.dump), f"counterexample-{theorem}")
         return PASS
 
     classes = THEOREMS[theorem].anchor_classes
@@ -341,24 +341,31 @@ def cmd_fuzz(args) -> int:
         if verdict.agree:
             agree += 1
         else:
+            stem = f"disagreement-{theorem}-{seed + i}"
+            if args.dump and not _dump_instance(spec, Path(args.dump), stem):
+                return BAD_INPUT
             _err(f"seed {seed + i}: prediction {verdict.predicted} but verdict {verdict.observed}")
             for line in format_axiom_report(verdict.report, spec.lattice):
                 _err(line)
-            if args.dump:
-                _dump_instance(spec, Path(args.dump), f"disagreement-{theorem}-{seed + i}")
             print(f"{agree}/{args.seeds} agree")
             return MATH_FAIL
     print(f"{agree}/{args.seeds} agree")
     return PASS
 
 
-def _dump_instance(spec: ConstructionSpec, directory: Path, stem: str) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    lat = spec.lattice
-    (directory / f"{stem}.lattice.json").write_text(render_lattice(lat, stem))
-    (directory / f"{stem}.Ustar.table.json").write_text(
-        render_table(spec.inner, "json", lattice_name=stem)
-    )
+def _dump_instance(spec: ConstructionSpec, directory: Path, stem: str) -> bool:
+    """Write the instance's lattice and inner table under ``directory``;
+    False, after one line on stderr, when they cannot be written."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{stem}.lattice.json").write_text(render_lattice(spec.lattice, stem))
+        (directory / f"{stem}.Ustar.table.json").write_text(
+            render_table(spec.inner, "json", lattice_name=stem)
+        )
+    except OSError as exc:
+        _err(f"cannot write file: {exc}")
+        return False
+    return True
 
 
 def cmd_corpus(args) -> int:
@@ -376,18 +383,22 @@ def cmd_corpus(args) -> int:
         print(f"{passed}/{len(report.entries)} entries reproduce")
         return PASS if report.ok else MATH_FAIL
     out = Path(args.export)
-    out.mkdir(parents=True, exist_ok=True)
-    for entry in corpus_mod.all_entries():
-        (out / f"{entry.id}.lattice.json").write_text(
-            render_lattice(entry.lattice, entry.id)
-        )
-        (out / f"{entry.id}.Ustar.table.json").write_text(
-            render_table(entry.spec.inner, "json", lattice_name=entry.id)
-        )
-        key = entry.constructed_key
-        (out / f"{entry.id}.{key}.table.json").write_text(
-            render_table(entry.stored, "json", lattice_name=entry.id)
-        )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for entry in corpus_mod.all_entries():
+            (out / f"{entry.id}.lattice.json").write_text(
+                render_lattice(entry.lattice, entry.id)
+            )
+            (out / f"{entry.id}.Ustar.table.json").write_text(
+                render_table(entry.spec.inner, "json", lattice_name=entry.id)
+            )
+            key = entry.constructed_key
+            (out / f"{entry.id}.{key}.table.json").write_text(
+                render_table(entry.stored, "json", lattice_name=entry.id)
+            )
+    except OSError as exc:
+        _err(f"cannot write file: {exc}")
+        return BAD_INPUT
     print(f"exported {len(corpus_mod.ENTRY_IDS)} entries to {out}")
     return PASS
 

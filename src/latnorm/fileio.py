@@ -24,14 +24,8 @@ class FileFormatError(Exception):
 
 def cover_pairs(lat: BoundedLattice) -> list[tuple[str, str]]:
     """Cover relation recovered from the order, sorted by identifier."""
-    pairs = []
-    for a in range(lat.n):
-        strict_up = lat.up[a] & ~(1 << a)
-        for b in ids_of(strict_up):
-            between = lat.up[a] & lat.down[b] & ~(1 << a) & ~(1 << b)
-            if not between:
-                pairs.append((lat.names[a], lat.names[b]))
-    return pairs
+    covers = lat.upper_covers()
+    return [(lat.names[a], lat.names[b]) for a in range(lat.n) for b in ids_of(covers[a])]
 
 
 def render_lattice(lat: BoundedLattice, name: str) -> str:

@@ -182,6 +182,21 @@ class BoundedLattice:
             return None
         return lo, hi
 
+    def upper_covers(self) -> tuple[int, ...]:
+        """Mask of the upper covers of each element."""
+        # a linear extension, bottom first: anything above x comes after x
+        rank = sorted(range(self.n), key=lambda x: self.down[x].bit_count())
+        covers = [0] * self.n
+        for r, v in enumerate(rank):
+            rest = self.up[v] & ~(1 << v)
+            for w in rank[r + 1:]:
+                if not rest:
+                    break
+                if rest >> w & 1:  # nothing left lies below w: a cover
+                    covers[v] |= 1 << w
+                    rest &= ~self.up[w]
+        return tuple(covers)
+
     def incomparables_mask(self, a: ElementId) -> int:
         return self.all_mask & ~(self.up[a] | self.down[a])
 
@@ -278,6 +293,14 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
     checked: antisymmetry, global bounds, and existence of a unique join
     and meet for each pair.  More than :data:`MAX_ELEMENTS` elements raise
     ``ValueError``.
+
+    In a lattice the common upper bounds of a and b are exactly the
+    elements above a join b, so ``up[a] & up[b]`` is the up-mask of the
+    join: each join is one dict lookup from up-mask to element, and each
+    meet the same lookup over ``down``.  A pair whose common bounds are no
+    element's mask has several minimal bounds and raises
+    :class:`NotALattice`, naming the first such pair in id order (the join
+    before the meet), in O(n^2) for the whole table.
     """
     names = tuple(names)
     if not names:
@@ -302,15 +325,16 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
         up[index[lo]] |= 1 << index[hi]
     _closure(up, n)
 
-    for i in range(n):
-        for j in _bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                raise NotAPoset(f"antisymmetry violated: {names[i]!r} <= {names[j]!r} <= {names[i]!r}")
-
     down = [0] * n
     for i in range(n):
         for j in _bits(up[i]):
             down[j] |= 1 << i
+
+    for i in range(n):
+        cycle = up[i] & down[i] & ~(1 << i)
+        if cycle:
+            j = next(_bits(cycle))
+            raise NotAPoset(f"antisymmetry violated: {names[i]!r} <= {names[j]!r} <= {names[i]!r}")
 
     all_mask = (1 << n) - 1
     bottoms = [i for i in range(n) if up[i] == all_mask]
@@ -322,22 +346,20 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
         maximal = [i for i in range(n) if up[i] == 1 << i]
         raise NotBounded(f"no top element; maximal elements include {names[maximal[0]]!r}")
 
-    join_table = [[0] * n for _ in range(n)]
-    meet_table = [[0] * n for _ in range(n)]
-    # the meet is the join of the reversed order: the least common upper
-    # bound read in ``down`` instead of ``up``
-    orders = (("join", up, join_table), ("meet", down, meet_table))
+    element_up = {mask: c for c, mask in enumerate(up)}
+    element_down = {mask: c for c, mask in enumerate(down)}
+    join_table = []
+    meet_table = []
     for a in range(n):
-        join_table[a][a] = meet_table[a][a] = a
-        for b in range(a + 1, n):
-            for kind, rows, table in orders:
-                common = rows[a] & rows[b]
-                for c in _bits(common):
-                    if common & ~rows[c] == 0:
-                        table[a][b] = table[b][a] = c
-                        break
-                else:
-                    raise NotALattice(kind, names[a], names[b])
+        joins = [element_up.get(up[a] & mask) for mask in up]
+        meets = [element_down.get(down[a] & mask) for mask in down]
+        if None in joins or None in meets:
+            # pairs (b, a) with b < a passed on row b, so the first miss is
+            # past a; at one b the join is checked before the meet
+            b = min(row.index(None) for row in (joins, meets) if None in row)
+            raise NotALattice("join" if joins[b] is None else "meet", names[a], names[b])
+        join_table.append(tuple(joins))
+        meet_table.append(tuple(meets))
 
     return BoundedLattice(
         names=names,
@@ -345,8 +367,8 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
         down=tuple(down),
         bottom=bottoms[0],
         top=tops[0],
-        join_table=tuple(tuple(row) for row in join_table),
-        meet_table=tuple(tuple(row) for row in meet_table),
+        join_table=tuple(join_table),
+        meet_table=tuple(meet_table),
     )
 
 

@@ -6,8 +6,14 @@ separate act (:func:`is_uninorm` and friends) that runs every check
 exhaustively and reports the first violation per axiom, with a witness
 that can be re-evaluated against the table.
 
-Witness enumeration order is lexicographic over element identifiers so
-reports are reproducible run to run.
+Witnesses are the lexicographically first in carrier presentation order,
+so reports are reproducible run to run.  The scans work on whole rows and
+bit masks rather than single cells (commutativity compares row i with
+column i, associativity all rows through ``bytes.translate``, and
+monotonicity finds the failing element with per-line masks); only where a
+row or an element fails does a per-cell walk name the witness, which is
+the one a per-cell scan of every cell would return.  The per-cell loops
+are kept as the reference in ``tests/test_battery_oracle.py``.
 
 The ``ut`` and ``umin`` class predicates are not written out: each is its
 twin (``ub``, ``umax``) evaluated on the table transported to the order
@@ -169,39 +175,88 @@ class AxiomReport:
 
 
 def first_commutativity_witness(t: OpTable) -> Optional[CommutativityWitness]:
+    """First (a, b), a before b in carrier order, with U(a,b) != U(b,a).
+
+    Row i is compared whole with column i.  Every pair before row i agreed,
+    so the first mismatching cell of the first mismatching row lies past
+    the diagonal.
+    """
     carrier = t.carrier
-    for i, a in enumerate(carrier):
-        for b in carrier[i + 1:]:
-            ab = t.value(a, b)
-            ba = t.value(b, a)
-            if ab != ba:
-                return (a, b, ab, ba)
+    for a, row, col in zip(carrier, t.values, zip(*t.values)):
+        if row != col:
+            for b, ab, ba in zip(carrier, row, col):
+                if ab != ba:
+                    return (a, b, ab, ba)
     return None
 
 
 def first_associativity_witness(t: OpTable) -> Optional[AssociativityWitness]:
-    """Naive all-triples check; the ground-truth associativity oracle."""
+    """All-triples check; the ground-truth associativity oracle.
+
+    Every triple is decided, a whole row at a time.  Rows are held as
+    bytes of element ids (ids stay below ``MAX_ELEMENTS`` = 64), and for
+    each ``a`` in carrier order U(a, .) becomes a translation table, so one
+    ``bytes.translate`` of all the rows gives U(a, U(b, c)) for every
+    (b, c) at once, compared with the rows U(U(a, b), .) that row a picks.
+    A mismatching ``a``, or one whose row leaves the carrier, is rescanned
+    row by row, and a mismatching (a, b) cell by cell, so the witness is
+    the lexicographically first triple of a per-cell scan, and cells
+    outside the carrier are skipped as there.
+    """
     carrier = t.carrier
-    pos = t.pos
     values = t.values
+    pos = t.pos
     in_carrier = set(carrier)
-    for a in carrier:
-        row_a = values[pos[a]]
-        for b in carrier:
-            ab = row_a[pos[b]]
+    rows = [bytes(row) for row in values]
+    row_of = dict(zip(carrier, rows))
+    all_rows = b"".join(rows)
+    # byte x of the table of row a is U(a, x), or 0xFF, which no element id
+    # reaches, where x is outside the carrier; no cell holds an id past the
+    # lattice, so the rest of the 256 bytes is padding
+    cols = [pos.get(x, len(carrier)) for x in range(t.lattice.n)]
+    pad = bytes(256 - t.lattice.n)
+    for a, row_a in zip(carrier, values):
+        u_a = bytes(map((*row_a, 0xFF).__getitem__, cols)) + pad
+        if in_carrier.issuperset(row_a) and all_rows.translate(u_a) == b"".join(
+            map(row_of.__getitem__, row_a)
+        ):
+            continue
+        for b, ab, row_b, cells_b in zip(carrier, row_a, rows, values):
             if ab not in in_carrier:
                 continue  # closure violation is reported separately
-            row_ab = values[pos[ab]]
-            row_b = values[pos[b]]
-            for c in carrier:
-                bc = row_b[pos[c]]
+            if row_b.translate(u_a) == row_of[ab]:
+                continue
+            for c, bc, left in zip(carrier, cells_b, values[pos[ab]]):
                 if bc not in in_carrier:
                     continue
-                left = row_ab[pos[c]]
                 right = row_a[pos[bc]]
                 if left != right:
                     return (a, b, c, left, right)
     return None
+
+
+def _first_drop(lines, bits, above, cover_pairs, n: int) -> Optional[int]:
+    """Position of the first carrier element ``a`` with some ``b`` above it
+    and some line L (a column or a row of the table, over the carrier) where
+    L[a] is not <= L[b].  ``bits[i]`` is the id bit of carrier[i] and
+    ``above[i]`` the mask of carrier elements strictly above it.
+
+    Per line, ``reach[v]`` is the mask of carrier elements b with v <= L[b]:
+    each b is put on its own value, then the masks flow down the upper
+    covers, which ``cover_pairs`` lists from the top down.
+    """
+    first = None
+    for line in lines:
+        reach = [0] * n
+        for bit, w in zip(bits, line):
+            reach[w] |= bit
+        for v, w in cover_pairs:
+            reach[v] |= reach[w]
+        for i, (s, v) in enumerate(zip(above[:first], line)):
+            if s & ~reach[v]:
+                first = i
+                break
+    return first
 
 
 def first_monotonicity_witness(
@@ -212,24 +267,48 @@ def first_monotonicity_witness(
     One side suffices for commutative tables; ``both_sides`` is set by the
     caller when commutativity already failed.  Enumeration follows carrier
     presentation order, so reports are reproducible.
+
+    The pairs are not all scanned against every c.  Each column (and with
+    ``both_sides`` each row) gives, for every lattice element v, the mask of
+    carrier elements whose cell in that line lies at or above v, filled from
+    the top of the lattice down its upper covers.  The witness's ``a`` is
+    the first ``a`` whose strict up-set escapes the mask of its own cell in
+    some line, and the per-cell (b, c, side) scan of that one ``a`` names
+    the witness a full scan would.  O(n * (n + covers)) instead of O(n^3).
     """
     lat = t.lattice
     carrier = t.carrier
-    for a in carrier:
-        for b in carrier:
-            if a == b or not lat.leq(a, b):
-                continue
-            for c in carrier:
-                ua = t.value(a, c)
-                ub = t.value(b, c)
-                if not lat.leq(ua, ub):
-                    return (a, b, c, ua, ub, "left")
-                if both_sides:
-                    va = t.value(c, a)
-                    vb = t.value(c, b)
-                    if not lat.leq(va, vb):
-                        return (a, b, c, va, vb, "right")
-    return None
+    up = lat.up
+    cm = t.carrier_mask
+    above = [up[a] & cm & ~(1 << a) for a in carrier]
+    covers = lat.upper_covers()
+    # from the top down: fewer elements above v than above anything below v
+    cover_pairs = [
+        (v, w)
+        for v in sorted(range(lat.n), key=lambda x: up[x].bit_count())
+        for w in ids_of(covers[v])
+    ]
+    lines = list(zip(*t.values))
+    if both_sides:
+        lines += t.values
+    i = _first_drop(lines, [1 << b for b in carrier], above, cover_pairs, lat.n)
+    if i is None:
+        return None
+    a = carrier[i]
+    for b in carrier:
+        if a == b or not lat.leq(a, b):
+            continue
+        for c in carrier:
+            ua = t.value(a, c)
+            ub = t.value(b, c)
+            if not lat.leq(ua, ub):
+                return (a, b, c, ua, ub, "left")
+            if both_sides:
+                va = t.value(c, a)
+                vb = t.value(c, b)
+                if not lat.leq(va, vb):
+                    return (a, b, c, va, vb, "right")
+    raise AssertionError("the masks found a drop at this element")
 
 
 def first_neutral_witness(t: OpTable, e: ElementId) -> Optional[NeutralWitness]:
@@ -245,11 +324,11 @@ def first_neutral_witness(t: OpTable, e: ElementId) -> Optional[NeutralWitness]:
 
 def first_closure_witness(t: OpTable) -> Optional[ClosureWitness]:
     in_carrier = set(t.carrier)
-    for a in t.carrier:
-        for b in t.carrier:
-            v = t.value(a, b)
-            if v not in in_carrier:
-                return (a, b, v)
+    for a, row in zip(t.carrier, t.values):
+        if not in_carrier.issuperset(row):
+            for b, v in zip(t.carrier, row):
+                if v not in in_carrier:
+                    return (a, b, v)
     return None
 
 

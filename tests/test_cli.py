@@ -396,3 +396,27 @@ def test_verify_reports_a_cell_outside_the_carrier(tmp_path, capsys):
     assert main(["verify", str(path), "--e", "a"]) == 1
     err = capsys.readouterr().err
     assert "closure violated: U(0,0) = 1 lies outside the carrier" in err
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_corpus_export_onto_a_file_exits_two(tmp_path, capsys, under_file):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    target = blocker / "out" if under_file else blocker
+    assert main(["corpus", "--export", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+    assert captured.err.startswith("cannot write file: ")
+
+
+def test_fuzz_dump_under_a_file_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code = main([
+        "fuzz", "--theorem", "th31", "--seeds", "500",
+        "--drop-clause", "join-pairs", "--dump", str(blocker / "artifacts"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and _one_line(captured.err)
+    assert captured.err.startswith("cannot write file: ")

@@ -239,3 +239,97 @@ def test_side_inner_lies_inside_threshold_interval():
                 regions = case_regions(lat, e, t)
                 inner = lat.interval_mask(lat.bottom, t)
                 assert regions.side_inner & ~inner == 0
+
+
+# -- join and meet tables against brute force ------------------------------
+
+
+def _brute_bound(lat, a, b, leq):
+    """The bound of a and b that ``leq`` puts below every other bound, or
+    None; ``leq`` is the order for joins and the reversed order for meets."""
+    bounds = [c for c in range(lat.n) if leq(a, c) and leq(b, c)]
+    least = [c for c in bounds if all(leq(c, d) for d in bounds)]
+    return least[0] if len(least) == 1 else None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_join_and_meet_tables_match_brute_force(seed):
+    lat = random_lattice(seed, 2, 10)
+    for a in range(lat.n):
+        for b in range(lat.n):
+            assert lat.join(a, b) == _brute_bound(lat, a, b, lat.leq)
+            assert lat.meet(a, b) == _brute_bound(lat, a, b, lambda x, y: lat.leq(y, x))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_upper_covers_match_brute_force(seed):
+    lat = random_lattice(seed, 2, 10)
+    covers = lat.upper_covers()
+    for a in range(lat.n):
+        for b in range(lat.n):
+            between = any(lat.lt(a, c) and lat.lt(c, b) for c in range(lat.n))
+            assert bool(covers[a] >> b & 1) == (lat.lt(a, b) and not between)
+
+
+def _closed_form_lattices():
+    """(lattice, join, meet) on ids for the 64-chain, 2^6 and the 8x8 grid."""
+    names = [f"c{i}" for i in range(64)]
+    yield (
+        build_lattice(names, [(names[i], names[i + 1]) for i in range(63)]),
+        max,
+        min,
+    )
+    names = [format(i, "06b") for i in range(64)]
+    covers = [(names[i], names[i | 1 << b]) for i in range(64) for b in range(6) if not i >> b & 1]
+    yield build_lattice(names, covers), int.__or__, int.__and__
+    names = [f"g{i}_{j}" for i in range(8) for j in range(8)]
+    covers = [(names[i], names[i + 8]) for i in range(56)]
+    covers += [(names[i], names[i + 1]) for i in range(64) if i % 8 < 7]
+    yield (
+        build_lattice(names, covers),
+        lambda a, b: max(a // 8, b // 8) * 8 + max(a % 8, b % 8),
+        lambda a, b: min(a // 8, b // 8) * 8 + min(a % 8, b % 8),
+    )
+
+
+@pytest.mark.parametrize(
+    "lat, join, meet", list(_closed_form_lattices()), ids=["chain64", "bool2^6", "grid8x8"]
+)
+def test_64_element_join_and_meet_tables(lat, join, meet):
+    assert lat.join_table == tuple(tuple(join(a, b) for b in range(64)) for a in range(64))
+    assert lat.meet_table == tuple(tuple(meet(a, b) for b in range(64)) for a in range(64))
+
+
+def _pairs(text):
+    return [tuple(pair.split("<")) for pair in text.split()]
+
+
+BOWTIE = _pairs("0<a 0<b a<c a<d b<c b<d c<1 d<1")
+
+
+@pytest.mark.parametrize(
+    "names, covers, kind, pair",
+    [
+        # a and b have two minimal common upper bounds
+        (("0", "a", "b", "c", "d", "1"), BOWTIE, "join", ("a", "b")),
+        # the same poset listed tops first: c and d lack a meet
+        (("0", "c", "d", "a", "b", "1"), BOWTIE, "meet", ("c", "d")),
+        # three minimal common upper bounds
+        (("0", "a", "b", "x", "y", "z", "1"),
+         _pairs("0<a 0<b a<x a<y a<z b<x b<y b<z x<1 y<1 z<1"), "join", ("a", "b")),
+        # p lacks a meet with q before it lacks a join with r
+        (("p", "q", "r", "0", "x1", "x2", "y1", "y2", "1"),
+         _pairs("0<x1 0<x2 x1<p x1<q x2<p x2<q p<y1 p<y2 r<y1 r<y2 0<r q<1 y1<1 y2<1"),
+         "meet", ("p", "q")),
+        # a and b lack both; the join is reported
+        (("a", "b", "0", "l1", "l2", "u1", "u2", "1"),
+         _pairs("0<l1 0<l2 l1<a l1<b l2<a l2<b a<u1 a<u2 b<u1 b<u2 u1<1 u2<1"),
+         "join", ("a", "b")),
+    ],
+)
+def test_not_a_lattice_names_the_first_pair(names, covers, kind, pair):
+    with pytest.raises(NotALattice) as info:
+        build_lattice(names, covers)
+    assert info.value.kind == kind
+    assert info.value.pair == pair
+    assert str(info.value) == f"no unique {kind} for {pair[0]!r} and {pair[1]!r}"

@@ -215,8 +215,8 @@ def test_drop_meet_pairs_finds_dual_instance():
 
 def test_corpus_entries_do_not_qualify_for_single_clause_drops():
     # both join clauses fail on the L13 instance, so dropping just one
-    # never isolates it; the search must pass over the corpus and find a
-    # generated instance instead
+    # never isolates it; the search draws only generated instances, and
+    # one of those isolates the clause
     hit = find_counterexample("th31", "join-pairs", budget=500, seed=0)
     assert hit is not None
     assert hit.source.startswith("generated:")
