@@ -16,9 +16,11 @@ from . import corpus as corpus_mod
 from .construct import (
     THEOREMS,
     ConstructionSpec,
+    HypothesisReport,
     SpecInvalid,
     check_for,
-    construct_for,
+    construct_eq1,
+    construct_eq2,
 )
 from .fileio import (
     FileFormatError,
@@ -30,7 +32,7 @@ from .fileio import (
 )
 from .gen import ExhaustedRejection, GenConfig, gen_spec
 from .lattice import BoundedLattice, LatticeError, case_regions, ids_of
-from .optable import AxiomReport, NeutralOutsideCarrier, is_uninorm
+from .optable import AxiomReport, NeutralOutsideCarrier, OpTable, is_uninorm
 from .verify import UnknownClause, find_counterexample, verify_equivalence
 
 PASS, MATH_FAIL, BAD_INPUT = 0, 1, 2
@@ -106,10 +108,20 @@ def _load_lattice(path: str) -> tuple[str, BoundedLattice]:
     return parse_lattice(Path(path).read_text())
 
 
+def _parse_table_for(text: str, lattice_name: str, lat: BoundedLattice) -> OpTable:
+    """Parse a table file that must name the lattice it is read with."""
+    table_lattice, table = parse_table(text, lat)
+    if table_lattice != lattice_name:
+        raise FileFormatError(
+            f"table is written for lattice {table_lattice!r}, not {lattice_name!r}"
+        )
+    return table
+
+
 def _spec_from_args(args) -> tuple[ConstructionSpec, str, str]:
     """Build a spec from CLI flags; returns (spec, orientation, lattice name)."""
     name, lat = _load_lattice(args.lattice)
-    _, inner = parse_table(Path(args.ustar).read_text(), lat)
+    inner = _parse_table_for(Path(args.ustar).read_text(), name, lat)
     threshold_name = args.rho if args.rho is not None else args.sigma
     orientation = "join" if args.rho is not None else "meet"
     spec = ConstructionSpec(
@@ -173,9 +185,9 @@ def cmd_construct(args) -> int:
         _err(f"invalid lattice: {exc}")
         return MATH_FAIL
     lat = spec.lattice
-    theorem = "th31" if orientation == "join" else "th34"
+    construct = construct_eq1 if orientation == "join" else construct_eq2
     try:
-        table = construct_for(spec, theorem, check_inner=not args.no_verify_inner)
+        table = construct(spec, check_inner=not args.no_verify_inner)
     except SpecInvalid as exc:
         _err(f"invalid spec: {exc}")
         return MATH_FAIL
@@ -192,7 +204,7 @@ def cmd_construct(args) -> int:
 
     try:
         if spec.threshold not in (lat.bottom, lat.top):
-            report = check_for(spec, _matching_theorem(spec, orientation))
+            report = _matching_report(spec, orientation)
             for line in format_hypothesis_report(report, lat):
                 _err(line)
         else:
@@ -211,16 +223,19 @@ def cmd_construct(args) -> int:
     return PASS
 
 
-def _matching_theorem(spec: ConstructionSpec, orientation: str) -> str:
+def _matching_report(spec: ConstructionSpec, orientation: str) -> HypothesisReport:
+    """The report of the theorem whose anchor class holds the spec's anchor:
+    th33/th36 beside the threshold, th31/th34 elsewhere."""
     side, other = ("th33", "th31") if orientation == "join" else ("th36", "th34")
-    return side if check_for(spec, side).anchor_class == "beside_threshold" else other
+    report = check_for(spec, side)
+    return report if report.anchor_class == "beside_threshold" else check_for(spec, other)
 
 
 def cmd_verify(args) -> int:
     try:
         table_text, lattice_text = find_lattice_for_table(args.table, args.lattice)
-        _, lat = parse_lattice(lattice_text)
-        _, table = parse_table(table_text, lat)
+        name, lat = parse_lattice(lattice_text)
+        table = _parse_table_for(table_text, name, lat)
         e = lat.index(args.e)
     except _INPUT_ERRORS as exc:
         _err(f"parse error: {exc}")

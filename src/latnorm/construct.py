@@ -234,9 +234,9 @@ def construct_eq2(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTabl
     return rewrap(_join_form(dual_spec(spec)), spec.lattice)
 
 
-def construct_for(spec: ConstructionSpec, theorem: str, *, check_inner: bool = True) -> OpTable:
+def construct_for(spec: ConstructionSpec, theorem: str) -> OpTable:
     construct = construct_eq1 if THEOREMS[theorem].orientation == "join" else construct_eq2
-    return construct(spec, check_inner=check_inner)
+    return construct(spec)
 
 
 # -- pinch-point constructions (one-interval t-norm / t-conorm extensions) --

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .construct import ConstructionSpec
+from .construct import ConstructionSpec, construct_for
 from .lattice import BoundedLattice, build_lattice
 from .optable import OpTable, is_uninorm
 
@@ -229,12 +229,15 @@ def _build_l12() -> CorpusEntry:
     )
 
 
+# note of the L13 and L22 cells that are kept as printed
+_KEPT = (
+    "symmetric as printed but contradicts the join case of the "
+    "formula on the reconstructed covers; kept because the printed "
+    "table is the counterexample object"
+)
+
+
 def _build_l13() -> CorpusEntry:
-    kept = (
-        "symmetric as printed but contradicts the join case of the "
-        "formula on the reconstructed covers; kept because the printed "
-        "table is the counterexample object"
-    )
     return _entry(
         "L13",
         elements=("0", "q", "e", "rho", "s", "m", "t", "d", "1"),
@@ -275,11 +278,11 @@ def _build_l13() -> CorpusEntry:
                      "argument; row 0 prints d and the symmetric cell (d,q) "
                      "prints d",
             ),
-            Erratum(row="s", col="s", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="s", col="m", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="m", col="s", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="s", col="t", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="t", col="s", printed="1", formula="d", repaired=False, note=kept),
+            Erratum(row="s", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="s", col="m", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="m", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="s", col="t", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="t", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
         ],
         cited_witness=("s", "t", "m"),
     )
@@ -331,11 +334,6 @@ def _build_l21() -> CorpusEntry:
 
 
 def _build_l22() -> CorpusEntry:
-    kept = (
-        "symmetric as printed but contradicts the join case of the "
-        "formula on the reconstructed covers; kept because the printed "
-        "table is the counterexample object"
-    )
     return _entry(
         "L22",
         elements=("0", "e", "rho", "s", "t", "m", "q", "d", "1"),
@@ -367,11 +365,11 @@ def _build_l22() -> CorpusEntry:
         constructed_key="U2",
         expected_uninorm=False,
         errata=[
-            Erratum(row="s", col="s", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="s", col="t", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="t", col="s", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="s", col="m", printed="1", formula="d", repaired=False, note=kept),
-            Erratum(row="m", col="s", printed="1", formula="d", repaired=False, note=kept),
+            Erratum(row="s", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="s", col="t", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="t", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="s", col="m", printed="1", formula="d", repaired=False, note=_KEPT),
+            Erratum(row="m", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
         ],
         cited_witness=("s", "m", "t"),
     )
@@ -427,8 +425,6 @@ class ReplayReport:
 
 
 def replay_entry(entry: CorpusEntry) -> EntryReplay:
-    from .construct import construct_for
-
     table = construct_for(entry.spec, entry.theorem)
     diff = table.diff(entry.printed)
     expected_diff = {

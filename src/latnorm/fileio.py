@@ -9,6 +9,7 @@ symbols ("rho", "sigma") so labels survive round-trips everywhere.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Optional
 
 from .lattice import BoundedLattice, build_lattice, ids_of
@@ -17,6 +18,20 @@ from .optable import OpTable, OpTableError
 
 class FileFormatError(Exception):
     pass
+
+
+def _json_object(text: str, kind: str, keys: tuple[str, ...]) -> tuple[dict, list]:
+    """Decode a ``kind`` file: a JSON object holding every key of ``keys``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{kind} file must be a JSON object")
+    try:
+        return doc, [doc[key] for key in keys]
+    except KeyError as exc:
+        raise FileFormatError(f"{kind} file missing key {exc}") from None
 
 
 # -- lattices ---------------------------------------------------------------
@@ -43,17 +58,7 @@ def render_lattice(lat: BoundedLattice, name: str) -> str:
 
 
 def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FileFormatError("lattice file must be a JSON object")
-    try:
-        name = doc["name"]
-        elements = doc["elements"]
-    except KeyError as exc:
-        raise FileFormatError(f"lattice file missing key {exc}") from None
+    doc, (name, elements) = _json_object(text, "lattice", ("name", "elements"))
     if "covers" in doc:
         pairs = doc["covers"]
     elif "le_pairs" in doc:
@@ -98,18 +103,9 @@ def render_table_json(table: OpTable, lattice_name: str) -> str:
 
 
 def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FileFormatError("table file must be a JSON object")
-    try:
-        lattice_name = doc["lattice"]
-        carrier_names = doc["carrier"]
-        rows = doc["rows"]
-    except KeyError as exc:
-        raise FileFormatError(f"table file missing key {exc}") from None
+    _, (lattice_name, carrier_names, rows) = _json_object(
+        text, "table", ("lattice", "carrier", "rows")
+    )
     if not _is_str_list(carrier_names):
         raise FileFormatError("'carrier' must be a list of strings")
     if not isinstance(rows, list) or not all(_is_str_list(row) for row in rows):
@@ -138,16 +134,16 @@ def table_lattice_name(text: str) -> str:
     return name
 
 
-def render_table_text(table: OpTable, label: str = "U") -> str:
+def render_table_text(table: OpTable) -> str:
     """Row/column layout mirroring the printed source tables."""
     lat = table.lattice
     names = [lat.names[a] for a in table.carrier]
-    width = max(len(label), *(len(n) for n in names))
+    width = max(1, *(len(n) for n in names))
 
     def pad(s: str) -> str:
         return s.ljust(width)
 
-    header = pad(label) + " | " + " ".join(pad(n) for n in names)
+    header = pad("U") + " | " + " ".join(pad(n) for n in names)
     rule = "-" * (width + 1) + "+" + "-" * (len(header) - width - 2)
     lines = [header, rule]
     for a, row in zip(table.carrier, table.values):
@@ -156,22 +152,22 @@ def render_table_text(table: OpTable, label: str = "U") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_table_csv(table: OpTable, label: str = "U") -> str:
+def render_table_csv(table: OpTable) -> str:
     lat = table.lattice
     names = [lat.names[a] for a in table.carrier]
-    lines = [",".join([label, *names])]
+    lines = [",".join(["U", *names])]
     for a, row in zip(table.carrier, table.values):
         lines.append(",".join([lat.names[a], *(lat.names[v] for v in row)]))
     return "\n".join(lines) + "\n"
 
 
-def render_table(table: OpTable, fmt: str, lattice_name: str = "", label: str = "U") -> str:
+def render_table(table: OpTable, fmt: str, lattice_name: str = "") -> str:
     if fmt == "json":
         return render_table_json(table, lattice_name)
     if fmt == "table":
-        return render_table_text(table, label)
+        return render_table_text(table)
     if fmt == "csv":
-        return render_table_csv(table, label)
+        return render_table_csv(table)
     raise ValueError(f"unknown table format {fmt!r}")
 
 
@@ -196,12 +192,10 @@ def find_lattice_for_table(table_path, lattice_path: Optional[str] = None):
     Explicit path wins; otherwise look for ``<name>.lattice.json`` next to
     the table file.
     """
-    import pathlib
-
-    table_path = pathlib.Path(table_path)
+    table_path = Path(table_path)
     text = table_path.read_text()
     if lattice_path is not None:
-        return text, pathlib.Path(lattice_path).read_text()
+        return text, Path(lattice_path).read_text()
     name = table_lattice_name(text)
     sibling = table_path.parent / f"{name}.lattice.json"
     if not sibling.exists():

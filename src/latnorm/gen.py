@@ -9,9 +9,11 @@ order.  Meet-form specs are generated in join form and transported with
 Everything here is deterministic: generator state is an explicit
 ``random.Random`` seeded from the config, there is no hidden global
 randomness, and identical configs produce identical objects.  Rejection
-sampling is capped; on exhaustion the error names the constraint that
-kept failing, because a silently vacuous property suite is worse than a
-loud failure.
+sampling of lattices and specs is capped; on exhaustion the error names
+the constraint that kept failing, because a silently vacuous property
+suite is worse than a loud failure.  Uninorms are not rejection-sampled:
+:func:`gen_uninorm` builds a valid skeleton, keeps only mutations that
+pass, and never redraws.
 """
 
 from __future__ import annotations
@@ -137,7 +139,8 @@ def _rand_tnorm(lat: BoundedLattice, lo: ElementId, hi: ElementId, rng: random.R
     """Random t-norm on the interval [lo, hi] (neutral hi).
 
     Recursively stacks the pinch-point extension over a random interior
-    pivot on top of the meet and drastic base cases.
+    pivot on top of two base cases: the meet, and the drastic t-norm,
+    which is the pinch at ``hi`` itself.
     """
     carrier = lat.interval(lo, hi)
     if len(carrier) <= 2:
@@ -146,11 +149,7 @@ def _rand_tnorm(lat: BoundedLattice, lo: ElementId, hi: ElementId, rng: random.R
     if roll < 0.34:
         return meet_table(lat, carrier)
     if roll < 0.67:
-        def drastic(x, y):
-            if x == hi or y == hi:
-                return lat.meet(x, y)
-            return lo
-        return table_from_function(lat, carrier, drastic)
+        return pinch_tnorm(lat, lo, hi, hi, meet_table(lat, (hi,)))
     interior = [x for x in carrier if x not in (lo, hi)]
     pivot = rng.choice(interior)
     return pinch_tnorm(lat, lo, hi, pivot, _rand_tnorm(lat, pivot, hi, rng))
@@ -199,10 +198,12 @@ def _mutate(t: OpTable, e: ElementId, rng: random.Random) -> Optional[OpTable]:
 def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> OpTable:
     """Random verified uninorm on an interval carrier with neutral ``e``.
 
-    Builds from one of two always-valid skeletons (a t-norm core below the
+    Builds one of two always-valid skeletons (a t-norm core below the
     neutral with the outside collapsed to the carrier top, or its dual),
-    then randomizes free cells with repair-or-reject.  ``cfg.class_filter``
-    narrows the output class.
+    then tries up to two symmetric cell mutations, each kept only if the
+    table stays a uninorm in the class.  ``cfg.class_filter`` narrows the
+    output class.  There is no redraw: a final check that fails is a
+    generator bug and raises ``AssertionError``.
     """
     carrier = tuple(carrier)
     if e not in carrier:
@@ -213,27 +214,25 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
     lo, hi = bounds
     rng = random.Random(cfg.seed)
     cf = cfg.class_filter
-    for _ in range(ATTEMPT_CAP):
-        if cf in ("ub", "umax"):
-            family = "meet_core"
-        elif cf in ("ut", "umin"):
-            family = "join_core"
-        else:
-            family = rng.choice(("meet_core", "join_core"))
-        if family == "meet_core":
-            table = _meet_core_uninorm(lat, carrier, e, lo, hi, rng)
-        else:
-            table = rewrap(_meet_core_uninorm(lat.dual(), carrier, e, hi, lo, rng), lat)
-        for _ in range(rng.randint(0, 2)):
-            mutated = _mutate(table, e, rng)
-            if mutated is not None and (cf is None or _CLASS_CHECKS[cf](mutated, e)):
-                table = mutated
-        if not is_uninorm(table, e).ok:
-            continue
-        if cf is not None and not _CLASS_CHECKS[cf](table, e):
-            continue
-        return table
-    raise ExhaustedRejection(f"no uninorm matching class filter {cf!r} on this carrier")
+    if cf in ("ub", "umax"):
+        family = "meet_core"
+    elif cf in ("ut", "umin"):
+        family = "join_core"
+    else:
+        family = rng.choice(("meet_core", "join_core"))
+    if family == "meet_core":
+        table = _meet_core_uninorm(lat, carrier, e, lo, hi, rng)
+    else:
+        table = rewrap(_meet_core_uninorm(lat.dual(), carrier, e, hi, lo, rng), lat)
+    for _ in range(rng.randint(0, 2)):
+        mutated = _mutate(table, e, rng)
+        if mutated is not None and (cf is None or _CLASS_CHECKS[cf](mutated, e)):
+            table = mutated
+    if not is_uninorm(table, e).ok:
+        raise AssertionError(f"generated {family} table fails the uninorm axioms")
+    if cf is not None and not _CLASS_CHECKS[cf](table, e):
+        raise AssertionError(f"generated {family} table is not in class {cf!r}")
+    return table
 
 
 def enumerate_uninorms(lat: BoundedLattice, carrier, e: ElementId) -> list[OpTable]:
@@ -323,15 +322,9 @@ def gen_spec_candidates(
         if not candidates:
             continue
         anchor = rng.choice(candidates)
-        try:
-            inner = gen_uninorm(
-                lat,
-                below,
-                neutral,
-                replace(cfg, seed=rng.getrandbits(48), class_filter="ub"),
-            )
-        except ExhaustedRejection:
-            continue
+        inner = gen_uninorm(
+            lat, below, neutral, replace(cfg, seed=rng.getrandbits(48), class_filter="ub")
+        )
         spec = ConstructionSpec(
             lattice=lat, threshold=threshold, neutral=neutral, anchor=anchor, inner=inner
         )

@@ -28,6 +28,7 @@ from .construct import (
     construct_for,
     predict_uninorm,
 )
+from .gen import ExhaustedRejection, GenConfig, gen_spec_candidates
 from .optable import (
     AxiomReport,
     OpTable,
@@ -232,8 +233,6 @@ def find_counterexample(
     budget is exhausted; with ``drop_clause=None`` that is the only
     possible outcome.
     """
-    from .gen import ExhaustedRejection, GenConfig, gen_spec_candidates
-
     profile = THEOREMS[theorem]
     if drop_clause is not None and drop_clause not in profile.droppable_clauses:
         raise UnknownClause(

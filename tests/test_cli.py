@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -420,3 +421,116 @@ def test_fuzz_dump_under_a_file_exits_two(tmp_path, capsys):
     assert code == 2
     assert captured.out == "" and _one_line(captured.err)
     assert captured.err.startswith("cannot write file: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-sibling", "construct", "theorem"])
+def test_table_written_for_another_lattice_exits_two(golden, tmp_path, capsys, command):
+    # a table names its lattice; read with a lattice of another name it is
+    # rejected even though every element name resolves
+    doc = json.loads((golden / "L11.lattice.json").read_text())
+    doc["name"] = "other"
+    other = tmp_path / "other.lattice.json"
+    other.write_text(json.dumps(doc))
+    (tmp_path / "L11.lattice.json").write_text(json.dumps(doc))
+    sibling = tmp_path / "L11.U1.table.json"
+    shutil.copy(golden / "L11.U1.table.json", sibling)
+    ustar = str(golden / "L11.Ustar.table.json")
+    spec = ["--rho", "rho", "--e", "e", "--anchor", "q"]
+    argv = {
+        "verify": ["verify", str(golden / "L11.U1.table.json"), "--e", "e",
+                   "--lattice", str(other)],
+        "verify-sibling": ["verify", str(sibling), "--e", "e"],
+        "construct": ["construct", str(other), ustar, "--eq", "1", *spec],
+        "theorem": ["theorem", "--which", "th31", str(other), ustar, *spec],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: table is written for lattice 'L11', not 'other'\n"
+
+
+def _covers_reversed(golden, tmp_path, entry_id):
+    """Directory holding the entry's lattice with every cover pair flipped
+    (its order dual, under the same name) and a copy of its inner table."""
+    doc = json.loads((golden / f"{entry_id}.lattice.json").read_text())
+    doc["covers"] = [[b, a] for a, b in doc["covers"]]
+    out = tmp_path / "reversed"
+    out.mkdir(exist_ok=True)
+    (out / f"{entry_id}.lattice.json").write_text(json.dumps(doc))
+    shutil.copy(golden / f"{entry_id}.Ustar.table.json", out)
+    return out
+
+
+def _construct_argv(directory, entry_id, eq, ustar=None):
+    flag = "--rho" if eq == "1" else "--sigma"
+    return [
+        "construct", str(directory / f"{entry_id}.lattice.json"),
+        str(ustar or directory / f"{entry_id}.Ustar.table.json"),
+        "--eq", eq, flag, "rho", "--e", "e", "--anchor", "q",
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry_id, eq, report",
+    [
+        ("L11", "1", ("theorem th31: anchor class = under_neutral", "  join-pairs: pass",
+                      "  join-anchor: pass")),
+        ("L21", "1", ("theorem th33: anchor class = beside_threshold", "  join-anchor: pass")),
+        ("L11", "2", ("theorem th34: anchor class = over_neutral", "  meet-pairs: pass",
+                      "  meet-anchor: pass")),
+        ("L21", "2", ("theorem th36: anchor class = beside_threshold", "  meet-anchor: pass")),
+    ],
+)
+def test_construct_reports_the_hypotheses_of_the_matching_theorem(
+    golden, tmp_path, capsys, entry_id, eq, report
+):
+    # --eq 2 runs on the covers-reversed lattice, where the corpus spec is a
+    # meet-form spec
+    directory = golden if eq == "1" else _covers_reversed(golden, tmp_path, entry_id)
+    assert main(_construct_argv(directory, entry_id, eq)) == 0
+    tail = ("  parallel-condition: pass", "  inner-class: pass", "  nonempty-guard: True")
+    assert capsys.readouterr().err == "".join(line + "\n" for line in report + tail)
+
+
+# construct output for the broken L11 inner below, the same in both forms
+# (the covers-reversed lattice is the order dual)
+BROKEN_L11_CONSTRUCTED = "".join(line + "\n" for line in (
+    "U   | 0   q   e   k   c   rho m   t   s   d   1  ",
+    "----+--------------------------------------------",
+    "0   | 0   0   0   k   c   rho m   t   s   d   1  ",
+    "q   | 0   q   q   c   c   rho m   t   s   d   1  ",
+    "e   | 0   q   e   k   c   rho m   t   s   d   1  ",
+    "k   | k   c   k   k   c   rho 1   1   1   1   1  ",
+    "c   | c   c   c   c   c   rho 1   1   1   1   1  ",
+    "rho | rho rho rho rho rho rho 1   1   1   1   1  ",
+    "m   | m   m   m   1   1   1   m   1   1   1   1  ",
+    "t   | t   t   t   1   1   1   1   t   1   1   1  ",
+    "s   | s   s   s   1   1   1   1   1   1   1   1  ",
+    "d   | d   d   d   1   1   1   1   1   1   1   1  ",
+    "1   | 1   1   1   1   1   1   1   1   1   1   1  ",
+))
+
+
+@pytest.mark.parametrize("eq", ["1", "2"])
+@pytest.mark.parametrize("skip", [False, True])
+def test_construct_no_verify_inner_admits_a_broken_inner(golden, tmp_path, capsys, eq, skip):
+    # the inner of test_inner_verification_can_be_skipped: (q,k) and (k,q)
+    # set to c, which breaks associativity and monotonicity
+    directory = golden if eq == "1" else _covers_reversed(golden, tmp_path, "L11")
+    doc = json.loads((golden / "L11.Ustar.table.json").read_text())
+    q, k = doc["carrier"].index("q"), doc["carrier"].index("k")
+    doc["rows"][q][k] = doc["rows"][k][q] = "c"
+    broken = tmp_path / "broken.table.json"
+    broken.write_text(json.dumps(doc))
+    argv = _construct_argv(directory, "L11", eq, ustar=broken)
+    code = main(argv + ["--no-verify-inner"] if skip else argv)
+    captured = capsys.readouterr()
+    failure = "inner table fails uninorm axioms: associative, monotone\n"
+    if skip:
+        assert code == 0
+        assert captured.out == BROKEN_L11_CONSTRUCTED
+        assert captured.err == "no hypothesis report: " + failure
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "invalid spec: " + failure

@@ -1,5 +1,6 @@
 import pytest
 
+import latnorm.gen as gen_module
 from latnorm.construct import check_for
 from latnorm.gen import (
     ExhaustedRejection,
@@ -84,6 +85,15 @@ def test_gen_uninorm_class_filters():
         for name, check in checks.items():
             t = gen_uninorm(lat, carrier, e, GenConfig(seed=seed, class_filter=name))
             assert check(t, e), (seed, name)
+
+
+def test_gen_uninorm_fails_loudly_instead_of_redrawing(monkeypatch):
+    # a class check that rejects every table: no mutation is kept and the
+    # final check fails, which is a generator bug, not a reason to redraw
+    monkeypatch.setitem(gen_module._CLASS_CHECKS, "ub", lambda t, e: False)
+    lat = gen_lattice(GenConfig(seed=0, size_range=(6, 8)))
+    with pytest.raises(AssertionError, match="not in class 'ub'"):
+        gen_uninorm(lat, tuple(range(lat.n)), lat.top, GenConfig(seed=1, class_filter="ub"))
 
 
 def test_two_element_carrier_forced():
