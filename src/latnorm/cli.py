@@ -22,17 +22,10 @@ from .construct import (
     construct_eq1,
     construct_eq2,
 )
-from .fileio import (
-    FileFormatError,
-    find_lattice_for_table,
-    parse_lattice,
-    parse_table,
-    render_lattice,
-    render_table,
-)
+from .fileio import FileFormatError, parse_lattice, read_table, render_table, write_instance
 from .gen import ExhaustedRejection, GenConfig, gen_spec
 from .lattice import BoundedLattice, LatticeError, case_regions, ids_of
-from .optable import AxiomReport, NeutralOutsideCarrier, OpTable, is_uninorm
+from .optable import AxiomReport, NeutralOutsideCarrier, is_uninorm
 from .verify import UnknownClause, find_counterexample, verify_equivalence
 
 PASS, MATH_FAIL, BAD_INPUT = 0, 1, 2
@@ -104,24 +97,9 @@ def format_hypothesis_report(report, lat: BoundedLattice) -> list[str]:
     return lines
 
 
-def _load_lattice(path: str) -> tuple[str, BoundedLattice]:
-    return parse_lattice(Path(path).read_text())
-
-
-def _parse_table_for(text: str, lattice_name: str, lat: BoundedLattice) -> OpTable:
-    """Parse a table file that must name the lattice it is read with."""
-    table_lattice, table = parse_table(text, lat)
-    if table_lattice != lattice_name:
-        raise FileFormatError(
-            f"table is written for lattice {table_lattice!r}, not {lattice_name!r}"
-        )
-    return table
-
-
 def _spec_from_args(args) -> tuple[ConstructionSpec, str, str]:
     """Build a spec from CLI flags; returns (spec, orientation, lattice name)."""
-    name, lat = _load_lattice(args.lattice)
-    inner = _parse_table_for(Path(args.ustar).read_text(), name, lat)
+    name, lat, inner = read_table(args.ustar, args.lattice)
     threshold_name = args.rho if args.rho is not None else args.sigma
     orientation = "join" if args.rho is not None else "meet"
     spec = ConstructionSpec(
@@ -138,8 +116,11 @@ def _spec_from_args(args) -> tuple[ConstructionSpec, str, str]:
 
 
 def cmd_check_lattice(args) -> int:
+    if (args.e is None) != (args.rho is None):
+        _err("--e and --rho go together: give both for the region breakdown, or neither")
+        return BAD_INPUT
     try:
-        name, lat = _load_lattice(args.path)
+        name, lat = parse_lattice(Path(args.path).read_text())
     except OSError as exc:
         _err(f"cannot read file: {exc}")
         return BAD_INPUT
@@ -153,7 +134,7 @@ def cmd_check_lattice(args) -> int:
         f"{name}: bounded lattice with {lat.n} elements, "
         f"bottom {lat.name(lat.bottom)!r}, top {lat.name(lat.top)!r}"
     )
-    if args.e is not None and args.rho is not None:
+    if args.e is not None:
         try:
             regions = case_regions(lat, lat.index(args.e), lat.index(args.rho))
         except (KeyError, LatticeError) as exc:
@@ -233,9 +214,7 @@ def _matching_report(spec: ConstructionSpec, orientation: str) -> HypothesisRepo
 
 def cmd_verify(args) -> int:
     try:
-        table_text, lattice_text = find_lattice_for_table(args.table, args.lattice)
-        name, lat = parse_lattice(lattice_text)
-        table = _parse_table_for(table_text, name, lat)
+        _, lat, table = read_table(args.table, args.lattice)
         e = lat.index(args.e)
     except _INPUT_ERRORS as exc:
         _err(f"parse error: {exc}")
@@ -331,7 +310,7 @@ def cmd_fuzz(args) -> int:
         if hit is None:
             print(f"no counterexample within {args.seeds} instances")
             return PASS
-        if args.dump and not _dump_instance(hit.spec, Path(args.dump), f"counterexample-{theorem}"):
+        if args.dump and not _dump_instance(hit.spec, args.dump, f"counterexample-{theorem}"):
             return BAD_INPUT
         print(f"counterexample found ({hit.source}); dropped clause: {hit.dropped_clause}")
         for line in format_axiom_report(hit.axiom_report, hit.spec.lattice):
@@ -357,7 +336,7 @@ def cmd_fuzz(args) -> int:
             agree += 1
         else:
             stem = f"disagreement-{theorem}-{seed + i}"
-            if args.dump and not _dump_instance(spec, Path(args.dump), stem):
+            if args.dump and not _dump_instance(spec, args.dump, stem):
                 return BAD_INPUT
             _err(f"seed {seed + i}: prediction {verdict.predicted} but verdict {verdict.observed}")
             for line in format_axiom_report(verdict.report, spec.lattice):
@@ -368,15 +347,11 @@ def cmd_fuzz(args) -> int:
     return PASS
 
 
-def _dump_instance(spec: ConstructionSpec, directory: Path, stem: str) -> bool:
+def _dump_instance(spec: ConstructionSpec, directory: str, stem: str) -> bool:
     """Write the instance's lattice and inner table under ``directory``;
     False, after one line on stderr, when they cannot be written."""
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{stem}.lattice.json").write_text(render_lattice(spec.lattice, stem))
-        (directory / f"{stem}.Ustar.table.json").write_text(
-            render_table(spec.inner, "json", lattice_name=stem)
-        )
+        write_instance(directory, stem, spec.lattice, {"Ustar": spec.inner})
     except OSError as exc:
         _err(f"cannot write file: {exc}")
         return False
@@ -397,24 +372,13 @@ def cmd_corpus(args) -> int:
         passed = sum(e.ok for e in report.entries)
         print(f"{passed}/{len(report.entries)} entries reproduce")
         return PASS if report.ok else MATH_FAIL
-    out = Path(args.export)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         for entry in corpus_mod.all_entries():
-            (out / f"{entry.id}.lattice.json").write_text(
-                render_lattice(entry.lattice, entry.id)
-            )
-            (out / f"{entry.id}.Ustar.table.json").write_text(
-                render_table(entry.spec.inner, "json", lattice_name=entry.id)
-            )
-            key = entry.constructed_key
-            (out / f"{entry.id}.{key}.table.json").write_text(
-                render_table(entry.stored, "json", lattice_name=entry.id)
-            )
+            write_instance(args.export, entry.id, entry.lattice, entry.tables)
     except OSError as exc:
         _err(f"cannot write file: {exc}")
         return BAD_INPUT
-    print(f"exported {len(corpus_mod.ENTRY_IDS)} entries to {out}")
+    print(f"exported {len(corpus_mod.ENTRY_IDS)} entries to {Path(args.export)}")
     return PASS
 
 

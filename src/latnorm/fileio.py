@@ -1,16 +1,26 @@
-"""On-disk formats for lattices and operation tables.
+"""On-disk formats for lattices and operation tables, and their file layout.
 
 Both formats are JSON with a fixed canonical layout (one cover pair or
 table row per line), so export -> parse -> export is byte-identical.
 Element names are plain strings; the corpus transliterates non-ASCII
 symbols ("rho", "sigma") so labels survive round-trips everywhere.
+
+This module is the only one that knows how the files sit on disk:
+
+* an instance ``stem`` is written as ``<stem>.lattice.json`` (the lattice,
+  named ``stem``) and one ``<stem>.<key>.table.json`` per table
+  (:func:`write_instance`);
+* a table file names its lattice in ``"lattice"``; unless a lattice file
+  is given, it is read with the sibling ``<name>.lattice.json``
+  (:func:`read_table`);
+* a table's ``"lattice"`` must equal the ``"name"`` of the lattice file it
+  is read with, even when every element name would resolve.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
 
 from .lattice import BoundedLattice, build_lattice, ids_of
 from .optable import OpTable, OpTableError
@@ -102,10 +112,15 @@ def render_table_json(table: OpTable, lattice_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TABLE_KEYS = ("lattice", "carrier", "rows")
+
+
 def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
-    _, (lattice_name, carrier_names, rows) = _json_object(
-        text, "table", ("lattice", "carrier", "rows")
-    )
+    _, (lattice_name, carrier_names, rows) = _json_object(text, "table", _TABLE_KEYS)
+    return lattice_name, _build_table(lat, carrier_names, rows)
+
+
+def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
     if not _is_str_list(carrier_names):
         raise FileFormatError("'carrier' must be a list of strings")
     if not isinstance(rows, list) or not all(_is_str_list(row) for row in rows):
@@ -118,20 +133,9 @@ def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
     if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
         raise FileFormatError("table is not square over its carrier")
     try:
-        return lattice_name, OpTable(lattice=lat, carrier=carrier, values=values)
+        return OpTable(lattice=lat, carrier=carrier, values=values)
     except OpTableError as exc:
         raise FileFormatError(str(exc)) from None
-
-
-def table_lattice_name(text: str) -> str:
-    """The lattice a table file references, without resolving it."""
-    try:
-        name = json.loads(text)["lattice"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise FileFormatError(f"cannot read lattice reference: {exc}") from None
-    if not isinstance(name, str):
-        raise FileFormatError("the table's 'lattice' reference must be a string")
-    return name
 
 
 def render_table_text(table: OpTable) -> str:
@@ -186,21 +190,45 @@ def table_cells_from_csv(text: str) -> list[list[str]]:
     return [line.split(",")[1:] for line in lines[1:]]
 
 
-def find_lattice_for_table(table_path, lattice_path: Optional[str] = None):
-    """Resolve the lattice file a table references.
+# -- file layout -------------------------------------------------------------
 
-    Explicit path wins; otherwise look for ``<name>.lattice.json`` next to
-    the table file.
+
+def read_table(table_path, lattice_path=None) -> tuple[str, BoundedLattice, OpTable]:
+    """Read a table file and the lattice it is written for.
+
+    The lattice is ``lattice_path`` when given, read before the table;
+    otherwise the sibling ``<name>.lattice.json`` of the table's
+    ``"lattice"`` reference.  Returns (lattice name, lattice, table).
     """
     table_path = Path(table_path)
-    text = table_path.read_text()
     if lattice_path is not None:
-        return text, Path(lattice_path).read_text()
-    name = table_lattice_name(text)
-    sibling = table_path.parent / f"{name}.lattice.json"
-    if not sibling.exists():
-        raise FileFormatError(
-            f"cannot resolve lattice {name!r}: no {sibling.name} next to the table "
-            "(pass --lattice)"
+        name, lat = parse_lattice(Path(lattice_path).read_text())
+    _, (reference, carrier_names, rows) = _json_object(
+        table_path.read_text(), "table", _TABLE_KEYS
+    )
+    if not isinstance(reference, str):
+        raise FileFormatError("the table's 'lattice' reference must be a string")
+    if lattice_path is None:
+        sibling = table_path.parent / f"{reference}.lattice.json"
+        if not sibling.exists():
+            raise FileFormatError(
+                f"cannot resolve lattice {reference!r}: no {sibling.name} next to the table "
+                "(pass --lattice)"
+            )
+        name, lat = parse_lattice(sibling.read_text())
+    table = _build_table(lat, carrier_names, rows)
+    if reference != name:
+        raise FileFormatError(f"table is written for lattice {reference!r}, not {name!r}")
+    return name, lat, table
+
+
+def write_instance(directory, stem: str, lattice: BoundedLattice, tables: dict) -> None:
+    """Write ``lattice`` and each table of ``tables`` (key -> table) under
+    ``directory``, creating it; raises OSError when they cannot be written."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{stem}.lattice.json").write_text(render_lattice(lattice, stem))
+    for key, table in tables.items():
+        (directory / f"{stem}.{key}.table.json").write_text(
+            render_table(table, "json", lattice_name=stem)
         )
-    return text, sibling.read_text()

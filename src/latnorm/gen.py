@@ -304,10 +304,7 @@ def gen_spec_candidates(
                 f"in {ATTEMPT_CAP} consecutive attempts"
             )
         sub_seed = rng.getrandbits(48)
-        try:
-            lat = gen_lattice(replace(cfg, seed=sub_seed, class_filter=None))
-        except ExhaustedRejection:
-            continue
+        lat = gen_lattice(replace(cfg, seed=sub_seed))
         interior = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
         if not interior:
             continue

@@ -40,6 +40,17 @@ def test_check_lattice_regions(golden, capsys):
     assert "{m, t}" in out and "{k}" in out and "{s}" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--e", "e"), ("--rho", "rho")])
+def test_check_lattice_region_flag_alone_exits_two(golden, capsys, flag, value):
+    # the region breakdown needs both; one alone is refused, not ignored
+    assert main(["check-lattice", str(golden / "L11.lattice.json"), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "--e and --rho go together: give both for the region breakdown, or neither\n"
+    )
+
+
 def test_check_lattice_cycle_exits_one(tmp_path, capsys):
     doc = {"name": "bad", "elements": ["0", "a", "b", "1"],
            "covers": [["0", "a"], ["a", "b"], ["b", "a"], ["b", "1"]]}
@@ -113,9 +124,9 @@ def test_construct_verify_passes_on_l13_formula_output(golden, capsys):
     assert "uninorm axioms all pass" in capsys.readouterr().err
 
 
-def test_construct_verify_fails_with_unbounded_inner(tmp_path, capsys):
-    # an inner operator outside the bounded-below class plus a nonempty
-    # guard breaks associativity of the construction
+def _unbounded_inner_argv(tmp_path, anchor):
+    """Files and spec flags for a generated lattice whose inner operator
+    lies outside the bounded-below class; ``anchor`` is an element id."""
     from latnorm.gen import GenConfig, gen_lattice, gen_uninorm
 
     lat = gen_lattice(GenConfig(seed=0, size_range=(6, 8)))
@@ -132,13 +143,29 @@ def test_construct_verify_fails_with_unbounded_inner(tmp_path, capsys):
     lat_file.write_text(render_lattice(lat, "L"))
     inner_file = tmp_path / "L.inner.table.json"
     inner_file.write_text(render_table(inner, "json", lattice_name="L"))
-    code = main([
-        "construct", str(lat_file), str(inner_file),
-        "--eq", "1", "--rho", lat.name(threshold), "--e", lat.name(e),
-        "--anchor", lat.name(lat.bottom), "--verify", "--format", "json",
-    ])
+    return [
+        str(lat_file), str(inner_file),
+        "--rho", lat.name(threshold), "--e", lat.name(e), "--anchor", lat.name(anchor),
+    ]
+
+
+def test_construct_verify_fails_with_unbounded_inner(tmp_path, capsys):
+    # an inner operator outside the bounded-below class plus a nonempty
+    # guard breaks associativity of the construction
+    argv = _unbounded_inner_argv(tmp_path, anchor=0)  # the bottom
+    code = main(["construct", *argv, "--eq", "1", "--verify", "--format", "json"])
     assert code == 1
     assert "associativity violated" in capsys.readouterr().err
+
+
+def test_theorem_refuses_an_inner_outside_the_class(tmp_path, capsys):
+    # element 4 is beside the threshold, so th33 applies; its only failing
+    # standing hypothesis is the inner class
+    code = main(["theorem", "--which", "th33", *_unbounded_inner_argv(tmp_path, anchor=4)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "  inner-class: FAIL\n" in out
+    assert out.endswith("prediction refused: standing hypothesis failed (inner-class)\n")
 
 
 def test_construct_threshold_top_equals_inner(golden, tmp_path, capsys):
@@ -297,6 +324,26 @@ def test_fuzz_bad_input_exits_two(monkeypatch, capsys, argv, env):
     assert captured.out == "" and _one_line(captured.err)
 
 
+def test_fuzz_drop_clause_names_the_droppable_clauses(capsys):
+    code = main(["fuzz", "--theorem", "th33", "--seeds", "5", "--drop-clause", "join-pairs"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "th33 has no droppable clause 'join-pairs'; choose from ('join-anchor',)\n"
+    )
+
+
+def test_fuzz_without_a_candidate_spec_exits_two(capsys):
+    # a two-element lattice has no interior element to serve as threshold
+    code = main(["fuzz", "--theorem", "th31", "--seeds", "1", "--size", "2", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("seed 0: rejection sampling exhausted: ")
+    assert _one_line(captured.err)
+
+
 def test_bad_seed_variable_only_matters_to_fuzz(monkeypatch, capsys):
     monkeypatch.setenv("LATNORM_SEED", "abc")
     assert main(["corpus", "--replay"]) == 0
@@ -340,6 +387,55 @@ def test_malformed_table_file_exits_two(golden, capsys, patch):
     code = main(["verify", str(path), "--e", "e"])
     assert code == 2
     assert _one_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "table file must be a JSON object"),
+        ('{"carrier": [], "rows": []}', "table file missing key 'lattice'"),
+        ('{"lattice": 3, "carrier": [], "rows": []}',
+         "the table's 'lattice' reference must be a string"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "verify-sibling", "construct"])
+def test_broken_table_file_has_one_message_on_every_path(golden, capsys, text, message, command):
+    # the table file is decoded once, by one reader, whether its lattice
+    # comes from --lattice, the sibling file or the lattice argument
+    path = golden / "broken.table.json"
+    path.write_text(text)
+    lattice = str(golden / "L11.lattice.json")
+    argv = {
+        "verify": ["verify", str(path), "--e", "e", "--lattice", lattice],
+        "verify-sibling": ["verify", str(path), "--e", "e"],
+        "construct": ["construct", lattice, str(path), "--eq", "1",
+                      "--rho", "rho", "--e", "e", "--anchor", "q"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
+def test_table_carrier_with_a_repeated_name_exits_two(golden, capsys):
+    doc = json.loads((golden / "L11.Ustar.table.json").read_text())
+    doc["carrier"][1] = doc["carrier"][0]  # still square over its carrier
+    path = golden / "dup.table.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--e", "e"]) == 2
+    assert capsys.readouterr().err == "parse error: carrier has repeated elements\n"
+
+
+def test_verify_reports_a_one_sided_cell_as_a_commutativity_failure(golden, capsys):
+    doc = json.loads((golden / "L11.U1.table.json").read_text())
+    carrier = doc["carrier"]
+    doc["rows"][carrier.index("q")][carrier.index("k")] = "1"  # U(k,q) stays k
+    path = golden / "L11.onesided.table.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--e", "e"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "commutativity violated: U(q,k) = 1 but U(k,q) = k"
 
 
 def test_verify_neutral_outside_carrier_exits_two(golden, capsys):
