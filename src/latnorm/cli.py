@@ -130,16 +130,17 @@ def cmd_check_lattice(args) -> int:
     except LatticeError as exc:
         _err(f"not a bounded lattice: {exc}")
         return MATH_FAIL
-    print(
-        f"{name}: bounded lattice with {lat.n} elements, "
-        f"bottom {lat.name(lat.bottom)!r}, top {lat.name(lat.top)!r}"
-    )
     if args.e is not None:
         try:
             regions = case_regions(lat, lat.index(args.e), lat.index(args.rho))
         except (KeyError, LatticeError) as exc:
             _err(str(exc))
             return BAD_INPUT
+    print(
+        f"{name}: bounded lattice with {lat.n} elements, "
+        f"bottom {lat.name(lat.bottom)!r}, top {lat.name(lat.top)!r}"
+    )
+    if args.e is not None:
         labels = (
             ("[bottom, e]", regions.low),
             ("(e, rho]", regions.mid),

@@ -17,8 +17,8 @@ and the code treats it as such: the meet-form construction, the t-conorm
 pinch and the meet-form hypothesis reports are the join-form (t-norm)
 code run on the spec transported to the dual lattice with
 :func:`dual_spec`, the result read back in the original order.  Spec
-validation alone runs in the caller's own orientation, so error texts
-name the caller's bounds and the inner table is verified once.
+validation checks the meet form on the dual lattice too, but its texts
+name the caller's side, and it verifies the inner table once, as given.
 
 Constructions are total: they evaluate for any valid spec, including ones
 that violate the theorem hypotheses, so counterexamples can be
@@ -156,20 +156,15 @@ def anchor_class_masks(
 
 
 def validate_spec(spec: ConstructionSpec, orientation: str, *, check_inner: bool = True) -> None:
-    lat = spec.lattice
-    if orientation == "join":
-        if not lat.leq(spec.neutral, spec.threshold):
-            raise SpecInvalid("neutral element must lie below the threshold")
-        want = lat.interval(lat.bottom, spec.threshold)
-    elif orientation == "meet":
-        if not lat.leq(spec.threshold, spec.neutral):
-            raise SpecInvalid("neutral element must lie above the threshold")
-        want = lat.interval(spec.threshold, lat.top)
-    else:
+    if orientation not in ("join", "meet"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if set(spec.inner.carrier) != set(want):
+    lat = spec.lattice if orientation == "join" else spec.lattice.dual()
+    if not lat.leq(spec.neutral, spec.threshold):
+        side = "below" if orientation == "join" else "above"
+        raise SpecInvalid(f"neutral element must lie {side} the threshold")
+    if set(spec.inner.carrier) != set(lat.interval(lat.bottom, spec.threshold)):
         raise SpecInvalid("inner table carrier is not the threshold interval")
-    if spec.inner.lattice != lat:
+    if spec.inner.lattice != spec.lattice:
         raise SpecInvalid("inner table belongs to a different lattice")
     if check_inner:
         report = is_uninorm(spec.inner, spec.neutral)

@@ -35,9 +35,6 @@ from .construct import ConstructionSpec, construct_for
 from .lattice import BoundedLattice, build_lattice
 from .optable import OpTable, is_uninorm
 
-ENTRY_IDS = ("L11", "L12", "L13", "L21", "L22")
-
-
 class UnknownId(Exception):
     pass
 
@@ -383,19 +380,17 @@ _BUILDERS = {
     "L22": _build_l22,
 }
 
-_CACHE: dict = {}
+ENTRY_IDS = tuple(_BUILDERS)
 
 
 def load(entry_id: str) -> CorpusEntry:
-    """Load and validate one corpus entry."""
+    """Build and validate one corpus entry."""
     if entry_id not in _BUILDERS:
         raise UnknownId(f"unknown corpus id {entry_id!r}; choose from {ENTRY_IDS}")
-    if entry_id not in _CACHE:
-        entry = _BUILDERS[entry_id]()
-        report = is_uninorm(entry.spec.inner, entry.spec.neutral)
-        assert report.ok, f"{entry_id}: inner table fails {report.failures()}"
-        _CACHE[entry_id] = entry
-    return _CACHE[entry_id]
+    entry = _BUILDERS[entry_id]()
+    report = is_uninorm(entry.spec.inner, entry.spec.neutral)
+    assert report.ok, f"{entry_id}: inner table fails {report.failures()}"
+    return entry
 
 
 def all_entries() -> tuple[CorpusEntry, ...]:

@@ -44,6 +44,22 @@ def _json_object(text: str, kind: str, keys: tuple[str, ...]) -> tuple[dict, lis
         raise FileFormatError(f"{kind} file missing key {exc}") from None
 
 
+def _render_json(fields: dict, list_key: str, items: list) -> str:
+    """The canonical layout of both file kinds: a JSON object with one
+    ``fields`` entry per line, in order, then the list ``list_key`` with one
+    item per line (``[`` and ``]`` on lines of their own), then a newline."""
+    listed = [f"    {json.dumps(item)}" for item in items]
+    return "\n".join([
+        "{",
+        *(f"  {json.dumps(key)}: {json.dumps(value)}," for key, value in fields.items()),
+        f"  {json.dumps(list_key)}: [",
+        *(line + "," for line in listed[:-1]),
+        *listed[-1:],
+        "  ]",
+        "}",
+    ]) + "\n"
+
+
 # -- lattices ---------------------------------------------------------------
 
 
@@ -54,17 +70,7 @@ def cover_pairs(lat: BoundedLattice) -> list[tuple[str, str]]:
 
 
 def render_lattice(lat: BoundedLattice, name: str) -> str:
-    pairs = cover_pairs(lat)
-    lines = ["{"]
-    lines.append(f'  "name": {json.dumps(name)},')
-    lines.append(f'  "elements": {json.dumps(list(lat.names))},')
-    lines.append('  "covers": [')
-    for i, pair in enumerate(pairs):
-        comma = "," if i < len(pairs) - 1 else ""
-        lines.append(f"    {json.dumps(list(pair))}{comma}")
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _render_json({"name": name, "elements": list(lat.names)}, "covers", cover_pairs(lat))
 
 
 def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
@@ -98,18 +104,9 @@ def _is_str_list(value) -> bool:
 
 
 def render_table_json(table: OpTable, lattice_name: str) -> str:
-    lat = table.lattice
-    carrier = [lat.names[a] for a in table.carrier]
-    lines = ["{"]
-    lines.append(f'  "lattice": {json.dumps(lattice_name)},')
-    lines.append(f'  "carrier": {json.dumps(carrier)},')
-    lines.append('  "rows": [')
-    for i, row in enumerate(table.values):
-        comma = "," if i < len(table.values) - 1 else ""
-        lines.append(f"    {json.dumps([lat.names[v] for v in row])}{comma}")
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = table.lattice.names
+    fields = {"lattice": lattice_name, "carrier": [names[a] for a in table.carrier]}
+    return _render_json(fields, "rows", [[names[v] for v in row] for row in table.values])
 
 
 _TABLE_KEYS = ("lattice", "carrier", "rows")

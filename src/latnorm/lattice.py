@@ -34,6 +34,12 @@ class BadElementName(NotAPoset, ValueError):
     readers report it as malformed input rather than as a bad order."""
 
 
+class UnknownElement(KeyError):
+    """A name that is no element; ``str()`` is the message, not its repr."""
+
+    __str__ = Exception.__str__
+
+
 class NotALattice(LatticeError):
     """Some pair has no unique least upper bound or greatest lower bound."""
 
@@ -53,22 +59,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@dataclass(frozen=True)
-class RegionSets:
-    """The four incomparability regions relative to a pair (a, b).
-
-    ``inc_a``          elements incomparable to a
-    ``comp_a``         elements comparable to a (includes a itself)
-    ``inc_a_comp_b``   incomparable to a but comparable to b
-    ``inc_both``       incomparable to both a and b
-    """
-
-    inc_a: tuple[ElementId, ...]
-    comp_a: tuple[ElementId, ...]
-    inc_a_comp_b: tuple[ElementId, ...]
-    inc_both: tuple[ElementId, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +91,7 @@ class BoundedLattice:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown element name {name!r}") from None
+            raise UnknownElement(f"unknown element name {name!r}") from None
 
     def name(self, a: ElementId) -> str:
         return self.names[a]
@@ -156,18 +146,10 @@ class BoundedLattice:
             mask &= ~(1 << hi)
         return mask
 
-    def interval(
-        self,
-        lo: ElementId,
-        hi: ElementId,
-        *,
-        lower_open: bool = False,
-        upper_open: bool = False,
-    ) -> tuple[ElementId, ...]:
-        """Elements x with lo <= x <= hi (empty when lo, hi incomparable)."""
-        return tuple(
-            _bits(self.interval_mask(lo, hi, lower_open=lower_open, upper_open=upper_open))
-        )
+    def interval(self, lo: ElementId, hi: ElementId) -> tuple[ElementId, ...]:
+        """Elements x with lo <= x <= hi (empty when lo, hi incomparable).
+        Open and half-open intervals are :meth:`interval_mask`'s flags."""
+        return tuple(_bits(self.interval_mask(lo, hi)))
 
     def extremes(self, mask: int) -> Optional[tuple[ElementId, ElementId]]:
         """(least, greatest) element of the subset ``mask``; ``None`` when it
@@ -199,17 +181,6 @@ class BoundedLattice:
 
     def incomparables_mask(self, a: ElementId) -> int:
         return self.all_mask & ~(self.up[a] | self.down[a])
-
-    def region_sets(self, a: ElementId, b: ElementId) -> RegionSets:
-        inc_a = self.incomparables_mask(a)
-        comp_a = self.all_mask & ~inc_a
-        comp_b = self.all_mask & ~self.incomparables_mask(b)
-        return RegionSets(
-            inc_a=tuple(_bits(inc_a)),
-            comp_a=tuple(_bits(comp_a)),
-            inc_a_comp_b=tuple(_bits(inc_a & comp_b)),
-            inc_both=tuple(_bits(inc_a & ~comp_b)),
-        )
 
     def dual(self) -> "BoundedLattice":
         """Same carrier with the order reversed; an involution."""

@@ -13,6 +13,8 @@ from latnorm.fileio import (
     table_cells_from_csv,
     table_cells_from_text,
 )
+from latnorm.lattice import build_lattice
+from latnorm.optable import OpTable
 
 
 @pytest.fixture()
@@ -255,6 +257,18 @@ def test_export_import_round_trip_byte_identical(golden):
         _, lat = parse_lattice(lattice_file.read_text())
         name, table = parse_table(text, lat)
         assert render_table(table, "json", lattice_name=name) == text
+
+
+def test_empty_lists_render_on_two_lines_and_parse_back():
+    # a one-element lattice has no cover pair; a table on no carrier, no row
+    lat = build_lattice(("x",), [])
+    text = render_lattice(lat, "one")
+    assert text == '{\n  "name": "one",\n  "elements": ["x"],\n  "covers": [\n  ]\n}\n'
+    assert parse_lattice(text) == ("one", lat)
+    table = OpTable(lattice=lat, carrier=(), values=())
+    text = render_table(table, "json", lattice_name="one")
+    assert text == '{\n  "lattice": "one",\n  "carrier": [],\n  "rows": [\n  ]\n}\n'
+    assert parse_table(text, lat) == ("one", table)
 
 
 def test_export_twice_identical(tmp_path):
@@ -630,3 +644,40 @@ def test_construct_no_verify_inner_admits_a_broken_inner(golden, tmp_path, capsy
         assert code == 1
         assert captured.out == ""
         assert captured.err == "invalid spec: " + failure
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-cell", "construct", "theorem"])
+def test_an_unknown_element_name_is_quoted_once(golden, tmp_path, capsys, command):
+    doc = json.loads((golden / "L11.U1.table.json").read_text())
+    doc["rows"][0][0] = "zz"
+    (tmp_path / "L11.U1.table.json").write_text(json.dumps(doc))
+    shutil.copy(golden / "L11.lattice.json", tmp_path)
+    lattice, ustar = str(golden / "L11.lattice.json"), str(golden / "L11.Ustar.table.json")
+    argv = {
+        "verify": ["verify", str(golden / "L11.U1.table.json"), "--e", "zz"],
+        "verify-cell": ["verify", str(tmp_path / "L11.U1.table.json"), "--e", "e"],
+        "construct": ["construct", lattice, ustar, "--eq", "1", "--rho", "rho", "--e", "e",
+                      "--anchor", "zz"],
+        "theorem": ["theorem", "--which", "th31", lattice, ustar, "--rho", "rho",
+                    "--e", "zz", "--anchor", "q"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: unknown element name 'zz'\n"
+
+
+@pytest.mark.parametrize(
+    "e, rho, message",
+    [
+        ("zz", "rho", "unknown element name 'zz'"),
+        ("e", "zz", "unknown element name 'zz'"),
+        ("rho", "e", "neutral 'rho' is not below threshold 'e'"),
+    ],
+)
+def test_check_lattice_prints_nothing_when_the_regions_fail(golden, capsys, e, rho, message):
+    code = main(["check-lattice", str(golden / "L11.lattice.json"), "--e", e, "--rho", rho])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"

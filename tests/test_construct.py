@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from latnorm.construct import (
@@ -11,10 +13,11 @@ from latnorm.construct import (
     construct_pinched_tconorm,
     construct_pinched_tnorm,
     predict_uninorm,
+    validate_spec,
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import build_lattice, case_regions
-from latnorm.optable import is_uninorm, join_table, table_from_function
+from latnorm.optable import OpTable, is_uninorm, join_table, rewrap, table_from_function
 
 
 def chain(n):
@@ -100,16 +103,49 @@ def test_invalid_specs_rejected(l11):
         construct_eq1(bad)
 
 
+def _broken_inner(spec):
+    # (q,k) and (k,q) set to c: no longer associative nor monotone
+    lat = spec.lattice
+    rows = [list(row) for row in spec.inner.values]
+    rows[1][3] = rows[3][1] = lat.index("c")
+    inner = OpTable(lattice=lat, carrier=spec.inner.carrier, values=tuple(map(tuple, rows)))
+    return replace(spec, inner=inner)
+
+
+def _invalid_specs(spec, orientation):
+    lat = spec.lattice
+    wrong_side = lat.top if orientation == "join" else lat.bottom
+    other = rewrap(spec.inner, lat.dual())
+    side = "below" if orientation == "join" else "above"
+    return [
+        (replace(spec, neutral=wrong_side), f"neutral element must lie {side} the threshold"),
+        # the first failing check is the one reported
+        (replace(spec, neutral=wrong_side, inner=other),
+         f"neutral element must lie {side} the threshold"),
+        (replace(spec, inner=table_from_function(lat, (spec.neutral,), lambda x, y: x)),
+         "inner table carrier is not the threshold interval"),
+        (replace(spec, inner=other), "inner table belongs to a different lattice"),
+        (_broken_inner(spec), "inner table fails uninorm axioms: associative, monotone"),
+    ]
+
+
+@pytest.mark.parametrize("orientation", ["join", "meet"])
+def test_validate_spec_texts(l11, orientation):
+    # the meet-form spec is L11's spec on the dual lattice
+    spec = l11.spec if orientation == "join" else dual_spec(l11.spec)
+    validate_spec(spec, orientation)
+    for bad, message in _invalid_specs(spec, orientation):
+        with pytest.raises(SpecInvalid) as exc:
+            validate_spec(bad, orientation)
+        assert str(exc.value) == message
+    validate_spec(_broken_inner(spec), orientation, check_inner=False)
+    with pytest.raises(ValueError, match="^unknown orientation 'sideways'$"):
+        validate_spec(spec, "sideways")
+
+
 def test_inner_verification_can_be_skipped(l11):
     lat = l11.lattice
-    # corrupt the inner table so it is no longer associative
-    rows = [list(row) for row in l11.spec.inner.values]
-    rows[1][3] = lat.index("c")
-    rows[3][1] = lat.index("c")
-    broken = type(l11.spec.inner)(
-        lattice=lat, carrier=l11.spec.inner.carrier, values=tuple(tuple(r) for r in rows)
-    )
-    spec = ConstructionSpec(lat, l11.spec.threshold, l11.spec.neutral, l11.spec.anchor, broken)
+    spec = _broken_inner(l11.spec)
     with pytest.raises(SpecInvalid):
         construct_eq1(spec)
     table = construct_eq1(spec, check_inner=False)

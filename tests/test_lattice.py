@@ -128,9 +128,9 @@ def test_interval_basics():
     assert lat.interval(lat.bottom, lat.top) == tuple(range(5))
     assert lat.interval(2, 2) == (2,)
     assert lat.interval(1, 3) == (1, 2, 3)
-    assert lat.interval(1, 3, lower_open=True) == (2, 3)
-    assert lat.interval(1, 3, upper_open=True) == (1, 2)
-    assert lat.interval(1, 3, lower_open=True, upper_open=True) == (2,)
+    assert ids_of(lat.interval_mask(1, 3, lower_open=True)) == (2, 3)
+    assert ids_of(lat.interval_mask(1, 3, upper_open=True)) == (1, 2)
+    assert ids_of(lat.interval_mask(1, 3, lower_open=True, upper_open=True)) == (2,)
 
 
 def test_interval_incomparable_endpoints_empty():
@@ -145,37 +145,38 @@ def test_interval_l11(l11):
     assert names == ["0", "q", "e", "k", "c", "rho"]
 
 
-def test_region_sets_self():
+def test_regions_of_one_element():
     lat = diamond()
     a = lat.index("a")
-    regions = lat.region_sets(a, a)
-    assert regions.inc_a_comp_b == ()
-    assert set(regions.inc_both) == set(regions.inc_a)
+    regions = case_regions(lat, a, a)
+    assert regions.side_inner == regions.side_outer == 0
+    assert regions.isolated == lat.incomparables_mask(a)
 
 
-def test_region_sets_chain_empty():
+def test_chain_has_no_incomparables():
     lat = chain(6)
     for a in range(lat.n):
-        assert lat.region_sets(a, a).inc_a == ()
+        assert lat.incomparables_mask(a) == 0
 
 
-def test_region_sets_partition():
+def test_incomparables_are_the_parallel_elements():
     lat = random_lattice(23)
     for a in range(lat.n):
-        for b in range(lat.n):
-            regions = lat.region_sets(a, b)
-            assert sorted(regions.inc_a + regions.comp_a) == list(range(lat.n))
-            assert not set(regions.inc_a) & set(regions.comp_a)
+        parallel = tuple(b for b in range(lat.n) if lat.parallel(a, b))
+        assert ids_of(lat.incomparables_mask(a)) == parallel
 
 
-def test_region_sets_l11(l11):
+def test_regions_l11(l11):
     lat = l11.lattice
     e, rho = lat.index("e"), lat.index("rho")
-    regions = lat.region_sets(e, rho)
-    assert {lat.name(x) for x in regions.inc_both} == {"t", "m"}
-    assert {lat.name(x) for x in regions.inc_a_comp_b} == {"k"}
-    reversed_regions = lat.region_sets(rho, e)
-    assert {lat.name(x) for x in reversed_regions.inc_a_comp_b} == {"s"}
+    regions = case_regions(lat, e, rho)
+
+    def names(mask):
+        return {lat.name(x) for x in ids_of(mask)}
+
+    assert names(regions.isolated) == {"t", "m"}
+    assert names(regions.side_inner) == {"k"}
+    assert names(regions.side_outer) == {"s"}
 
 
 def test_parallel_l13(l13):
