@@ -13,7 +13,6 @@ from .construct import (
     construct_pinched_tconorm,
     construct_pinched_tnorm,
     dual_spec,
-    predict_uninorm,
 )
 from .lattice import (
     BoundedLattice,

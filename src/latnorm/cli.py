@@ -8,6 +8,7 @@ stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -165,7 +166,7 @@ def cmd_construct(args) -> int:
         return BAD_INPUT
     except LatticeError as exc:
         _err(f"invalid lattice: {exc}")
-        return MATH_FAIL
+        return BAD_INPUT
     lat = spec.lattice
     construct = construct_eq1 if orientation == "join" else construct_eq2
     try:
@@ -383,6 +384,7 @@ def cmd_corpus(args) -> int:
     return PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latnorm",

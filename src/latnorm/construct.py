@@ -17,8 +17,9 @@ and the code treats it as such: the meet-form construction, the t-conorm
 pinch and the meet-form hypothesis reports are the join-form (t-norm)
 code run on the spec transported to the dual lattice with
 :func:`dual_spec`, the result read back in the original order.  Spec
-validation checks the meet form on the dual lattice too, but its texts
-name the caller's side, and it verifies the inner table once, as given.
+validation transports a meet-form spec once and returns the join form;
+its texts name the caller's side.  The inner table's axiom verdict travels
+with the spec: it is computed on first use, for the table as given.
 
 Constructions are total: they evaluate for any valid spec, including ones
 that violate the theorem hypotheses, so counterexamples can be
@@ -30,10 +31,11 @@ license are exactly the equivalences the verification module fuzzes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .lattice import BoundedLattice, CaseRegions, ElementId, case_regions, ids_of
-from .optable import OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
+from .optable import AxiomReport, OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
 class SpecInvalid(Exception):
@@ -53,7 +55,8 @@ class ConstructionSpec:
     ``inner`` must be an operation table on [bottom, threshold] (join
     form) or [threshold, top] (meet form) with the given neutral element.
     The anchor may be any lattice element; whether a theorem applies to it
-    is the checkers' business, not the construction's.
+    is the checkers' business, not the construction's.  ``inner_report``
+    (the inner table's axiom verdict) is computed once, on first use.
     """
 
     lattice: BoundedLattice
@@ -61,6 +64,10 @@ class ConstructionSpec:
     neutral: ElementId
     anchor: ElementId
     inner: OpTable
+
+    @cached_property
+    def inner_report(self) -> AxiomReport:
+        return is_uninorm(self.inner, self.neutral)
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,15 @@ def anchor_class_masks(
 # -- spec validation --------------------------------------------------------
 
 
-def validate_spec(spec: ConstructionSpec, orientation: str, *, check_inner: bool = True) -> None:
+def validate_spec(
+    spec: ConstructionSpec, orientation: str, *, check_inner: bool = True
+) -> ConstructionSpec:
+    """Raise :class:`SpecInvalid` unless ``spec`` is valid; return its join
+    form (``spec``, or a meet-form spec transported once by :func:`dual_spec`)."""
     if orientation not in ("join", "meet"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    lat = spec.lattice if orientation == "join" else spec.lattice.dual()
+    join_spec = spec if orientation == "join" else dual_spec(spec)
+    lat = join_spec.lattice
     if not lat.leq(spec.neutral, spec.threshold):
         side = "below" if orientation == "join" else "above"
         raise SpecInvalid(f"neutral element must lie {side} the threshold")
@@ -166,12 +178,11 @@ def validate_spec(spec: ConstructionSpec, orientation: str, *, check_inner: bool
         raise SpecInvalid("inner table carrier is not the threshold interval")
     if spec.inner.lattice != spec.lattice:
         raise SpecInvalid("inner table belongs to a different lattice")
-    if check_inner:
-        report = is_uninorm(spec.inner, spec.neutral)
-        if not report.ok:
-            raise SpecInvalid(
-                "inner table fails uninorm axioms: " + ", ".join(report.failures())
-            )
+    if check_inner and not spec.inner_report.ok:
+        raise SpecInvalid(
+            "inner table fails uninorm axioms: " + ", ".join(spec.inner_report.failures())
+        )
+    return join_spec
 
 
 def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
@@ -219,14 +230,12 @@ def _join_form(spec: ConstructionSpec) -> OpTable:
 
 def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:
     """Join-form construction on the full carrier.  Total for valid specs."""
-    validate_spec(spec, "join", check_inner=check_inner)
-    return _join_form(spec)
+    return _join_form(validate_spec(spec, "join", check_inner=check_inner))
 
 
 def construct_eq2(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:
     """Meet-form construction: the join form on the dual, read back."""
-    validate_spec(spec, "meet", check_inner=check_inner)
-    return rewrap(_join_form(dual_spec(spec)), spec.lattice)
+    return rewrap(_join_form(validate_spec(spec, "meet", check_inner=check_inner)), spec.lattice)
 
 
 def construct_for(spec: ConstructionSpec, theorem: str) -> OpTable:
@@ -294,10 +303,9 @@ def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
     profile = THEOREMS[theorem]
     if spec.threshold in (spec.lattice.bottom, spec.lattice.top):
         raise SpecInvalid("theorem checkers require an interior threshold")
-    validate_spec(spec, profile.orientation)
+    report = _join_report(validate_spec(spec, profile.orientation), profile)
     if profile.orientation == "join":
-        return _join_report(spec, profile)
-    report = _join_report(dual_spec(spec), profile)
+        return report
     return replace(
         report, anchor_class=MEET_CLASS_NAMES.get(report.anchor_class, report.anchor_class)
     )
@@ -361,17 +369,3 @@ def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisR
         inner_in_ub=in_class_ub(spec.inner, spec.neutral),
         nonempty_guard=guard,
     )
-
-
-def predict_uninorm(spec: ConstructionSpec, theorem: str) -> bool:
-    """Truth value of the theorem's iff-condition, under its hypotheses.
-
-    Raises :class:`HypothesesNotMet` when a standing clause fails; by the
-    theorem, the returned value equals whether the constructed table is a
-    uninorm.
-    """
-    report = check_for(spec, theorem)
-    failures = report.standing_failures()
-    if failures:
-        raise HypothesesNotMet(failures[0])
-    return report.parallel_condition_ok.ok

@@ -388,7 +388,7 @@ def load(entry_id: str) -> CorpusEntry:
     if entry_id not in _BUILDERS:
         raise UnknownId(f"unknown corpus id {entry_id!r}; choose from {ENTRY_IDS}")
     entry = _BUILDERS[entry_id]()
-    report = is_uninorm(entry.spec.inner, entry.spec.neutral)
+    report = entry.spec.inner_report
     assert report.ok, f"{entry_id}: inner table fails {report.failures()}"
     return entry
 

@@ -23,10 +23,10 @@ from typing import Optional
 from .construct import (
     THEOREMS,
     ConstructionSpec,
+    HypothesesNotMet,
     SpecInvalid,
     check_for,
     construct_for,
-    predict_uninorm,
 )
 from .gen import ExhaustedRejection, GenConfig, gen_spec_candidates
 from .optable import (
@@ -159,10 +159,13 @@ class EquivalenceVerdict:
 def verify_equivalence(spec: ConstructionSpec, theorem: str) -> EquivalenceVerdict:
     """Theorem prediction vs brute-force axiom verdict for one spec.
 
-    Raises :class:`HypothesesNotMet` when the standing hypotheses fail,
-    exactly as the prediction itself does.
+    Raises :class:`HypothesesNotMet` with the first failed standing clause
+    before anything is constructed; the prediction is the parallel condition.
     """
-    predicted = predict_uninorm(spec, theorem)
+    report = check_for(spec, theorem)
+    failures = report.standing_failures()
+    if failures:
+        raise HypothesesNotMet(failures[0])
     table = construct_for(spec, theorem)
     axioms = is_uninorm(table, spec.neutral)
     counter = None
@@ -173,7 +176,7 @@ def verify_equivalence(spec: ConstructionSpec, theorem: str) -> EquivalenceVerdi
                 counter = (axiom, value)
                 break
     return EquivalenceVerdict(
-        predicted=predicted,
+        predicted=report.parallel_condition_ok.ok,
         observed=axioms.ok,
         counterwitness=counter,
         report=axioms,

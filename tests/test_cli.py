@@ -480,7 +480,7 @@ def test_construct_out_into_missing_directory_exits_two(golden, tmp_path, capsys
     assert captured.out == "" and _one_line(captured.err)
 
 
-def test_construct_on_a_non_lattice_exits_one(golden, tmp_path, capsys):
+def test_construct_on_a_non_lattice_exits_two(golden, tmp_path, capsys):
     path = tmp_path / "vee.lattice.json"
     path.write_text(json.dumps({"name": "vee", "elements": ["0", "a", "b"],
                                 "covers": [["0", "a"], ["0", "b"]]}))
@@ -488,7 +488,7 @@ def test_construct_on_a_non_lattice_exits_one(golden, tmp_path, capsys):
         "construct", str(path), str(golden / "L11.Ustar.table.json"),
         "--eq", "1", "--rho", "a", "--e", "0", "--anchor", "b",
     ])
-    assert code == 1
+    assert code == 2
     assert capsys.readouterr().err.startswith("invalid lattice:")
 
 

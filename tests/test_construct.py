@@ -12,12 +12,12 @@ from latnorm.construct import (
     construct_for,
     construct_pinched_tconorm,
     construct_pinched_tnorm,
-    predict_uninorm,
     validate_spec,
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import build_lattice, case_regions
 from latnorm.optable import OpTable, is_uninorm, join_table, rewrap, table_from_function
+from latnorm.verify import verify_equivalence
 
 
 def chain(n):
@@ -133,7 +133,14 @@ def _invalid_specs(spec, orientation):
 def test_validate_spec_texts(l11, orientation):
     # the meet-form spec is L11's spec on the dual lattice
     spec = l11.spec if orientation == "join" else dual_spec(l11.spec)
-    validate_spec(spec, orientation)
+    join_spec = validate_spec(spec, orientation)
+    if orientation == "join":
+        assert join_spec is spec
+    else:
+        # transported once: the dual lattice, the same inner cells
+        assert join_spec.lattice == spec.lattice.dual()
+        assert join_spec.inner.carrier == spec.inner.carrier
+        assert join_spec.inner.values == spec.inner.values
     for bad, message in _invalid_specs(spec, orientation):
         with pytest.raises(SpecInvalid) as exc:
             validate_spec(bad, orientation)
@@ -264,14 +271,14 @@ def test_l22_anchor_clause_witness(l22):
 
 
 def test_predict_on_corpus(entries):
-    assert predict_uninorm(entries["L11"].spec, "th31") is True
-    assert predict_uninorm(entries["L12"].spec, "th31") is True
-    assert predict_uninorm(entries["L21"].spec, "th33") is True
+    assert verify_equivalence(entries["L11"].spec, "th31").predicted is True
+    assert verify_equivalence(entries["L12"].spec, "th31").predicted is True
+    assert verify_equivalence(entries["L21"].spec, "th33").predicted is True
     with pytest.raises(HypothesesNotMet) as err:
-        predict_uninorm(entries["L13"].spec, "th31")
+        verify_equivalence(entries["L13"].spec, "th31")
     assert err.value.clause == "join-pairs"
     with pytest.raises(HypothesesNotMet) as err:
-        predict_uninorm(entries["L22"].spec, "th33")
+        verify_equivalence(entries["L22"].spec, "th33")
     assert err.value.clause == "join-anchor"
 
 
@@ -284,7 +291,7 @@ def test_predict_vacuous_on_chain():
     report = check_for(spec, "th31")
     assert report.anchor_class == "other"
     with pytest.raises(HypothesesNotMet) as err:
-        predict_uninorm(spec, "th31")
+        verify_equivalence(spec, "th31")
     assert err.value.clause == "anchor-class"
 
 
@@ -295,8 +302,27 @@ def test_chain_construction_is_uninorm():
     threshold, e, anchor = 4, 2, 1
     inner = gen_uninorm(lat, lat.interval(0, threshold), e, GenConfig(seed=5, class_filter="ub"))
     spec = ConstructionSpec(lat, threshold, e, anchor, inner)
-    assert predict_uninorm(spec, "th31") is True
-    assert is_uninorm(construct_eq1(spec), e).ok
+    verdict = verify_equivalence(spec, "th31")
+    assert verdict.predicted is True and verdict.observed is True
+
+
+@pytest.mark.parametrize("theorem", ["th31", "th34"])
+def test_each_spec_runs_the_inner_battery_once(l11, monkeypatch, theorem):
+    # a fresh spec (the corpus loader already checked l11.spec's inner
+    # table); th34 runs on it transported to the dual lattice (meet form)
+    spec = replace(l11.spec) if theorem == "th31" else dual_spec(l11.spec)
+    calls = []
+
+    def counting(table, e):
+        if table is spec.inner:
+            calls.append(e)
+        return is_uninorm(table, e)
+
+    monkeypatch.setattr("latnorm.construct.is_uninorm", counting)
+    check_for(spec, theorem)
+    construct_for(spec, theorem)
+    verify_equivalence(spec, theorem)
+    assert calls == [spec.neutral]
 
 
 def test_checker_rejects_boundary_threshold(l11):
