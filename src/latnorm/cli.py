@@ -293,10 +293,10 @@ def cmd_fuzz(args) -> int:
     if args.seeds < 0:
         _err(f"--seeds must be a non-negative count, got {args.seeds}")
         return BAD_INPUT
-    if args.drop_clause is not None and args.size is not None:
-        _err("--size does not apply to --drop-clause, whose search draws sizes 5..9")
-        return BAD_INPUT
-    size = (4, 9) if args.size is None else tuple(args.size)
+    if args.size is not None:
+        size = tuple(args.size)
+    else:
+        size = (4, 9) if args.drop_clause is None else (5, 9)
     try:
         GenConfig(seed=0, size_range=size)  # rejects a --size outside the generator's range
         seed = _fuzz_seed(args)
@@ -305,9 +305,14 @@ def cmd_fuzz(args) -> int:
         return BAD_INPUT
     if args.drop_clause is not None:
         try:
-            hit = find_counterexample(theorem, args.drop_clause, budget=args.seeds, seed=seed)
+            hit = find_counterexample(
+                theorem, args.drop_clause, budget=args.seeds, seed=seed, size_range=size
+            )
         except UnknownClause as exc:
             _err(str(exc))
+            return BAD_INPUT
+        except ExhaustedRejection as exc:
+            _err(f"seed {seed}: {exc}")
             return BAD_INPUT
         if hit is None:
             print(f"no counterexample within {args.seeds} instances")
@@ -437,7 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="seeded equivalence fuzzing / clause-drop search")
     p.add_argument("--theorem", required=True)
     p.add_argument("--seeds", type=int, required=True, help="instance count")
-    p.add_argument("--size", type=int, nargs=2, metavar=("MIN", "MAX"), help="default: 4 9")
+    p.add_argument(
+        "--size", type=int, nargs=2, metavar=("MIN", "MAX"),
+        help="default: 4 9, or 5 9 with --drop-clause",
+    )
     p.add_argument("--drop-clause")
     p.add_argument(
         "--seed",

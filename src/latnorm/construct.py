@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .lattice import BoundedLattice, CaseRegions, ElementId, case_regions, ids_of
+from .lattice import BoundedLattice, ElementId, case_regions, ids_of
 from .optable import AxiomReport, OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
@@ -145,17 +145,22 @@ THEOREMS = {
 
 
 def anchor_class_masks(
-    lat: BoundedLattice, neutral: ElementId, regions: CaseRegions
+    lat: BoundedLattice, neutral: ElementId, threshold: ElementId
 ) -> dict[str, int]:
     """The join-form anchor classes as disjoint masks of the carrier.
 
-    ``regions`` is ``case_regions(lat, neutral, threshold)``.  An anchor in
-    none of them is of class ``"other"``.
+    ``beside_neutral`` and ``beside_threshold`` are the ``side_inner`` and
+    ``side_outer`` blocks of ``case_regions(lat, neutral, threshold)``,
+    read straight off the incomparables, so spec generation can afford a
+    call per (threshold, neutral) pair.  An anchor in none of them is of
+    class ``"other"``.
     """
+    inc_n = lat.incomparables_mask(neutral)
+    inc_t = lat.incomparables_mask(threshold)
     return {
         "under_neutral": lat.interval_mask(lat.bottom, neutral, lower_open=True, upper_open=True),
-        "beside_neutral": regions.side_inner,
-        "beside_threshold": regions.side_outer,
+        "beside_neutral": inc_n & ~inc_t,
+        "beside_threshold": inc_t & ~inc_n,
     }
 
 
@@ -319,7 +324,7 @@ def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisR
     join = lat.join
 
     anchor_class = next(
-        (name for name, mask in anchor_class_masks(lat, spec.neutral, regions).items()
+        (name for name, mask in anchor_class_masks(lat, spec.neutral, spec.threshold).items()
          if mask >> q & 1),
         "other",
     )

@@ -9,9 +9,15 @@ order.  Meet-form specs are generated in join form and transported with
 Everything here is deterministic: generator state is an explicit
 ``random.Random`` seeded from the config, there is no hidden global
 randomness, and identical configs produce identical objects.  Rejection
-sampling of lattices and specs is capped; on exhaustion the error names
-the constraint that kept failing, because a silently vacuous property
-suite is worse than a loud failure.  Uninorms are not rejection-sampled:
+sampling is capped; on exhaustion the error names the constraint that
+kept failing, because a silently vacuous property suite is worse than a
+loud failure.  Two draws are still rejection-sampled: a lattice (random
+covers until every pair has a unique join and meet), and a lattice for a
+spec, which is redrawn when it hosts the anchor class in no (threshold,
+neutral) pair.  A spec stream given an anchor class picks its pair only
+among the hosting ones; the class-free stream of the clause-drop search
+draws the pair first and redraws on an empty class (see
+:func:`gen_spec_candidates`).  Uninorms are not rejection-sampled:
 :func:`gen_uninorm` builds a valid skeleton, keeps only mutations that
 pass, and never redraws.
 """
@@ -37,7 +43,6 @@ from .lattice import (
     ElementId,
     LatticeError,
     build_lattice,
-    case_regions,
     ids_of,
     mask_of,
 )
@@ -278,6 +283,23 @@ def enumerate_uninorms(lat: BoundedLattice, carrier, e: ElementId) -> list[OpTab
 _JOIN_CLASS_NAMES = {meet: join for join, meet in MEET_CLASS_NAMES.items()}
 
 
+def _hosting_pairs(lat: BoundedLattice, join_class: str) -> list[tuple[ElementId, ElementId]]:
+    """The (threshold, neutral) pairs, interior threshold and neutral below
+    it, whose ``join_class`` mask is non-empty; thresholds ascending, then
+    neutrals ascending."""
+    hosts = []
+    for threshold in range(lat.n):
+        if threshold in (lat.bottom, lat.top):
+            continue
+        for neutral in lat.interval(lat.bottom, threshold):
+            mask = anchor_class_masks(lat, neutral, threshold).get(join_class)
+            if mask is None:
+                raise ValueError(f"unknown anchor class {join_class!r}")
+            if mask:
+                hosts.append((threshold, neutral))
+    return hosts
+
+
 def gen_spec_candidates(
     cfg: GenConfig,
     theorem: str,
@@ -288,6 +310,18 @@ def gen_spec_candidates(
     Hypotheses are NOT enforced here; callers filter.  For the meet-form
     theorems, candidates are generated in the join form and transported
     across duality.
+
+    With ``anchor_class`` the draw is directed: each lattice is scanned
+    for the (threshold, neutral) pairs that host the class, one of them is
+    chosen uniformly, and the lattice is redrawn only when none does.  The
+    draws are, in order: sub-seed, lattice, hosting pair, anchor, inner
+    seed.  Without it (the clause-drop search) the stream stays undirected:
+    threshold, neutral and then the class are drawn uniformly, and a
+    lattice is redrawn when the class drawn is empty for that pair.  That
+    weights each lattice by how much of it hosts each class, and the
+    necessity search relies on that weighting: a directed class-free
+    stream found no ``join-pairs`` or ``meet-pairs`` counterexample in 500
+    candidates at seed 0, where this one finds one at candidate 145.
     """
     profile = THEOREMS[theorem]
     join_class = anchor_class
@@ -305,20 +339,24 @@ def gen_spec_candidates(
             )
         sub_seed = rng.getrandbits(48)
         lat = gen_lattice(replace(cfg, seed=sub_seed))
-        interior = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
-        if not interior:
-            continue
-        threshold = rng.choice(interior)
-        below = lat.interval(lat.bottom, threshold)
-        neutral = rng.choice(below)
-        pick = rng.choice(join_classes) if join_class is None else join_class
-        masks = anchor_class_masks(lat, neutral, case_regions(lat, neutral, threshold))
-        if pick not in masks:
-            raise ValueError(f"unknown anchor class {pick!r}")
-        candidates = ids_of(masks[pick])
+        if join_class is not None:
+            hosts = _hosting_pairs(lat, join_class)
+            if not hosts:
+                continue
+            threshold, neutral = rng.choice(hosts)
+            pick = join_class
+        else:
+            interior = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
+            if not interior:
+                continue
+            threshold = rng.choice(interior)
+            neutral = rng.choice(lat.interval(lat.bottom, threshold))
+            pick = rng.choice(join_classes)
+        candidates = ids_of(anchor_class_masks(lat, neutral, threshold)[pick])
         if not candidates:
             continue
         anchor = rng.choice(candidates)
+        below = lat.interval(lat.bottom, threshold)
         inner = gen_uninorm(
             lat, below, neutral, replace(cfg, seed=rng.getrandbits(48), class_filter="ub")
         )

@@ -28,7 +28,7 @@ from .construct import (
     check_for,
     construct_for,
 )
-from .gen import ExhaustedRejection, GenConfig, gen_spec_candidates
+from .gen import GenConfig, gen_spec_candidates
 from .optable import (
     AxiomReport,
     OpTable,
@@ -228,13 +228,17 @@ def find_counterexample(
     drop_clause: Optional[str],
     budget: int = 500,
     seed: int = 0,
+    size_range: tuple[int, int] = (5, 9),
 ) -> Optional[Counterexample]:
     """Search for an instance proving the dropped clause necessary.
 
-    Tries the first ``budget`` seeded random specs of sizes 5..9, so
-    results are deterministic for a given seed.  Returns ``None`` when the
-    budget is exhausted; with ``drop_clause=None`` that is the only
-    possible outcome.
+    Tries the first ``budget`` seeded random specs with sizes in
+    ``size_range``, so results are deterministic for a given seed and
+    range.  Returns ``None`` when the budget is exhausted; with
+    ``drop_clause=None`` that is the only possible outcome.  Raises
+    :class:`~latnorm.gen.ExhaustedRejection` when the spec stream runs dry,
+    as it does on a size range that holds only chains, so a search that
+    drew too few specs is never reported as a negative result.
     """
     profile = THEOREMS[theorem]
     if drop_clause is not None and drop_clause not in profile.droppable_clauses:
@@ -243,14 +247,11 @@ def find_counterexample(
             f"choose from {profile.droppable_clauses}"
         )
 
-    cfg = GenConfig(seed=seed, size_range=(5, 9))
-    try:
-        for i, spec in enumerate(gen_spec_candidates(cfg, theorem)):
-            if i >= budget:
-                break
-            hit = _qualifies(spec, theorem, drop_clause)
-            if hit is not None:
-                return replace(hit, source=f"generated:{seed}:{i}")
-    except ExhaustedRejection:
-        pass
+    cfg = GenConfig(seed=seed, size_range=size_range)
+    for i, spec in enumerate(gen_spec_candidates(cfg, theorem)):
+        if i >= budget:
+            break
+        hit = _qualifies(spec, theorem, drop_clause)
+        if hit is not None:
+            return replace(hit, source=f"generated:{seed}:{i}")
     return None

@@ -246,6 +246,22 @@ def test_fuzz_drop_clause_dumps_artifacts(tmp_path, capsys):
     ]
 
 
+def test_fuzz_drop_clause_honours_size(monkeypatch, tmp_path, capsys):
+    # the default window of 5..9 finds this one at candidate 236; sizes up
+    # to 12 are what it takes to show the anchor clause necessary at most seeds
+    monkeypatch.setenv("LATNORM_SEED", "7")
+    code = main([
+        "fuzz", "--theorem", "th31", "--seeds", "500", "--drop-clause", "join-anchor",
+        "--size", "4", "12", "--dump", str(tmp_path),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "counterexample found (generated:7:377); dropped clause: join-anchor\n"
+    )
+    _, lat = parse_lattice((tmp_path / "counterexample-th31.lattice.json").read_text())
+    assert lat.n == 11
+
+
 def test_export_import_round_trip_byte_identical(golden):
     for path in sorted(golden.glob("*.lattice.json")):
         text = path.read_text()
@@ -325,8 +341,10 @@ def test_construct_eq_must_match_threshold_flag(golden, capsys, eq, flag):
         (["--seeds", "-3"], None),
         (["--seeds", "3"], "abc"),
         (["--seeds", "3", "--drop-clause", "join-pairs"], "1.5"),
-        (["--seeds", "3", "--size", "5", "9", "--drop-clause", "join-pairs"], None),
+        (["--seeds", "3", "--size", "4", "13", "--drop-clause", "join-pairs"], None),
         (["--theorem", "th99", "--seeds", "3"], None),  # the last --theorem wins
+        # only chains have 2 or 3 elements, and chains host no anchor class
+        (["--seeds", "3", "--size", "2", "3", "--drop-clause", "join-pairs"], None),
     ],
 )
 def test_fuzz_bad_input_exits_two(monkeypatch, capsys, argv, env):

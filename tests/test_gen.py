@@ -1,7 +1,7 @@
 import pytest
 
 import latnorm.gen as gen_module
-from latnorm.construct import check_for
+from latnorm.construct import THEOREMS, anchor_class_masks, check_for
 from latnorm.gen import (
     ExhaustedRejection,
     GenConfig,
@@ -9,9 +9,10 @@ from latnorm.gen import (
     enumerate_uninorms,
     gen_lattice,
     gen_spec,
+    gen_spec_candidates,
     gen_uninorm,
 )
-from latnorm.lattice import build_lattice, case_regions
+from latnorm.lattice import build_lattice, case_regions, ids_of
 from latnorm.optable import (
     in_class_ub,
     in_class_umax,
@@ -200,6 +201,80 @@ def test_coverage_probe():
         if saw_isolated and saw_side_inner:
             break
     assert saw_isolated and saw_side_inner
+
+
+JOIN_CLASSES = ("under_neutral", "beside_neutral", "beside_threshold")
+
+
+def _region_classes(lat, neutral, threshold) -> dict[str, int]:
+    """The join-form anchor classes read off the six-block partition."""
+    regions = case_regions(lat, neutral, threshold)
+    return {
+        "under_neutral": regions.low & ~(1 << lat.bottom | 1 << neutral),
+        "beside_neutral": regions.side_inner,
+        "beside_threshold": regions.side_outer,
+    }
+
+
+def _brute_hosts(lat, join_class):
+    return [
+        (t, n)
+        for t in range(lat.n)
+        if t not in (lat.bottom, lat.top)
+        for n in range(lat.n)
+        if lat.leq(n, t) and _region_classes(lat, n, t)[join_class]
+    ]
+
+
+def test_hosting_pairs_match_brute_force():
+    hosted = dict.fromkeys(JOIN_CLASSES, 0)
+    for seed in range(200):
+        lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 9)))
+        for t in range(lat.n):
+            for n in lat.interval(lat.bottom, t):
+                assert anchor_class_masks(lat, n, t) == _region_classes(lat, n, t)
+        for join_class in JOIN_CLASSES:
+            hosts = gen_module._hosting_pairs(lat, join_class)
+            assert hosts == _brute_hosts(lat, join_class)
+            hosted[join_class] += bool(hosts)
+    # every class is hosted by some lattice and missing from another
+    assert all(0 < count < 200 for count in hosted.values()), hosted
+
+
+def test_hosting_pairs_reject_an_unknown_class():
+    lat = gen_lattice(GenConfig(seed=1, size_range=(5, 9)))
+    with pytest.raises(ValueError, match="unknown anchor class 'nope'"):
+        gen_module._hosting_pairs(lat, "nope")
+
+
+@pytest.mark.parametrize(
+    "theorem, anchor_class",
+    [(theorem, c) for theorem, profile in THEOREMS.items() for c in profile.anchor_classes],
+)
+def test_directed_stream_discards_only_lattices_without_a_host(monkeypatch, theorem, anchor_class):
+    drawn = []
+
+    def recording_gen_lattice(cfg):
+        drawn.append(gen_lattice(cfg))
+        return drawn[-1]
+
+    monkeypatch.setattr(gen_module, "gen_lattice", recording_gen_lattice)
+    join_class = {"over_neutral": "under_neutral"}.get(anchor_class, anchor_class)
+    stream = gen_spec_candidates(GenConfig(seed=11, size_range=(4, 9)), theorem, anchor_class)
+    discarded = 0
+    for _ in range(25):
+        spec = next(stream)
+        *rejected, kept = drawn
+        drawn.clear()
+        assert all(not _brute_hosts(lat, join_class) for lat in rejected)
+        discarded += len(rejected)
+        if THEOREMS[theorem].orientation == "meet":
+            spec = dual_spec(spec)
+        assert spec.lattice == kept
+        assert (spec.threshold, spec.neutral) in _brute_hosts(kept, join_class)
+        assert spec.anchor in ids_of(_region_classes(kept, spec.neutral, spec.threshold)[join_class])
+    if join_class == "beside_neutral":
+        assert discarded > 0  # the check above is not vacuous
 
 
 def test_dual_spec_roundtrip(l11):

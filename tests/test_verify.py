@@ -3,7 +3,7 @@ import random
 import pytest
 
 from latnorm.construct import THEOREMS, ConstructionSpec, HypothesesNotMet, check_for, dual_spec
-from latnorm.gen import GenConfig, gen_lattice, gen_spec, gen_uninorm
+from latnorm.gen import ExhaustedRejection, GenConfig, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import build_lattice, case_regions, ids_of
 from latnorm.optable import (
     OpTable,
@@ -205,6 +205,19 @@ def test_drop_pairs_clause_finds_instance_within_default_budget():
     table = construct_eq1(t)
     assert table.value(table.value(a, b), c) == left
     assert table.value(a, table.value(b, c)) == right
+
+
+def test_search_size_range_is_honoured():
+    # the default window is 5..9; sizes up to 12 draw another stream
+    assert find_counterexample("th34", "meet-anchor", budget=500, seed=7).source == (
+        "generated:7:236"
+    )
+    hit = find_counterexample("th34", "meet-anchor", budget=500, seed=7, size_range=(4, 12))
+    assert hit.source == "generated:7:377" and hit.spec.lattice.n == 11
+    # only chains have 2 or 3 elements: the stream runs dry, which is not a
+    # negative result
+    with pytest.raises(ExhaustedRejection):
+        find_counterexample("th31", "join-pairs", budget=3, seed=0, size_range=(2, 3))
 
 
 def test_drop_meet_pairs_finds_dual_instance():
