@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .lattice import BoundedLattice, ElementId, case_regions, ids_of
+from .lattice import BoundedLattice, ElementId, ids_of
 from .optable import AxiomReport, OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
@@ -133,8 +133,14 @@ class TheoremProfile:
         return (self.anchor_clause,)
 
 
-# Anchor classes whose name changes under duality: join-form -> meet-form.
-MEET_CLASS_NAMES = {"under_neutral": "over_neutral"}
+# Anchor-class names across duality, an involution; other names stay.
+_DUAL_CLASS_NAMES = {"under_neutral": "over_neutral", "over_neutral": "under_neutral"}
+
+
+def dual_class(name: str) -> str:
+    """The name of anchor class ``name`` on the dual lattice."""
+    return _DUAL_CLASS_NAMES.get(name, name)
+
 
 THEOREMS = {
     "th31": TheoremProfile("th31", "join", ("under_neutral", "beside_neutral"), True),
@@ -151,9 +157,10 @@ def anchor_class_masks(
 
     ``beside_neutral`` and ``beside_threshold`` are the ``side_inner`` and
     ``side_outer`` blocks of ``case_regions(lat, neutral, threshold)``,
-    read straight off the incomparables, so spec generation can afford a
-    call per (threshold, neutral) pair.  An anchor in none of them is of
-    class ``"other"``.
+    read straight off the incomparables.  An anchor in none of them is of
+    class ``"other"``.  Callers: :func:`check_for` (the anchor's class and
+    the parallel condition), ``gen._hosting_pairs`` and
+    ``gen.gen_spec_candidates`` (once per (threshold, neutral) pair).
     """
     inc_n = lat.incomparables_mask(neutral)
     inc_t = lat.incomparables_mask(threshold)
@@ -208,10 +215,9 @@ def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
 def _join_form(spec: ConstructionSpec) -> OpTable:
     """Cells of the join-form construction; the spec is already validated."""
     lat = spec.lattice
-    regions = case_regions(lat, spec.neutral, spec.threshold)
     inner_mask = lat.interval_mask(lat.bottom, spec.threshold)
-    low_mask = regions.low
-    iso = regions.isolated
+    low_mask = lat.interval_mask(lat.bottom, spec.neutral)
+    iso = lat.incomparables_mask(spec.neutral) & lat.incomparables_mask(spec.threshold)
     inner = spec.inner
     join = lat.join
     anchor = spec.anchor
@@ -311,59 +317,35 @@ def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
     report = _join_report(validate_spec(spec, profile.orientation), profile)
     if profile.orientation == "join":
         return report
-    return replace(
-        report, anchor_class=MEET_CLASS_NAMES.get(report.anchor_class, report.anchor_class)
-    )
+    return replace(report, anchor_class=dual_class(report.anchor_class))
 
 
 def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisReport:
+    """Each clause's first witness, in id order, read off the frame's masks:
+    the anchor classes, ``iso`` (incomparable to neutral and threshold) and
+    the anchor's incomparables."""
     lat = spec.lattice
     q = spec.anchor
-    regions = case_regions(lat, spec.neutral, spec.threshold)
     top = lat.top
     join = lat.join
-
-    anchor_class = next(
-        (name for name, mask in anchor_class_masks(lat, spec.neutral, spec.threshold).items()
-         if mask >> q & 1),
-        "other",
-    )
-
-    iso = ids_of(regions.isolated)
+    classes = anchor_class_masks(lat, spec.neutral, spec.threshold)
+    anchor_class = next((name for name, mask in classes.items() if mask >> q & 1), "other")
+    iso = lat.incomparables_mask(spec.neutral) & lat.incomparables_mask(spec.threshold)
+    inc_q = lat.incomparables_mask(q)
 
     pairs: Optional[Clause] = None
     if profile.has_pairs_clause:
-        pairs = Clause(ok=True)
-        for i, a in enumerate(iso):
-            for b in iso[i + 1:]:
-                v = join(a, b)
-                if v != top:
-                    pairs = Clause(ok=False, witness=(a, b, v))
-                    break
-            if not pairs.ok:
-                break
-
-    anchor_clause = Clause(ok=True)
-    for a in iso:
-        if lat.parallel(a, q):
-            v = join(a, q)
-            if v != top:
-                anchor_clause = Clause(ok=False, witness=(a, v))
-                break
-
-    parallel_clause = Clause(ok=True)
-    side_inner = ids_of(regions.side_inner)
-    for a in iso:
-        if lat.comparable(a, q):
-            for b in side_inner:
-                if lat.comparable(a, b):
-                    parallel_clause = Clause(ok=False, witness=(a, b))
-                    break
-        if not parallel_clause.ok:
-            break
-
-    guard_extra = lat.interval_mask(spec.threshold, top, lower_open=True, upper_open=True)
-    guard = bool(regions.side_outer | regions.isolated | guard_extra)
+        iso_ids = ids_of(iso)
+        pairs = _clause((a, b, join(a, b)) for i, a in enumerate(iso_ids)
+                        for b in iso_ids[i + 1:] if join(a, b) != top)
+    anchor_clause = _clause((a, join(a, q)) for a in ids_of(iso & inc_q) if join(a, q) != top)
+    parallel_clause = _clause(
+        (a, b)
+        for a in ids_of(iso & ~inc_q)
+        for b in ids_of(classes["beside_neutral"] & ~lat.incomparables_mask(a))
+    )
+    # some element other than top lies outside [bottom, threshold]
+    outside = lat.all_mask & ~lat.interval_mask(lat.bottom, spec.threshold) & ~(1 << top)
 
     return HypothesisReport(
         theorem=profile.id,
@@ -372,5 +354,11 @@ def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisR
         join_anchor_ok=anchor_clause,
         parallel_condition_ok=parallel_clause,
         inner_in_ub=in_class_ub(spec.inner, spec.neutral),
-        nonempty_guard=guard,
+        nonempty_guard=bool(outside),
     )
+
+
+def _clause(witnesses) -> Clause:
+    """The clause holds when ``witnesses`` is empty; else its first one."""
+    witness = next(witnesses, None)
+    return Clause(ok=witness is None, witness=witness)

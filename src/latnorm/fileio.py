@@ -65,7 +65,7 @@ def _render_json(fields: dict, list_key: str, items: list) -> str:
 
 def cover_pairs(lat: BoundedLattice) -> list[tuple[str, str]]:
     """Cover relation recovered from the order, sorted by identifier."""
-    covers = lat.upper_covers()
+    covers = lat.upper_covers
     return [(lat.names[a], lat.names[b]) for a in range(lat.n) for b in ids_of(covers[a])]
 
 
@@ -75,12 +75,16 @@ def render_lattice(lat: BoundedLattice, name: str) -> str:
 
 def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
     doc, (name, elements) = _json_object(text, "lattice", ("name", "elements"))
+    if "covers" in doc and "le_pairs" in doc:
+        raise FileFormatError("lattice file has both 'covers' and 'le_pairs': give one")
     if "covers" in doc:
         pairs = doc["covers"]
     elif "le_pairs" in doc:
         pairs = doc["le_pairs"]
     else:
         raise FileFormatError("lattice file needs a 'covers' or 'le_pairs' key")
+    if not isinstance(name, str):
+        raise FileFormatError("'name' must be a string")
     if not _is_str_list(elements):
         raise FileFormatError("'elements' must be a list of strings")
     if not isinstance(pairs, list) or not all(

@@ -7,13 +7,14 @@ fits in a machine word for the sizes this library targets (n <= 64).
 
 All validation happens at construction time: a ``BoundedLattice`` that
 exists is reflexive, antisymmetric, transitive, bounded, and has a unique
-join and meet for every pair.  Instances are immutable and safe to share
-across threads.
+join and meet for every pair.  Instances are immutable (the covers and the
+dual are derived once, on first use) and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 ElementId = int
@@ -164,8 +165,9 @@ class BoundedLattice:
             return None
         return lo, hi
 
+    @cached_property
     def upper_covers(self) -> tuple[int, ...]:
-        """Mask of the upper covers of each element."""
+        """Mask of the upper covers of each element; computed on first use."""
         # a linear extension, bottom first: anything above x comes after x
         rank = sorted(range(self.n), key=lambda x: self.down[x].bit_count())
         covers = [0] * self.n
@@ -183,16 +185,18 @@ class BoundedLattice:
         return self.all_mask & ~(self.up[a] | self.down[a])
 
     def dual(self) -> "BoundedLattice":
-        """Same carrier with the order reversed; an involution."""
-        return BoundedLattice(
-            names=self.names,
-            up=self.down,
-            down=self.up,
-            bottom=self.top,
-            top=self.bottom,
-            join_table=self.meet_table,
-            meet_table=self.join_table,
-        )
+        """Same carrier with the order reversed; an involution.  Built once and
+        kept (of racing threads, the first to store it wins), so
+        ``lat.dual().dual() is lat``."""
+        dual = self.__dict__.get("_dual")
+        if dual is None:
+            built = BoundedLattice(
+                names=self.names, up=self.down, down=self.up, bottom=self.top, top=self.bottom,
+                join_table=self.meet_table, meet_table=self.join_table,
+            )
+            built.__dict__["_dual"] = self
+            dual = self.__dict__.setdefault("_dual", built)
+        return dual
 
 
 @dataclass(frozen=True)

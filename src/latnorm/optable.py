@@ -281,7 +281,7 @@ def first_monotonicity_witness(
     up = lat.up
     cm = t.carrier_mask
     above = [up[a] & cm & ~(1 << a) for a in carrier]
-    covers = lat.upper_covers()
+    covers = lat.upper_covers
     # from the top down: fewer elements above v than above anything below v
     cover_pairs = [
         (v, w)

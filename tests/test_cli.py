@@ -408,6 +408,40 @@ def test_malformed_lattice_file_exits_two(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"name": ["L11"]}, "'name' must be a string"),
+        ({"le_pairs": [["0", "1"]]}, "lattice file has both 'covers' and 'le_pairs': give one"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check-lattice", "verify", "verify-sibling", "construct",
+                                     "theorem"])
+def test_malformed_lattice_file_has_one_message_on_every_path(
+    golden, capsys, patch, message, command
+):
+    # a non-string name, or two order keys of which one would be ignored,
+    # is malformed input to every subcommand that reads a lattice file
+    doc = json.loads((golden / "L11.lattice.json").read_text())
+    doc.update(patch)
+    lattice = golden / "L11.lattice.json"
+    lattice.write_text(json.dumps(doc))
+    table = str(golden / "L11.U1.table.json")
+    ustar = str(golden / "L11.Ustar.table.json")
+    spec = ["--rho", "rho", "--e", "e", "--anchor", "q"]
+    argv = {
+        "check-lattice": ["check-lattice", str(lattice)],
+        "verify": ["verify", table, "--e", "e", "--lattice", str(lattice)],
+        "verify-sibling": ["verify", table, "--e", "e"],
+        "construct": ["construct", str(lattice), ustar, "--eq", "1", *spec, "--format", "json"],
+        "theorem": ["theorem", "--which", "th31", str(lattice), ustar, *spec],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "patch",
     [{"rows": 5}, {"rows": [5]}, {"carrier": "e"}, {"carrier": ["e", "e"]}, {"lattice": 3}],
 )

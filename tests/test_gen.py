@@ -165,10 +165,7 @@ def test_gen_spec_all_anchor_classes():
             theorem=theorem,
         )
         report = check_for(spec, theorem)
-        want = anchor_class
-        if theorem in ("th34", "th36") and anchor_class == "under_neutral":
-            want = "over_neutral"
-        assert report.anchor_class == want
+        assert report.anchor_class == anchor_class
         assert report.standing_failures() == ()
 
 
@@ -241,10 +238,22 @@ def test_hosting_pairs_match_brute_force():
     assert all(0 < count < 200 for count in hosted.values()), hosted
 
 
-def test_hosting_pairs_reject_an_unknown_class():
-    lat = gen_lattice(GenConfig(seed=1, size_range=(5, 9)))
-    with pytest.raises(ValueError, match="unknown anchor class 'nope'"):
-        gen_module._hosting_pairs(lat, "nope")
+def test_gen_spec_rejects_a_class_outside_the_theorem(monkeypatch):
+    # one ValueError naming the theorem's classes, whatever the sizes, and
+    # raised before any lattice is drawn
+    def no_draw(cfg):
+        pytest.fail("a lattice was drawn")
+
+    monkeypatch.setattr(gen_module, "gen_lattice", no_draw)
+    for theorem, anchor_class in (("th31", "nope"), ("th31", "beside_threshold"),
+                                  ("th34", "under_neutral"), ("th36", "over_neutral")):
+        classes = ", ".join(THEOREMS[theorem].anchor_classes)
+        want = f"{theorem} has no anchor class '{anchor_class}'; its classes: {classes}$"
+        for size_range in ((2, 2), (4, 9)):
+            for want_hypotheses in (False, True):
+                with pytest.raises(ValueError, match=want):
+                    gen_spec(GenConfig(seed=0, size_range=size_range), anchor_class,
+                             want_hypotheses, theorem)
 
 
 @pytest.mark.parametrize(

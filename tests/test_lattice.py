@@ -192,6 +192,18 @@ def test_dual_involution():
         assert lat.dual().dual() == lat
 
 
+def test_dual_and_covers_are_derived_once():
+    # both are kept on the lattice: every call returns the same object, and
+    # the dual's dual is the lattice itself, not an equal copy
+    for seed in range(10):
+        lat = random_lattice(seed)
+        dual = lat.dual()
+        assert lat.dual() is dual
+        assert dual.dual() is lat
+        assert lat.upper_covers is lat.upper_covers
+        assert dual.upper_covers is dual.upper_covers
+
+
 def test_dual_swaps_join_meet():
     lat = random_lattice(5)
     dual = lat.dual()
@@ -265,7 +277,7 @@ def test_join_and_meet_tables_match_brute_force(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_upper_covers_match_brute_force(seed):
     lat = random_lattice(seed, 2, 10)
-    covers = lat.upper_covers()
+    covers = lat.upper_covers
     for a in range(lat.n):
         for b in range(lat.n):
             between = any(lat.lt(a, c) and lat.lt(c, b) for c in range(lat.n))
