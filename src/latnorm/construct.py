@@ -150,6 +150,14 @@ THEOREMS = {
 }
 
 
+def theorem_profile(theorem: str) -> TheoremProfile:
+    """The profile registered for ``theorem``; an unknown id raises ``ValueError``."""
+    try:
+        return THEOREMS[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem id {theorem!r}") from None
+
+
 def anchor_class_masks(
     lat: BoundedLattice, neutral: ElementId, threshold: ElementId
 ) -> dict[str, int]:
@@ -250,7 +258,7 @@ def construct_eq2(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTabl
 
 
 def construct_for(spec: ConstructionSpec, theorem: str) -> OpTable:
-    construct = construct_eq1 if THEOREMS[theorem].orientation == "join" else construct_eq2
+    construct = construct_eq1 if theorem_profile(theorem).orientation == "join" else construct_eq2
     return construct(spec)
 
 
@@ -309,9 +317,7 @@ def construct_pinched_tconorm(lat: BoundedLattice, pivot: ElementId, lower: OpTa
 def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
     """Hypothesis report of one theorem; meet-form theorems are checked in
     join form on the dual spec."""
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem!r}")
-    profile = THEOREMS[theorem]
+    profile = theorem_profile(theorem)
     if spec.threshold in (spec.lattice.bottom, spec.lattice.top):
         raise SpecInvalid("theorem checkers require an interior threshold")
     report = _join_report(validate_spec(spec, profile.orientation), profile)

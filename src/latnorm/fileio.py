@@ -34,7 +34,7 @@ def _json_object(text: str, kind: str, keys: tuple[str, ...]) -> tuple[dict, lis
     """Decode a ``kind`` file: a JSON object holding every key of ``keys``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # malformed, or nested too deep
         raise FileFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{kind} file must be a JSON object")
@@ -122,6 +122,38 @@ def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
 
 
 def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
+    index = {name: i for i, name in enumerate(lat.names)}
+    resolved = _resolve_names(index, carrier_names, rows)
+    if resolved is None:
+        resolved = _checked_names(lat, carrier_names, rows)
+    carrier, values = resolved
+    try:
+        return OpTable(lattice=lat, carrier=carrier, values=values)
+    except OpTableError as exc:
+        raise FileFormatError(str(exc)) from None
+
+
+def _resolve_names(index: dict, carrier_names, rows):
+    """(carrier, values) as ids, one lookup per name, for a square table of
+    element names; ``None`` when a type, a name or the shape is off.  Only
+    strings are keys of ``index``, so every name that resolves is one."""
+    size = len(carrier_names) if type(carrier_names) is list else -1
+    if type(rows) is not list or len(rows) != size:
+        return None
+    try:
+        carrier = tuple([index[name] for name in carrier_names])
+        values = []
+        for row in rows:
+            if type(row) is not list or len(row) != size:
+                return None
+            values.append(tuple([index[cell] for cell in row]))
+    except (KeyError, TypeError):  # an unknown name, or an unhashable cell
+        return None
+    return carrier, tuple(values)
+
+
+def _checked_names(lat: BoundedLattice, carrier_names, rows):
+    """The type, name and shape checks, in order: raise the first failure."""
     if not _is_str_list(carrier_names):
         raise FileFormatError("'carrier' must be a list of strings")
     if not isinstance(rows, list) or not all(_is_str_list(row) for row in rows):
@@ -133,10 +165,7 @@ def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
         raise FileFormatError(str(exc)) from None
     if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
         raise FileFormatError("table is not square over its carrier")
-    try:
-        return OpTable(lattice=lat, carrier=carrier, values=values)
-    except OpTableError as exc:
-        raise FileFormatError(str(exc)) from None
+    return carrier, values
 
 
 def render_table_text(table: OpTable) -> str:

@@ -30,13 +30,13 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .construct import (
-    THEOREMS,
     ConstructionSpec,
     anchor_class_masks,
     check_for,
     dual_class,
     dual_spec,
     pinch_tnorm,
+    theorem_profile,
 )
 from .lattice import (
     BoundedLattice,
@@ -319,7 +319,7 @@ def gen_spec_candidates(
     An ``anchor_class`` that is not one of the theorem's classes raises
     ``ValueError`` naming them, on the first ``next``, before any draw.
     """
-    profile = THEOREMS[theorem]
+    profile = theorem_profile(theorem)
     if anchor_class not in (None, *profile.anchor_classes):
         classes = ", ".join(profile.anchor_classes)
         raise ValueError(f"{theorem} has no anchor class {anchor_class!r}; its classes: {classes}")

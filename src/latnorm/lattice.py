@@ -1,4 +1,4 @@
-"""Finite bounded lattices with precomputed order and join/meet tables.
+"""Finite bounded lattices over a bit-mask order relation.
 
 Elements are dense integer identifiers 0..n-1; names are for I/O only.
 The order relation is stored as bit masks (``up[i]`` has bit ``j`` set iff
@@ -7,8 +7,13 @@ fits in a machine word for the sizes this library targets (n <= 64).
 
 All validation happens at construction time: a ``BoundedLattice`` that
 exists is reflexive, antisymmetric, transitive, bounded, and has a unique
-join and meet for every pair.  Instances are immutable (the covers and the
-dual are derived once, on first use) and safe to share across threads.
+join and meet for every pair.  Construction closes the order in O(n +
+pairs) and checks one meet per incomparable pair (a finite poset with a
+top in which every two elements have a meet is a lattice, so the joins
+need no check); see :func:`build_lattice`.  No join or meet table is
+stored: a join is one dict lookup of ``up[a] & up[b]``, a meet the same
+over ``down``.  Instances are immutable (the covers and the dual are
+derived once, on first use) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -71,8 +76,8 @@ class BoundedLattice:
     down: tuple[int, ...]  # down[i] bit j <=> j <= i
     bottom: ElementId
     top: ElementId
-    join_table: tuple[tuple[ElementId, ...], ...]
-    meet_table: tuple[tuple[ElementId, ...], ...]
+    _by_up: dict = field(repr=False)    # up-mask -> element
+    _by_down: dict = field(repr=False)  # down-mask -> element
     _index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -125,10 +130,11 @@ class BoundedLattice:
         return not self.comparable(a, b)
 
     def join(self, a: ElementId, b: ElementId) -> ElementId:
-        return self.join_table[a][b]
+        # the common upper bounds of a and b are the elements above a v b
+        return self._by_up[self.up[a] & self.up[b]]
 
     def meet(self, a: ElementId, b: ElementId) -> ElementId:
-        return self.meet_table[a][b]
+        return self._by_down[self.down[a] & self.down[b]]
 
     # -- subsets ----------------------------------------------------------
 
@@ -192,7 +198,7 @@ class BoundedLattice:
         if dual is None:
             built = BoundedLattice(
                 names=self.names, up=self.down, down=self.up, bottom=self.top, top=self.bottom,
-                join_table=self.meet_table, meet_table=self.join_table,
+                _by_up=self._by_down, _by_down=self._by_up,
             )
             built.__dict__["_dual"] = self
             dual = self.__dict__.setdefault("_dual", built)
@@ -259,6 +265,40 @@ def _closure(up: list[int], n: int) -> None:
                 up[i] |= row_k
 
 
+def _cycle_error(names: tuple[str, ...], succ: list[int]) -> NotAPoset:
+    """The antisymmetry error of a cyclic relation (``succ`` holds each
+    element's direct successors): the first element, in id order, that
+    lies on a cycle, and the smallest other element of that cycle."""
+    n = len(names)
+    up = [1 << i | succ[i] for i in range(n)]
+    _closure(up, n)
+    down = [0] * n
+    for i in range(n):
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
+    for i in range(n):
+        cycle = up[i] & down[i] & ~(1 << i)
+        if cycle:
+            j = next(_bits(cycle))
+            return NotAPoset(f"antisymmetry violated: {names[i]!r} <= {names[j]!r} <= {names[i]!r}")
+    raise AssertionError("the relation has no cycle")
+
+
+def _unbounded_pair_error(names, up, down, by_up, by_down) -> NotALattice:
+    """The first pair in id order, the join before the meet, whose common
+    upper (or lower) bounds are no element's mask.  Called only when some
+    pair has no meet, so there is one."""
+    for a in range(len(names)):
+        joins = [by_up.get(up[a] & mask) for mask in up]
+        meets = [by_down.get(down[a] & mask) for mask in down]
+        if None in joins or None in meets:
+            # pairs (b, a) with b < a passed on row b, so the first miss is
+            # past a; at one b the join is checked before the meet
+            b = min(row.index(None) for row in (joins, meets) if None in row)
+            return NotALattice("join" if joins[b] is None else "meet", names[a], names[b])
+    raise AssertionError("every pair has a join and a meet")
+
+
 def build_lattice(names, order_pairs) -> BoundedLattice:
     """Build and fully validate a bounded lattice.
 
@@ -269,13 +309,23 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
     and meet for each pair.  More than :data:`MAX_ELEMENTS` elements raise
     ``ValueError``.
 
-    In a lattice the common upper bounds of a and b are exactly the
-    elements above a join b, so ``up[a] & up[b]`` is the up-mask of the
-    join: each join is one dict lookup from up-mask to element, and each
-    meet the same lookup over ``down``.  A pair whose common bounds are no
-    element's mask has several minimal bounds and raises
-    :class:`NotALattice`, naming the first such pair in id order (the join
-    before the meet), in O(n^2) for the whole table.
+    The closure costs O(n + pairs): Kahn's algorithm orders the elements
+    so that every pair goes forward, then ``up`` is filled in one pass
+    backwards along that order and ``down`` in one pass forwards, each
+    element OR-ing the masks of its direct successors (predecessors).
+    When the order comes out short the pairs hold a cycle; only then is
+    Warshall's O(n^2) closure run, to name the pair that breaks
+    antisymmetry.
+
+    A finite poset with a top in which every two elements have a meet is
+    a lattice (the join of a and b is the meet of their common upper
+    bounds, which include the top), so only the meets are checked, and
+    only for incomparable pairs: a meet of a and b exists iff ``down[a] &
+    down[b]`` is some element's down-mask, one dict lookup per pair.  Only
+    when a meet is missing does the full id-order scan run, to name the
+    first pair without a unique join or meet (the join before the meet)
+    in :class:`NotALattice`.  No join or meet table is stored: each join
+    is looked up on use (see :meth:`BoundedLattice.join`).
     """
     names = tuple(names)
     if not names:
@@ -292,24 +342,41 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
 
-    up = [1 << i for i in range(n)]
+    # direct successors and predecessors; a pair (x, x) is reflexivity
+    succ = [0] * n
+    pred = [0] * n
     for lo, hi in order_pairs:
         if lo not in index or hi not in index:
             bad = lo if lo not in index else hi
             raise NotAPoset(f"order pair references unknown name {bad!r}")
-        up[index[lo]] |= 1 << index[hi]
-    _closure(up, n)
+        i, j = index[lo], index[hi]
+        if i != j:
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
 
+    # Kahn: an element joins the order once all its predecessors have
+    indegree = [mask.bit_count() for mask in pred]
+    order = [i for i in range(n) if not pred[i]]
+    for v in order:
+        for w in _bits(succ[v]):
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) < n:
+        raise _cycle_error(names, succ)
+
+    up = [0] * n
+    for v in reversed(order):
+        mask = 1 << v
+        for w in _bits(succ[v]):
+            mask |= up[w]
+        up[v] = mask
     down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
-
-    for i in range(n):
-        cycle = up[i] & down[i] & ~(1 << i)
-        if cycle:
-            j = next(_bits(cycle))
-            raise NotAPoset(f"antisymmetry violated: {names[i]!r} <= {names[j]!r} <= {names[i]!r}")
+    for v in order:
+        mask = 1 << v
+        for u in _bits(pred[v]):
+            mask |= down[u]
+        down[v] = mask
 
     all_mask = (1 << n) - 1
     bottoms = [i for i in range(n) if up[i] == all_mask]
@@ -321,20 +388,17 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
         maximal = [i for i in range(n) if up[i] == 1 << i]
         raise NotBounded(f"no top element; maximal elements include {names[maximal[0]]!r}")
 
-    element_up = {mask: c for c, mask in enumerate(up)}
-    element_down = {mask: c for c, mask in enumerate(down)}
-    join_table = []
-    meet_table = []
+    by_up = {mask: c for c, mask in enumerate(up)}
+    by_down = {mask: c for c, mask in enumerate(down)}
     for a in range(n):
-        joins = [element_up.get(up[a] & mask) for mask in up]
-        meets = [element_down.get(down[a] & mask) for mask in down]
-        if None in joins or None in meets:
-            # pairs (b, a) with b < a passed on row b, so the first miss is
-            # past a; at one b the join is checked before the meet
-            b = min(row.index(None) for row in (joins, meets) if None in row)
-            raise NotALattice("join" if joins[b] is None else "meet", names[a], names[b])
-        join_table.append(tuple(joins))
-        meet_table.append(tuple(meets))
+        down_a = down[a]
+        # the elements after a that are incomparable to it
+        rest = all_mask & ~(up[a] | down_a) & ~((2 << a) - 1)
+        while rest:
+            low = rest & -rest
+            if (down_a & down[low.bit_length() - 1]) not in by_down:
+                raise _unbounded_pair_error(names, up, down, by_up, by_down)
+            rest ^= low
 
     return BoundedLattice(
         names=names,
@@ -342,8 +406,8 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
         down=tuple(down),
         bottom=bottoms[0],
         top=tops[0],
-        join_table=tuple(join_table),
-        meet_table=tuple(meet_table),
+        _by_up=by_up,
+        _by_down=by_down,
     )
 
 

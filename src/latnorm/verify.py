@@ -21,12 +21,12 @@ from itertools import combinations
 from typing import Optional
 
 from .construct import (
-    THEOREMS,
     ConstructionSpec,
     HypothesesNotMet,
     SpecInvalid,
     check_for,
     construct_for,
+    theorem_profile,
 )
 from .gen import GenConfig, gen_spec_candidates
 from .optable import (
@@ -240,7 +240,7 @@ def find_counterexample(
     as it does on a size range that holds only chains, so a search that
     drew too few specs is never reported as a negative result.
     """
-    profile = THEOREMS[theorem]
+    profile = theorem_profile(theorem)
     if drop_clause is not None and drop_clause not in profile.droppable_clauses:
         raise UnknownClause(
             f"{theorem} has no droppable clause {drop_clause!r}; "

@@ -3,7 +3,9 @@
 Corpus entries are exported as the CLI would write them, one file is
 mutated at the JSON level (values replaced, keys or items deleted, names
 swapped), and the subcommands that read it run on the result with flag
-values that may name unknown elements.
+values that may name unknown elements.  JSON nested too deep to decode is
+one parse error, and a malformed table file is rejected with the message
+of its first failing check.
 """
 
 import contextlib
@@ -12,12 +14,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latnorm import corpus
 from latnorm.cli import main
-from latnorm.fileio import render_lattice, render_table
+from latnorm.fileio import FileFormatError, parse_table, render_lattice, render_table
+from latnorm.lattice import build_lattice
 
 NAMES = ["0", "1", "e", "q", "rho", "m", "s", "", "nope"]
 
@@ -97,3 +101,92 @@ def test_mutated_corpus_files_never_crash(entry_id, target, flags, data):
                 code = main(argv)
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err.getvalue(), argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize(
+    "deep_text, kind",
+    [("[" * DEEP + "]" * DEEP, "array"), ('{"a":' * DEEP + "0" + "}" * DEEP, "object")],
+    ids=["array", "object"],
+)
+def test_deeply_nested_json_is_one_parse_error(l11, deep_text, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        deep = Path(tmp) / "deep.json"
+        deep.write_text(deep_text)
+        lat = Path(tmp) / "L11.lattice.json"
+        lat.write_text(render_lattice(l11.lattice, "L11"))
+        ustar = Path(tmp) / "L11.Ustar.table.json"
+        ustar.write_text(render_table(l11.spec.inner, "json", lattice_name="L11"))
+        spec_flags = ["--rho", "rho", "--e", "e", "--anchor", "q"]
+        runs = [
+            ["check-lattice", str(deep)],
+            ["verify", str(deep), "--e", "e"],
+            ["verify", str(ustar), "--e", "e", "--lattice", str(deep)],
+            ["construct", str(deep), str(ustar), "--eq", "1", *spec_flags],
+            ["construct", str(lat), str(deep), "--eq", "1", *spec_flags],
+            ["theorem", "--which", "th31", str(lat), str(deep), *spec_flags],
+        ]
+        for argv in runs:
+            code, out, err = _run(argv)
+            assert code == 2, argv
+            assert out == "", argv
+            assert err.splitlines() == [
+                "parse error: not valid JSON: maximum recursion depth exceeded "
+                f"while decoding a JSON {kind} from a unicode string"
+            ], argv
+
+
+# -- malformed table files: the first failing check names the fault --------
+
+_CHAIN = build_lattice(("a", "b", "c"), [("a", "b"), ("b", "c")])
+_ROWS = [["a", "a", "a"], ["a", "b", "b"], ["a", "b", "c"]]
+_NOT_ROWS = "'rows' must be a list of lists of strings"
+
+
+@pytest.mark.parametrize(
+    "carrier, rows, message",
+    [
+        # a string row is rejected even though its characters are element names
+        (["a", "b", "c"], ["abc", _ROWS[1], _ROWS[2]], _NOT_ROWS),
+        (["a", "b", "c"], "abc", _NOT_ROWS),
+        ("abc", _ROWS, "'carrier' must be a list of strings"),
+        (["a", "b", "c"], [["a", ["a"], "a"], _ROWS[1], _ROWS[2]], _NOT_ROWS),
+        (["a", "b", "c"], [_ROWS[0], ["a", True, "b"], _ROWS[2]], _NOT_ROWS),
+        (["a", "b", "c"], [_ROWS[0], _ROWS[1], ["a", "b", 1]], _NOT_ROWS),
+        (["a", "b", "c"], [_ROWS[0], _ROWS[1], ["a", "b", None]], _NOT_ROWS),
+        # the carrier's names are resolved before the rows', names before shape
+        (["a", "b", "yy"], [_ROWS[0], _ROWS[1], ["a", "b", "zz"]], "unknown element name 'yy'"),
+        (["a", "b", "c"], [_ROWS[0], _ROWS[1], ["a", "b", "zz"]], "unknown element name 'zz'"),
+        (["a", "b", "c"], [_ROWS[0], ["a", "b"], ["a", "zz", "c"]], "unknown element name 'zz'"),
+        (["a", "b", "c"], [_ROWS[0], ["a", "b"], _ROWS[2]], "table is not square over its carrier"),
+        (["a", "b", "c"], _ROWS[:2], "table is not square over its carrier"),
+        (["a", "a", "c"], _ROWS, "carrier has repeated elements"),
+    ],
+    ids=[
+        "string-row", "string-rows", "string-carrier", "list-cell", "true-cell", "int-cell",
+        "null-cell", "unknown-in-carrier", "unknown-in-row", "unknown-in-short-row",
+        "short-row", "missing-row", "repeated-carrier-name",
+    ],
+)
+def test_malformed_table_names_its_first_fault(carrier, rows, message):
+    text = json.dumps({"lattice": "chain", "carrier": carrier, "rows": rows})
+    with pytest.raises(FileFormatError) as info:
+        parse_table(text, _CHAIN)
+    assert str(info.value) == message
+
+
+def test_well_formed_table_resolves_every_name():
+    text = json.dumps({"lattice": "chain", "carrier": ["c", "a", "b"], "rows": _ROWS})
+    name, table = parse_table(text, _CHAIN)
+    assert name == "chain"
+    assert table.carrier == (2, 0, 1)
+    assert table.values == ((0, 0, 0), (0, 1, 1), (0, 1, 2))

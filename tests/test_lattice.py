@@ -309,8 +309,9 @@ def _closed_form_lattices():
     "lat, join, meet", list(_closed_form_lattices()), ids=["chain64", "bool2^6", "grid8x8"]
 )
 def test_64_element_join_and_meet_tables(lat, join, meet):
-    assert lat.join_table == tuple(tuple(join(a, b) for b in range(64)) for a in range(64))
-    assert lat.meet_table == tuple(tuple(meet(a, b) for b in range(64)) for a in range(64))
+    for a in range(64):
+        assert [lat.join(a, b) for b in range(64)] == [join(a, b) for b in range(64)]
+        assert [lat.meet(a, b) for b in range(64)] == [meet(a, b) for b in range(64)]
 
 
 def _pairs(text):

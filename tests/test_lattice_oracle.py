@@ -1,0 +1,262 @@
+"""Differential tests of ``build_lattice``.
+
+``build_lattice`` closes the order in one pass each way along a topological
+order, checks only the meets of incomparable pairs, and stores no join or
+meet table.  It must build exactly what the build it replaced built, and
+reject exactly what that build rejected, with the same exception and
+message.  That build is kept here as the reference: Warshall's closure
+over bit rows, the ``down`` transpose, the antisymmetry and bound checks,
+and the full id-order scan of the join and meet tables.
+
+Inputs: every ``gen._attempt_lattice`` draw for 2,000 seeds at sizes
+2..12, rejected draws included; random DAGs of up to 64 elements given as
+redundant, shuffled ``le_pairs``; cyclic inputs; inputs without a bottom
+or a top; and the posets whose first pair without a join or meet is named.
+"""
+
+import random
+
+import pytest
+
+import latnorm.gen as gen
+import latnorm.lattice as lattice
+from latnorm.lattice import NotALattice, NotAPoset, NotBounded, build_lattice
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_build(names, order_pairs):
+    """The earlier build: fields of the lattice, or the exception it raised."""
+    names = tuple(names)
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    up = [1 << i for i in range(n)]
+    for lo, hi in order_pairs:
+        up[index[lo]] |= 1 << index[hi]
+    for k in range(n):
+        row_k = up[k]
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= row_k
+    down = [0] * n
+    for i in range(n):
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
+    for i in range(n):
+        cycle = up[i] & down[i] & ~(1 << i)
+        if cycle:
+            j = next(_bits(cycle))
+            return NotAPoset(f"antisymmetry violated: {names[i]!r} <= {names[j]!r} <= {names[i]!r}")
+    all_mask = (1 << n) - 1
+    bottoms = [i for i in range(n) if up[i] == all_mask]
+    tops = [i for i in range(n) if down[i] == all_mask]
+    if not bottoms:
+        minimal = [i for i in range(n) if down[i] == 1 << i]
+        return NotBounded(f"no bottom element; minimal elements include {names[minimal[0]]!r}")
+    if not tops:
+        maximal = [i for i in range(n) if up[i] == 1 << i]
+        return NotBounded(f"no top element; maximal elements include {names[maximal[0]]!r}")
+    element_up = {mask: c for c, mask in enumerate(up)}
+    element_down = {mask: c for c, mask in enumerate(down)}
+    join_table, meet_table = [], []
+    for a in range(n):
+        joins = [element_up.get(up[a] & mask) for mask in up]
+        meets = [element_down.get(down[a] & mask) for mask in down]
+        if None in joins or None in meets:
+            b = min(row.index(None) for row in (joins, meets) if None in row)
+            return NotALattice("join" if joins[b] is None else "meet", names[a], names[b])
+        join_table.append(joins)
+        meet_table.append(meets)
+    return tuple(up), tuple(down), bottoms[0], tops[0], join_table, meet_table
+
+
+def assert_same_build(names, order_pairs):
+    """``build_lattice`` agrees with the reference; returns the verdict,
+    ``None`` for a lattice or the exception type."""
+    want = reference_build(names, order_pairs)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            build_lattice(names, order_pairs)
+        assert type(info.value) is type(want)
+        assert str(info.value) == str(want)
+        return type(want)
+    up, down, bottom, top, join_table, meet_table = want
+    lat = build_lattice(names, order_pairs)
+    assert (lat.up, lat.down, lat.bottom, lat.top) == (up, down, bottom, top)
+    for a in range(lat.n):
+        assert [lat.join(a, b) for b in range(lat.n)] == join_table[a]
+        assert [lat.meet(a, b) for b in range(lat.n)] == meet_table[a]
+    return None
+
+
+def test_every_generated_draw(monkeypatch):
+    drawn = []
+
+    def recording_build(names, order_pairs):
+        drawn.append((names, list(order_pairs)))
+        return build_lattice(names, order_pairs)
+
+    monkeypatch.setattr(gen, "build_lattice", recording_build)
+    cfg = gen.GenConfig(seed=0, size_range=(2, 12))
+    for seed in range(2000):
+        gen._attempt_lattice(random.Random(seed), cfg)
+    verdicts = [assert_same_build(names, pairs) for names, pairs in drawn]
+    assert len(drawn) == 2000
+    # both branches are exercised: accepted draws and each kind of rejection seen
+    assert verdicts.count(None) > 500
+    assert NotALattice in verdicts
+
+
+def _random_dag(rng, n, density):
+    """(names, pairs): a DAG on n elements whose names are not in a
+    topological order, with transitive, repeated and reflexive pairs mixed
+    in and the whole list shuffled."""
+    rank = list(range(n))
+    rng.shuffle(rank)  # rank[i] < rank[j] is the only way i may lie below j
+    names = [f"v{i}" for i in range(n)]
+    by_rank = sorted(range(n), key=rank.__getitem__)
+    pairs = [
+        (names[by_rank[r]], names[by_rank[s]])
+        for r in range(n)
+        for s in range(r + 1, n)
+        if rng.random() < density
+    ]
+    extra = [rng.choice(pairs) for _ in range(len(pairs) // 4)] if pairs else []
+    extra += [(name, name) for name in rng.sample(names, min(3, n))]
+    # transitive pairs: a -> b -> c adds a -> c
+    succ = {}
+    for lo, hi in pairs:
+        succ.setdefault(lo, []).append(hi)
+    for lo, hi in rng.sample(pairs, min(len(pairs), 20)):
+        if hi in succ:
+            extra.append((lo, rng.choice(succ[hi])))
+    pairs += extra
+    rng.shuffle(pairs)
+    return names, pairs, by_rank
+
+
+def _bounded(names, pairs, by_rank):
+    """Add a bottom below the least-ranked element and a top above the rest."""
+    low, high = names[by_rank[0]], names[by_rank[-1]]
+    return names, pairs + [(low, x) for x in names if x != low] + [
+        (x, high) for x in names if x != high
+    ]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_dags_as_redundant_le_pairs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 64)
+    names, pairs, by_rank = _random_dag(rng, n, rng.choice((0.03, 0.1, 0.3)))
+    assert_same_build(names, pairs)
+    assert_same_build(*_bounded(names, pairs, by_rank))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_lattices_as_shuffled_le_pairs(seed):
+    # the full order of an accepted lattice, relabelled and shuffled
+    lat = gen.gen_lattice(gen.GenConfig(seed=seed, size_range=(2, 12)))
+    rng = random.Random(seed)
+    perm = list(range(lat.n))
+    rng.shuffle(perm)
+    names = [f"y{perm[i]}" for i in range(lat.n)]
+    pairs = [(names[a], names[b]) for a in range(lat.n) for b in _bits(lat.up[a])]
+    rng.shuffle(pairs)
+    assert assert_same_build(names, pairs) is None
+
+
+def _pairs(text):
+    return [tuple(pair.split("<")) for pair in text.split()]
+
+
+@pytest.mark.parametrize(
+    "names, pairs",
+    [
+        # a 2-cycle next to a valid part
+        (("0", "a", "b", "x", "y", "1"), _pairs("0<a 0<b a<1 b<1 0<x x<y y<x y<1")),
+        # the cycle's first element in id order is not where the pairs start
+        (("c", "b", "a", "0", "1"), _pairs("0<a a<b b<c c<a c<1")),
+        # a 2-cycle between the bounds themselves
+        (("0", "1"), _pairs("0<1 1<0")),
+        # a cycle through every element
+        (tuple(f"z{i}" for i in range(64)), [(f"z{i}", f"z{(i + 1) % 64}") for i in range(64)]),
+        # two cycles; the one with the smaller ids is named
+        (("p", "q", "0", "r", "s", "1"), _pairs("0<r r<s s<r 0<p p<q q<p s<1 q<1")),
+    ],
+)
+def test_cyclic_inputs(names, pairs):
+    assert assert_same_build(names, pairs) is NotAPoset
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_cyclic_inputs(seed):
+    rng = random.Random(seed)
+    names, pairs, by_rank = _random_dag(rng, rng.randint(3, 40), 0.1)
+    names, pairs = _bounded(names, pairs, by_rank)
+    forward = [(lo, hi) for lo, hi in pairs if lo != hi]
+    for _ in range(rng.randint(1, 3)):
+        lo, hi = rng.choice(forward)
+        pairs.append((hi, lo))  # closes a cycle with a pair already given
+    rng.shuffle(pairs)
+    assert assert_same_build(names, pairs) is NotAPoset
+
+
+@pytest.mark.parametrize(
+    "names, pairs",
+    [
+        (("a", "b"), []),
+        (("a", "b", "1"), _pairs("a<1 b<1")),
+        (("0", "a", "b"), _pairs("0<a 0<b")),
+        (("1", "b", "a", "c"), _pairs("a<b b<1 c<1")),
+        (("x",) + tuple(f"w{i}" for i in range(63)), [(f"w{i}", f"w{i + 1}") for i in range(62)]),
+    ],
+)
+def test_inputs_without_a_bound(names, pairs):
+    assert assert_same_build(names, pairs) is NotBounded
+
+
+BOWTIE = _pairs("0<a 0<b a<c a<d b<c b<d c<1 d<1")
+
+
+@pytest.mark.parametrize(
+    "names, pairs",
+    [
+        (("0", "a", "b", "c", "d", "1"), BOWTIE),
+        (("0", "c", "d", "a", "b", "1"), BOWTIE),
+        (("0", "a", "b", "x", "y", "z", "1"),
+         _pairs("0<a 0<b a<x a<y a<z b<x b<y b<z x<1 y<1 z<1")),
+        (("p", "q", "r", "0", "x1", "x2", "y1", "y2", "1"),
+         _pairs("0<x1 0<x2 x1<p x1<q x2<p x2<q p<y1 p<y2 r<y1 r<y2 0<r q<1 y1<1 y2<1")),
+        (("a", "b", "0", "l1", "l2", "u1", "u2", "1"),
+         _pairs("0<l1 0<l2 l1<a l1<b l2<a l2<b a<u1 a<u2 b<u1 b<u2 u1<1 u2<1")),
+    ],
+)
+def test_posets_without_a_join_or_meet(names, pairs):
+    assert assert_same_build(names, pairs) is NotALattice
+
+
+def test_closure_and_full_scan_run_only_on_rejection(monkeypatch):
+    calls = []
+    for helper in ("_closure", "_unbounded_pair_error"):
+        real = getattr(lattice, helper)
+
+        def counted(*args, real=real, helper=helper):
+            calls.append(helper)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, helper, counted)
+    names = [format(i, "06b") for i in range(64)]
+    build_lattice(names, [(names[i], names[i | 1 << b]) for i in range(64) for b in range(6)
+                          if not i >> b & 1])
+    assert calls == []
+    with pytest.raises(NotAPoset):
+        build_lattice(("0", "1"), _pairs("0<1 1<0"))
+    assert calls == ["_closure"]
+    with pytest.raises(NotALattice):
+        build_lattice(("0", "a", "b", "c", "d", "1"), BOWTIE)
+    assert calls == ["_closure", "_unbounded_pair_error"]

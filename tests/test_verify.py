@@ -2,8 +2,22 @@ import random
 
 import pytest
 
-from latnorm.construct import THEOREMS, ConstructionSpec, HypothesesNotMet, check_for, dual_spec
-from latnorm.gen import ExhaustedRejection, GenConfig, gen_lattice, gen_spec, gen_uninorm
+from latnorm.construct import (
+    THEOREMS,
+    ConstructionSpec,
+    HypothesesNotMet,
+    check_for,
+    construct_for,
+    dual_spec,
+)
+from latnorm.gen import (
+    ExhaustedRejection,
+    GenConfig,
+    gen_lattice,
+    gen_spec,
+    gen_spec_candidates,
+    gen_uninorm,
+)
 from latnorm.lattice import build_lattice, case_regions, ids_of
 from latnorm.optable import (
     OpTable,
@@ -184,6 +198,23 @@ def test_find_counterexample_unknown_clause():
         find_counterexample("th31", "parallel", budget=1)
     with pytest.raises(UnknownClause):
         find_counterexample("th33", "join-pairs", budget=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: check_for(spec, "th99"),
+        lambda spec: construct_for(spec, "th99"),
+        lambda spec: next(gen_spec_candidates(GenConfig(seed=0), "th99")),
+        lambda spec: gen_spec(GenConfig(seed=0), "beside_threshold", True, "th99"),
+        lambda spec: find_counterexample("th99", None, budget=1),
+    ],
+    ids=["check_for", "construct_for", "gen_spec_candidates", "gen_spec", "find_counterexample"],
+)
+def test_unknown_theorem_id_is_a_value_error(l13, call):
+    with pytest.raises(ValueError) as info:
+        call(l13.spec)
+    assert str(info.value) == "unknown theorem id 'th99'"
 
 
 def test_drop_nothing_finds_nothing():
