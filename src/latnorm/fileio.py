@@ -34,7 +34,9 @@ def _json_object(text: str, kind: str, keys: tuple[str, ...]) -> tuple[dict, lis
     """Decode a ``kind`` file: a JSON object holding every key of ``keys``."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # malformed, or nested too deep
+    # ValueError: malformed (a JSONDecodeError), or an integer too long to
+    # convert; RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{kind} file must be a JSON object")
@@ -173,16 +175,13 @@ def render_table_text(table: OpTable) -> str:
     lat = table.lattice
     names = [lat.names[a] for a in table.carrier]
     width = max(1, *(len(n) for n in names))
-
-    def pad(s: str) -> str:
-        return s.ljust(width)
-
-    header = pad("U") + " | " + " ".join(pad(n) for n in names)
+    # every lattice element padded once; a cell may lie outside the carrier
+    padded = [name.ljust(width) for name in lat.names]
+    header = "U".ljust(width) + " | " + " ".join(padded[a] for a in table.carrier)
     rule = "-" * (width + 1) + "+" + "-" * (len(header) - width - 2)
     lines = [header, rule]
     for a, row in zip(table.carrier, table.values):
-        cells = " ".join(pad(lat.names[v]) for v in row)
-        lines.append(pad(lat.names[a]) + " | " + cells)
+        lines.append(padded[a] + " | " + " ".join(map(padded.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -174,11 +174,17 @@ class BoundedLattice:
     @cached_property
     def upper_covers(self) -> tuple[int, ...]:
         """Mask of the upper covers of each element; computed on first use."""
+        return self.upper_covers_within(self.all_mask)
+
+    def upper_covers_within(self, mask: int) -> tuple[int, ...]:
+        """Mask of the upper covers of each element of ``mask`` in the order
+        the lattice induces on ``mask`` (0 for elements outside it).  Unless
+        ``mask`` is convex these include pairs the lattice does not cover."""
         # a linear extension, bottom first: anything above x comes after x
-        rank = sorted(range(self.n), key=lambda x: self.down[x].bit_count())
+        rank = sorted(_bits(mask), key=lambda x: self.down[x].bit_count())
         covers = [0] * self.n
         for r, v in enumerate(rank):
-            rest = self.up[v] & ~(1 << v)
+            rest = self.up[v] & mask & ~(1 << v)
             for w in rank[r + 1:]:
                 if not rest:
                     break

@@ -8,12 +8,16 @@ that can be re-evaluated against the table.
 
 Witnesses are the lexicographically first in carrier presentation order,
 so reports are reproducible run to run.  The scans work on whole rows and
-bit masks rather than single cells (commutativity compares row i with
+bit masks rather than single cells: commutativity compares row i with
 column i, associativity all rows through ``bytes.translate``, and
-monotonicity finds the failing element with per-line masks); only where a
-row or an element fails does a per-cell walk name the witness, which is
-the one a per-cell scan of every cell would return.  The per-cell loops
-are kept as the reference in ``tests/test_battery_oracle.py``.
+monotonicity is bit-sliced.  There each table line (a row, plus its column
+when both arguments are checked) is one int whose field c is the down-set
+mask of the cell, and the ints are ANDed down the covers of the carrier,
+so one comparison per element decides it (O(lines * (n + carrier covers))
+big-int operations on ints of n * ceil(n / 8) bytes).  Only where a row or
+an element fails does a per-cell walk name the witness, which is the one a
+per-cell scan of every cell would return.  The per-cell loops are kept as
+the reference in ``tests/test_battery_oracle.py``.
 
 The ``ut`` and ``umin`` class predicates are not written out: each is its
 twin (``ub``, ``umax``) evaluated on the table transported to the order
@@ -235,30 +239,6 @@ def first_associativity_witness(t: OpTable) -> Optional[AssociativityWitness]:
     return None
 
 
-def _first_drop(lines, bits, above, cover_pairs, n: int) -> Optional[int]:
-    """Position of the first carrier element ``a`` with some ``b`` above it
-    and some line L (a column or a row of the table, over the carrier) where
-    L[a] is not <= L[b].  ``bits[i]`` is the id bit of carrier[i] and
-    ``above[i]`` the mask of carrier elements strictly above it.
-
-    Per line, ``reach[v]`` is the mask of carrier elements b with v <= L[b]:
-    each b is put on its own value, then the masks flow down the upper
-    covers, which ``cover_pairs`` lists from the top down.
-    """
-    first = None
-    for line in lines:
-        reach = [0] * n
-        for bit, w in zip(bits, line):
-            reach[w] |= bit
-        for v, w in cover_pairs:
-            reach[v] |= reach[w]
-        for i, (s, v) in enumerate(zip(above[:first], line)):
-            if s & ~reach[v]:
-                first = i
-                break
-    return first
-
-
 def first_monotonicity_witness(
     t: OpTable, *, both_sides: bool
 ) -> Optional[MonotonicityWitness]:
@@ -268,33 +248,44 @@ def first_monotonicity_witness(
     caller when commutativity already failed.  Enumeration follows carrier
     presentation order, so reports are reproducible.
 
-    The pairs are not all scanned against every c.  Each column (and with
-    ``both_sides`` each row) gives, for every lattice element v, the mask of
-    carrier elements whose cell in that line lies at or above v, filled from
-    the top of the lattice down its upper covers.  The witness's ``a`` is
-    the first ``a`` whose strict up-set escapes the mask of its own cell in
-    some line, and the per-cell (b, c, side) scan of that one ``a`` names
-    the witness a full scan would.  O(n * (n + covers)) instead of O(n^3).
+    The pairs are not all scanned against every c.  x <= y exactly when
+    down(x) is a subset of down(y), so each carrier element a gets one int
+    ``D[a]`` whose field c is the down-set mask of U(a, c), w = ceil(n / 8)
+    bytes per field, little-endian; with ``both_sides`` the fields of U(c, a)
+    follow.  From the top of the carrier down, ``N[a]`` is ``D[a]`` ANDed
+    with ``N[b]`` for every upper cover b of a in the order induced on the
+    carrier: a meet of down-sets is a down-set, so ``N[a]`` holds in field c
+    the down-set of the meet of U(b, c) over all b >= a, and it differs from
+    ``D[a]`` exactly when some b > a and some c have U(a, c) not <= U(b, c).
+    The first such ``a`` in carrier order is the witness's, and the per-cell
+    (b, c, side) scan of that one ``a`` names the witness a full scan would.
+    O(lines * (n + carrier covers)) big-int operations on n * w-byte ints
+    instead of O(n^3) cell comparisons.
     """
     lat = t.lattice
     carrier = t.carrier
-    up = lat.up
     cm = t.carrier_mask
-    above = [up[a] & cm & ~(1 << a) for a in carrier]
-    covers = lat.upper_covers
-    # from the top down: fewer elements above v than above anything below v
-    cover_pairs = [
-        (v, w)
-        for v in sorted(range(lat.n), key=lambda x: up[x].bit_count())
-        for w in ids_of(covers[v])
-    ]
-    lines = list(zip(*t.values))
+    covers = lat.upper_covers if cm == lat.all_mask else lat.upper_covers_within(cm)
+    width = (lat.n + 7) // 8
+    down_bytes = [d.to_bytes(width, "little") for d in lat.down]
+    lines = t.values
     if both_sides:
-        lines += t.values
-    i = _first_drop(lines, [1 << b for b in carrier], above, cover_pairs, lat.n)
-    if i is None:
+        lines = map(tuple.__add__, lines, zip(*lines))
+    D = {
+        a: int.from_bytes(b"".join(map(down_bytes.__getitem__, line)), "little")
+        for a, line in zip(carrier, lines)
+    }
+    N = {}
+    up = lat.up
+    # from the top down: anything above a has fewer elements above it than a
+    for a in sorted(carrier, key=lambda x: up[x].bit_count()):
+        meet = D[a]
+        for b in ids_of(covers[a]):
+            meet &= N[b]
+        N[a] = meet
+    a = next((a for a in carrier if N[a] != D[a]), None)
+    if a is None:
         return None
-    a = carrier[i]
     for b in carrier:
         if a == b or not lat.leq(a, b):
             continue

@@ -7,7 +7,9 @@ returned, ``None`` included.  Those loops are kept here as the reference
 and run on seeded tables: generated lattices of 2..10 elements with the
 carrier in id order, shuffled, or a proper sub-carrier that is not an
 interval; meet and join tables, random cells (some outside the carrier) and
-tables with one mutated cell; and the 64-element chain and Boolean lattice.
+tables with one mutated cell; and the 64-element chain, Boolean lattice
+and 8x8 grid, whole, on a sub-carrier that is not convex, and with a drop
+on the right side only.
 """
 
 import random
@@ -136,7 +138,18 @@ def _boolean(k):
     return build_lattice(names, covers)
 
 
-@pytest.mark.parametrize("lat", [_chain(64), _boolean(6)], ids=["chain64", "bool2^6"])
+def _grid(rows, cols):
+    names = [f"g{i}_{j}" for i in range(rows) for j in range(cols)]
+    covers = [(names[i], names[i + cols]) for i in range(len(names) - cols)]
+    covers += [(names[i], names[i + 1]) for i in range(len(names)) if i % cols < cols - 1]
+    return build_lattice(names, covers)
+
+
+LATTICES_64 = [_chain(64), _boolean(6), _grid(8, 8)]
+IDS_64 = ["chain64", "bool2^6", "grid8x8"]
+
+
+@pytest.mark.parametrize("lat", LATTICES_64, ids=IDS_64)
 def test_64_element_tables_match_the_per_cell_loops(lat):
     meet = meet_table(lat)
     assert_same_witnesses(meet)
@@ -152,3 +165,33 @@ def test_64_element_tables_match_the_per_cell_loops(lat):
     cells = [[lat.meet(a, b) for b in carrier] for a in carrier]
     cells[rng.randrange(64)][rng.randrange(64)] = rng.randrange(64)
     assert_same_witnesses(OpTable(lat, tuple(carrier), tuple(map(tuple, cells))))
+
+
+@pytest.mark.parametrize("lat", LATTICES_64, ids=IDS_64)
+def test_64_element_sub_carriers_match_the_per_cell_loops(lat):
+    # a shuffled sub-carrier that is not convex: the order it inherits has
+    # covers the lattice does not have
+    rng = random.Random(40)
+    for _ in range(3):
+        carrier = rng.sample(range(lat.n), 40)
+        mask = mask_of(carrier)
+        restricted = [lat.upper_covers[a] & mask for a in range(lat.n)]
+        assert list(lat.upper_covers_within(mask)) != restricted
+        meet = [[lat.meet(a, b) for b in carrier] for a in carrier]
+        assert_same_witnesses(OpTable(lat, tuple(carrier), tuple(map(tuple, meet))))
+        meet[rng.randrange(40)][rng.randrange(40)] = rng.randrange(lat.n)
+        assert_same_witnesses(OpTable(lat, tuple(carrier), tuple(map(tuple, meet))))
+
+
+def test_a_drop_on_the_right_side_only():
+    # the meet (min) on the 64-chain with U(c0, c62) = c1: column c62 still
+    # rises down the rows (c1 <= min(b, c62) for every b above c0), but row
+    # c0 falls from c1 at c62 back to c0 at c63
+    lat = _chain(64)
+    meet = meet_table(lat)
+    cells = [list(row) for row in meet.values]
+    cells[0][62] = 1
+    t = OpTable(lat, meet.carrier, tuple(map(tuple, cells)))
+    assert first_monotonicity_witness(t, both_sides=False) is None
+    assert first_monotonicity_witness(t, both_sides=True) == (62, 63, 0, 1, 0, "right")
+    assert_same_witnesses(t)

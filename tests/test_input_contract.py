@@ -3,9 +3,9 @@
 Corpus entries are exported as the CLI would write them, one file is
 mutated at the JSON level (values replaced, keys or items deleted, names
 swapped), and the subcommands that read it run on the result with flag
-values that may name unknown elements.  JSON nested too deep to decode is
-one parse error, and a malformed table file is rejected with the message
-of its first failing check.
+values that may name unknown elements.  JSON nested too deep to decode, or
+holding an integer too long to convert, is one parse error, and a malformed
+table file is rejected with the message of its first failing check.
 """
 
 import contextlib
@@ -143,6 +143,32 @@ def test_deeply_nested_json_is_one_parse_error(l11, deep_text, kind):
                 "parse error: not valid JSON: maximum recursion depth exceeded "
                 f"while decoding a JSON {kind} from a unicode string"
             ], argv
+
+
+def test_an_integer_too_long_to_convert_is_one_parse_error(l11, tmp_path):
+    # past Python's int-string limit (4,300 digits) json.loads raises a
+    # ValueError that is not a JSONDecodeError
+    huge = "9" * 5000
+    lat = tmp_path / "L11.lattice.json"
+    lat.write_text(render_lattice(l11.lattice, "L11"))
+    huge_lat = tmp_path / "huge.lattice.json"
+    huge_lat.write_text(f'{{"name": {huge}, "elements": ["0"], "covers": []}}')
+    huge_table = tmp_path / "huge.table.json"
+    huge_table.write_text(f'{{"lattice": {huge}, "carrier": [], "rows": []}}')
+    ustar = tmp_path / "L11.Ustar.table.json"
+    ustar.write_text(render_table(l11.spec.inner, "json", lattice_name="L11"))
+    runs = [
+        ["check-lattice", str(huge_lat)],
+        ["verify", str(huge_table), "--e", "e", "--lattice", str(lat)],
+        ["verify", str(ustar), "--e", "e", "--lattice", str(huge_lat)],
+    ]
+    for argv in runs:
+        code, out, err = _run(argv)
+        assert code == 2, argv
+        assert out == "", argv
+        [line] = err.splitlines()
+        assert line.startswith("parse error: not valid JSON: "), argv
+        assert "5000 digits" in line, argv
 
 
 # -- malformed table files: the first failing check names the fault --------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -277,11 +279,17 @@ def test_join_and_meet_tables_match_brute_force(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_upper_covers_match_brute_force(seed):
     lat = random_lattice(seed, 2, 10)
-    covers = lat.upper_covers
-    for a in range(lat.n):
-        for b in range(lat.n):
-            between = any(lat.lt(a, c) and lat.lt(c, b) for c in range(lat.n))
-            assert bool(covers[a] >> b & 1) == (lat.lt(a, b) and not between)
+    rng = random.Random(seed)
+    # the whole lattice, then subsets (mostly not convex) in the induced order
+    masks = [lat.all_mask] + [rng.getrandbits(lat.n) for _ in range(5)]
+    for mask in masks:
+        covers = lat.upper_covers if mask == lat.all_mask else lat.upper_covers_within(mask)
+        inside = [x for x in range(lat.n) if mask >> x & 1]
+        for a in range(lat.n):
+            for b in range(lat.n):
+                between = any(lat.lt(a, c) and lat.lt(c, b) for c in inside)
+                want = a in inside and b in inside and lat.lt(a, b) and not between
+                assert bool(covers[a] >> b & 1) == want
 
 
 def _closed_form_lattices():
