@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .lattice import BoundedLattice, ElementId, ids_of
+from .lattice import BoundedLattice, ElementId, case_regions, ids_of
 from .optable import AxiomReport, OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
@@ -158,25 +158,24 @@ def theorem_profile(theorem: str) -> TheoremProfile:
         raise ValueError(f"unknown theorem id {theorem!r}") from None
 
 
+# The case_regions block that holds each join-form anchor class.
+ANCHOR_CLASS_BLOCKS = {
+    "under_neutral": "low",
+    "beside_neutral": "side_inner",
+    "beside_threshold": "side_outer",
+}
+
+
 def anchor_class_masks(
     lat: BoundedLattice, neutral: ElementId, threshold: ElementId
 ) -> dict[str, int]:
-    """The join-form anchor classes as disjoint masks of the carrier.
-
-    ``beside_neutral`` and ``beside_threshold`` are the ``side_inner`` and
-    ``side_outer`` blocks of ``case_regions(lat, neutral, threshold)``,
-    read straight off the incomparables.  An anchor in none of them is of
-    class ``"other"``.  Callers: :func:`check_for` (the anchor's class and
-    the parallel condition), ``gen._hosting_pairs`` and
-    ``gen.gen_spec_candidates`` (once per (threshold, neutral) pair).
-    """
-    inc_n = lat.incomparables_mask(neutral)
-    inc_t = lat.incomparables_mask(threshold)
-    return {
-        "under_neutral": lat.interval_mask(lat.bottom, neutral, lower_open=True, upper_open=True),
-        "beside_neutral": inc_n & ~inc_t,
-        "beside_threshold": inc_t & ~inc_n,
-    }
+    """The join-form anchor classes as disjoint masks of the carrier: each is
+    its :data:`ANCHOR_CLASS_BLOCKS` block of ``case_regions(lat, neutral,
+    threshold)`` less bottom and neutral (which only ``low`` holds).  An
+    anchor in none of them is of class ``"other"``."""
+    regions = case_regions(lat, neutral, threshold)
+    others = ~(1 << lat.bottom | 1 << neutral)
+    return {name: getattr(regions, block) & others for name, block in ANCHOR_CLASS_BLOCKS.items()}
 
 
 # -- spec validation --------------------------------------------------------
@@ -223,9 +222,10 @@ def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
 def _join_form(spec: ConstructionSpec) -> OpTable:
     """Cells of the join-form construction; the spec is already validated."""
     lat = spec.lattice
-    inner_mask = lat.interval_mask(lat.bottom, spec.threshold)
-    low_mask = lat.interval_mask(lat.bottom, spec.neutral)
-    iso = lat.incomparables_mask(spec.neutral) & lat.incomparables_mask(spec.threshold)
+    regions = case_regions(lat, spec.neutral, spec.threshold)
+    low_mask = regions.low
+    inner_mask = low_mask | regions.mid | regions.side_inner
+    iso = regions.isolated
     inner = spec.inner
     join = lat.join
     anchor = spec.anchor
@@ -328,15 +328,16 @@ def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
 
 def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisReport:
     """Each clause's first witness, in id order, read off the frame's masks:
-    the anchor classes, ``iso`` (incomparable to neutral and threshold) and
-    the anchor's incomparables."""
+    the anchor classes, the ``case_regions`` blocks and the anchor's
+    incomparables."""
     lat = spec.lattice
     q = spec.anchor
     top = lat.top
     join = lat.join
     classes = anchor_class_masks(lat, spec.neutral, spec.threshold)
     anchor_class = next((name for name, mask in classes.items() if mask >> q & 1), "other")
-    iso = lat.incomparables_mask(spec.neutral) & lat.incomparables_mask(spec.threshold)
+    regions = case_regions(lat, spec.neutral, spec.threshold)
+    iso = regions.isolated
     inc_q = lat.incomparables_mask(q)
 
     pairs: Optional[Clause] = None
@@ -348,10 +349,10 @@ def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisR
     parallel_clause = _clause(
         (a, b)
         for a in ids_of(iso & ~inc_q)
-        for b in ids_of(classes["beside_neutral"] & ~lat.incomparables_mask(a))
+        for b in ids_of(regions.side_inner & ~lat.incomparables_mask(a))
     )
     # some element other than top lies outside [bottom, threshold]
-    outside = lat.all_mask & ~lat.interval_mask(lat.bottom, spec.threshold) & ~(1 << top)
+    outside = (regions.side_outer | iso | regions.high) & ~(1 << top)
 
     return HypothesisReport(
         theorem=profile.id,

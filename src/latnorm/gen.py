@@ -30,6 +30,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .construct import (
+    ANCHOR_CLASS_BLOCKS,
     ConstructionSpec,
     anchor_class_masks,
     check_for,
@@ -43,6 +44,7 @@ from .lattice import (
     ElementId,
     LatticeError,
     build_lattice,
+    case_regions,
     ids_of,
     mask_of,
 )
@@ -283,13 +285,16 @@ def enumerate_uninorms(lat: BoundedLattice, carrier, e: ElementId) -> list[OpTab
 def _hosting_pairs(lat: BoundedLattice, join_class: str) -> list[tuple[ElementId, ElementId]]:
     """The (threshold, neutral) pairs, interior threshold and neutral below
     it, whose ``join_class`` mask is non-empty; thresholds ascending, then
-    neutrals ascending."""
+    neutrals ascending.  The mask is read off its ``case_regions`` block,
+    as in ``anchor_class_masks`` but without the per-pair dict."""
+    block = ANCHOR_CLASS_BLOCKS[join_class]
+    bottom = 1 << lat.bottom
     return [
         (threshold, neutral)
         for threshold in range(lat.n)
         if threshold not in (lat.bottom, lat.top)
-        for neutral in lat.interval(lat.bottom, threshold)
-        if anchor_class_masks(lat, neutral, threshold)[join_class]
+        for neutral in ids_of(lat.down[threshold])
+        if getattr(case_regions(lat, neutral, threshold), block) & ~(bottom | 1 << neutral)
     ]
 
 

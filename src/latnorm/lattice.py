@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ElementId = int
 
@@ -138,24 +138,12 @@ class BoundedLattice:
 
     # -- subsets ----------------------------------------------------------
 
-    def interval_mask(
-        self,
-        lo: ElementId,
-        hi: ElementId,
-        *,
-        lower_open: bool = False,
-        upper_open: bool = False,
-    ) -> int:
-        mask = self.up[lo] & self.down[hi]
-        if lower_open:
-            mask &= ~(1 << lo)
-        if upper_open:
-            mask &= ~(1 << hi)
-        return mask
+    def interval_mask(self, lo: ElementId, hi: ElementId) -> int:
+        return self.up[lo] & self.down[hi]
 
     def interval(self, lo: ElementId, hi: ElementId) -> tuple[ElementId, ...]:
         """Elements x with lo <= x <= hi (empty when lo, hi incomparable).
-        Open and half-open intervals are :meth:`interval_mask`'s flags."""
+        An open end is the mask without it: ``interval_mask(lo, hi) & ~(1 << lo)``."""
         return tuple(_bits(self.interval_mask(lo, hi)))
 
     def extremes(self, mask: int) -> Optional[tuple[ElementId, ElementId]]:
@@ -211,15 +199,16 @@ class BoundedLattice:
         return dual
 
 
-@dataclass(frozen=True)
-class CaseRegions:
-    """The six-block partition of the carrier induced by neutral <= threshold.
+class CaseRegions(NamedTuple):
+    """The six-block partition of the carrier induced by neutral <= threshold,
+    a tuple of masks in the order of the fields below.
 
     Blocks (as masks): ``low`` = [bottom, neutral]; ``mid`` = (neutral,
     threshold]; ``side_inner`` = incomparable to neutral, comparable to
-    threshold (always inside [bottom, threshold]); ``side_outer`` =
-    comparable to neutral, incomparable to threshold; ``isolated`` =
-    incomparable to both; ``high`` = (threshold, top].
+    threshold (so below it); ``side_outer`` = comparable to neutral (so
+    above it), incomparable to threshold; ``isolated`` = incomparable to
+    both; ``high`` = (threshold, top].  [bottom, threshold] is ``low | mid |
+    side_inner``.  The constructions, reports and anchor classes read these.
     """
 
     low: int
@@ -229,9 +218,6 @@ class CaseRegions:
     isolated: int
     high: int
 
-    def blocks(self) -> tuple[int, ...]:
-        return (self.low, self.mid, self.side_inner, self.side_outer, self.isolated, self.high)
-
 
 def case_regions(lat: BoundedLattice, neutral: ElementId, threshold: ElementId) -> CaseRegions:
     """Partition the carrier for the threshold constructions.
@@ -240,26 +226,27 @@ def case_regions(lat: BoundedLattice, neutral: ElementId, threshold: ElementId) 
     and cover the carrier; this is asserted because every construction
     case split relies on it.
     """
-    if not lat.leq(neutral, threshold):
+    up_n, down_n = lat.up[neutral], lat.down[neutral]
+    up_t, down_t = lat.up[threshold], lat.down[threshold]
+    if not up_n >> threshold & 1:
         raise LatticeError(
             f"neutral {lat.name(neutral)!r} is not below threshold {lat.name(threshold)!r}"
         )
-    inc_n = lat.incomparables_mask(neutral)
-    inc_t = lat.incomparables_mask(threshold)
-    regions = CaseRegions(
-        low=lat.interval_mask(lat.bottom, neutral),
-        mid=lat.interval_mask(neutral, threshold, lower_open=True),
-        side_inner=inc_n & ~inc_t,
-        side_outer=~inc_n & inc_t & lat.all_mask,
-        isolated=inc_n & inc_t,
-        high=lat.interval_mask(threshold, lat.top, lower_open=True),
-    )
-    union = 0
-    for block in regions.blocks():
-        assert union & block == 0, "case regions overlap"
-        union |= block
-    assert union == lat.all_mask, "case regions do not cover the carrier"
-    return regions
+    # complements of the comparables: negative ints, ANDed with a carrier mask
+    beside_n = ~(up_n | down_n)
+    beside_t = ~(up_t | down_t)
+    all_mask = lat.up[lat.bottom]  # the carrier
+    low = down_n
+    mid = up_n & down_t & ~(1 << neutral)
+    side_inner = down_t & beside_n
+    side_outer = up_n & beside_t
+    isolated = all_mask & beside_n & beside_t
+    high = up_t & ~(1 << threshold)
+    union = low | mid | side_inner | side_outer | isolated | high
+    # the sum exceeds the union exactly when two blocks share a bit
+    assert low + mid + side_inner + side_outer + isolated + high == union, "case regions overlap"
+    assert union == all_mask, "case regions do not cover the carrier"
+    return CaseRegions(low, mid, side_inner, side_outer, isolated, high)
 
 
 def _closure(up: list[int], n: int) -> None:

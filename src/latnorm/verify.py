@@ -16,8 +16,8 @@ searched: no entry isolates a single clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Optional
 
 from .construct import (
@@ -194,7 +194,7 @@ class Counterexample:
 
 
 def _qualifies(
-    spec: ConstructionSpec, theorem: str, dropped: Optional[str]
+    spec: ConstructionSpec, theorem: str, dropped: Optional[str], source: str = ""
 ) -> Optional[Counterexample]:
     """A counterexample isolates one clause: every other standing clause
     holds, the parallel condition holds, the dropped clause fails, and the
@@ -219,7 +219,7 @@ def _qualifies(
         dropped_clause=dropped or "",
         hypothesis_report=report,
         axiom_report=axioms,
-        source="",
+        source=source,
     )
 
 
@@ -248,10 +248,8 @@ def find_counterexample(
         )
 
     cfg = GenConfig(seed=seed, size_range=size_range)
-    for i, spec in enumerate(gen_spec_candidates(cfg, theorem)):
-        if i >= budget:
-            break
-        hit = _qualifies(spec, theorem, drop_clause)
+    for i, spec in enumerate(islice(gen_spec_candidates(cfg, theorem), budget)):
+        hit = _qualifies(spec, theorem, drop_clause, f"generated:{seed}:{i}")
         if hit is not None:
-            return replace(hit, source=f"generated:{seed}:{i}")
+            return hit
     return None

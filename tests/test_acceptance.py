@@ -138,7 +138,7 @@ def test_criterion_05_necessity_of_bounded_class():
             and len(lat.interval(lat.bottom, t)) >= 3
             and (
                 any(lat.parallel(x, t) for x in range(lat.n))
-                or lat.interval_mask(t, lat.top, lower_open=True, upper_open=True)
+                or lat.interval_mask(t, lat.top) & ~(1 << t | 1 << lat.top)
             )
         ]
         if not candidates:

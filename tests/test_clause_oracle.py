@@ -76,7 +76,7 @@ def reference_report(spec, theorem):
         if not parallel_clause.ok:
             break
 
-    guard_extra = lat.interval_mask(spec.threshold, top, lower_open=True, upper_open=True)
+    guard_extra = lat.interval_mask(spec.threshold, top) & ~(1 << spec.threshold | 1 << top)
     guard = bool(regions.side_outer | regions.isolated | guard_extra)
 
     return HypothesisReport(

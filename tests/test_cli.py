@@ -550,6 +550,22 @@ def test_fuzz_drop_clause_with_zero_seeds(capsys):
     assert capsys.readouterr().out == "no counterexample within 0 instances\n"
 
 
+@pytest.mark.parametrize(
+    "mode, out",
+    [
+        ([], "0/0 agree\n"),
+        (["--drop-clause", "join-pairs"], "no counterexample within 0 instances\n"),
+    ],
+    ids=["equivalence", "drop-clause"],
+)
+def test_fuzz_zero_seeds_draw_nothing_in_both_modes(capsys, mode, out):
+    # no spec can be drawn from a window of chains, but zero seeds draw none
+    code = main(["fuzz", "--theorem", "th31", "--seeds", "0", "--size", "2", "3", *mode])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == out and captured.err == ""
+
+
 def test_verify_reports_a_cell_outside_the_carrier(tmp_path, capsys):
     doc = {"name": "c3", "elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]]}
     (tmp_path / "c3.lattice.json").write_text(json.dumps(doc))

@@ -12,7 +12,7 @@ from latnorm.gen import (
     gen_spec_candidates,
     gen_uninorm,
 )
-from latnorm.lattice import build_lattice, case_regions, ids_of
+from latnorm.lattice import build_lattice, case_regions, ids_of, mask_of
 from latnorm.optable import (
     in_class_ub,
     in_class_umax,
@@ -203,13 +203,18 @@ def test_coverage_probe():
 JOIN_CLASSES = ("under_neutral", "beside_neutral", "beside_threshold")
 
 
-def _region_classes(lat, neutral, threshold) -> dict[str, int]:
-    """The join-form anchor classes read off the six-block partition."""
-    regions = case_regions(lat, neutral, threshold)
+def _brute_classes(lat, neutral, threshold) -> dict[str, int]:
+    """The join-form anchor classes by their definitions, element by element."""
+
+    lt, beside = lat.lt, lat.parallel
+
+    def block(member):
+        return mask_of(x for x in range(lat.n) if member(x))
+
     return {
-        "under_neutral": regions.low & ~(1 << lat.bottom | 1 << neutral),
-        "beside_neutral": regions.side_inner,
-        "beside_threshold": regions.side_outer,
+        "under_neutral": block(lambda x: lt(lat.bottom, x) and lt(x, neutral)),
+        "beside_neutral": block(lambda x: beside(x, neutral) and not beside(x, threshold)),
+        "beside_threshold": block(lambda x: not beside(x, neutral) and beside(x, threshold)),
     }
 
 
@@ -219,7 +224,7 @@ def _brute_hosts(lat, join_class):
         for t in range(lat.n)
         if t not in (lat.bottom, lat.top)
         for n in range(lat.n)
-        if lat.leq(n, t) and _region_classes(lat, n, t)[join_class]
+        if lat.leq(n, t) and _brute_classes(lat, n, t)[join_class]
     ]
 
 
@@ -229,7 +234,7 @@ def test_hosting_pairs_match_brute_force():
         lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 9)))
         for t in range(lat.n):
             for n in lat.interval(lat.bottom, t):
-                assert anchor_class_masks(lat, n, t) == _region_classes(lat, n, t)
+                assert anchor_class_masks(lat, n, t) == _brute_classes(lat, n, t)
         for join_class in JOIN_CLASSES:
             hosts = gen_module._hosting_pairs(lat, join_class)
             assert hosts == _brute_hosts(lat, join_class)
@@ -281,7 +286,7 @@ def test_directed_stream_discards_only_lattices_without_a_host(monkeypatch, theo
             spec = dual_spec(spec)
         assert spec.lattice == kept
         assert (spec.threshold, spec.neutral) in _brute_hosts(kept, join_class)
-        assert spec.anchor in ids_of(_region_classes(kept, spec.neutral, spec.threshold)[join_class])
+        assert spec.anchor in ids_of(_brute_classes(kept, spec.neutral, spec.threshold)[join_class])
     if join_class == "beside_neutral":
         assert discarded > 0  # the check above is not vacuous
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from latnorm.gen import GenConfig, gen_lattice
 from latnorm.lattice import (
+    CaseRegions,
     LatticeError,
     NotALattice,
     NotAPoset,
@@ -12,6 +13,7 @@ from latnorm.lattice import (
     build_lattice,
     case_regions,
     ids_of,
+    mask_of,
 )
 
 
@@ -130,9 +132,9 @@ def test_interval_basics():
     assert lat.interval(lat.bottom, lat.top) == tuple(range(5))
     assert lat.interval(2, 2) == (2,)
     assert lat.interval(1, 3) == (1, 2, 3)
-    assert ids_of(lat.interval_mask(1, 3, lower_open=True)) == (2, 3)
-    assert ids_of(lat.interval_mask(1, 3, upper_open=True)) == (1, 2)
-    assert ids_of(lat.interval_mask(1, 3, lower_open=True, upper_open=True)) == (2,)
+    assert ids_of(lat.interval_mask(1, 3) & ~(1 << 1)) == (2, 3)
+    assert ids_of(lat.interval_mask(1, 3) & ~(1 << 3)) == (1, 2)
+    assert ids_of(lat.interval_mask(1, 3) & ~(1 << 1 | 1 << 3)) == (2,)
 
 
 def test_interval_incomparable_endpoints_empty():
@@ -232,10 +234,44 @@ def test_case_regions_partition_everywhere(lat):
                 continue
             regions = case_regions(lat, e, t)
             union = 0
-            for block in regions.blocks():
+            for block in regions:
                 assert union & block == 0
                 union |= block
             assert union == lat.all_mask
+
+
+def _brute_regions(lat, neutral, threshold):
+    """The six blocks by their definitions, one ``leq`` query per pair."""
+    leq = lat.leq
+
+    def block(member):
+        return mask_of(x for x in range(lat.n) if member(x))
+
+    def beside(x, a):
+        return not leq(x, a) and not leq(a, x)
+
+    return CaseRegions(
+        low=block(lambda x: leq(lat.bottom, x) and leq(x, neutral)),
+        mid=block(lambda x: leq(neutral, x) and x != neutral and leq(x, threshold)),
+        side_inner=block(lambda x: beside(x, neutral) and not beside(x, threshold)),
+        side_outer=block(lambda x: not beside(x, neutral) and beside(x, threshold)),
+        isolated=block(lambda x: beside(x, neutral) and beside(x, threshold)),
+        high=block(lambda x: leq(threshold, x) and x != threshold and leq(x, lat.top)),
+    )
+
+
+def test_case_regions_match_their_definitions(entries):
+    # every pair neutral <= threshold, so neutral = threshold, neutral =
+    # bottom and threshold = top included, on generated lattices of each
+    # size 2..12 and on the five corpus lattices
+    lats = [gen_lattice(GenConfig(seed=seed, size_range=(n, n)))
+            for n in range(2, 13) for seed in range(10)]
+    lats += [entry.lattice for entry in entries.values()]
+    for lat in lats:
+        for t in range(lat.n):
+            for e in range(lat.n):
+                if lat.leq(e, t):
+                    assert case_regions(lat, e, t) == _brute_regions(lat, e, t), (lat.names, e, t)
 
 
 def test_case_regions_requires_comparable():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import latnorm.verify as verify_module
 from latnorm.construct import (
     THEOREMS,
     ConstructionSpec,
@@ -101,7 +102,7 @@ def test_table2_with_six_region_partition(l11):
     lat = l11.lattice
     regions = case_regions(lat, l11.spec.neutral, l11.spec.threshold)
     part = Partition(
-        tuple(frozenset(ids_of(mask)) for mask in regions.blocks() if mask)
+        tuple(frozenset(ids_of(mask)) for mask in regions if mask)
     )
     assert assoc_partitioned(l11.stored, part) is None
 
@@ -215,6 +216,23 @@ def test_unknown_theorem_id_is_a_value_error(l13, call):
     with pytest.raises(ValueError) as info:
         call(l13.spec)
     assert str(info.value) == "unknown theorem id 'th99'"
+
+
+@pytest.mark.parametrize("budget", [0, 5])
+def test_search_draws_exactly_its_budget(monkeypatch, budget):
+    # seed 0 isolates join-pairs only at candidate 145, so the whole budget
+    # is spent, and not one spec more
+    real = verify_module.gen_spec_candidates
+    drawn = []
+
+    def counting(*args, **kwargs):
+        for spec in real(*args, **kwargs):
+            drawn.append(spec)
+            yield spec
+
+    monkeypatch.setattr(verify_module, "gen_spec_candidates", counting)
+    assert find_counterexample("th31", "join-pairs", budget=budget, seed=0) is None
+    assert len(drawn) == budget
 
 
 def test_drop_nothing_finds_nothing():
