@@ -3,11 +3,18 @@
 Exit codes follow one convention everywhere: 0 all checks pass, 1 a
 mathematical property failed, 2 malformed input.  Witnesses go to
 stderr, data to stdout.
+
+:func:`main` owns that contract.  A subcommand that fails raises
+:class:`_Failure` with the exit code and its stderr lines (one line for
+malformed input, the witnesses for a failed property), and so does the
+argument parser on a malformed flag; ``main`` prints the lines and
+returns the code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -33,6 +40,31 @@ PASS, MATH_FAIL, BAD_INPUT = 0, 1, 2
 
 # unreadable, undecodable, malformed, or naming an unknown element
 _INPUT_ERRORS = (OSError, UnicodeDecodeError, FileFormatError, KeyError)
+
+
+class _Failure(Exception):
+    """``_Failure(code, *lines)``: a failed run's exit code and the lines
+    :func:`main` prints on stderr."""
+
+
+@contextlib.contextmanager
+def _reading():
+    """Input files and the element names they are read with: exit 2."""
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        raise _Failure(BAD_INPUT, f"parse error: {exc}")
+    except LatticeError as exc:
+        raise _Failure(BAD_INPUT, f"invalid lattice: {exc}")
+
+
+@contextlib.contextmanager
+def _writing():
+    """Output files: exit 2 when they cannot be written."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure(BAD_INPUT, f"cannot write file: {exc}")
 
 
 def _err(msg: str) -> None:
@@ -98,6 +130,7 @@ def format_hypothesis_report(report, lat: BoundedLattice) -> list[str]:
     return lines
 
 
+@_reading()
 def _spec_from_args(args) -> tuple[ConstructionSpec, str, str]:
     """Build a spec from CLI flags; returns (spec, orientation, lattice name)."""
     name, lat, inner = read_table(args.ustar, args.lattice)
@@ -116,27 +149,23 @@ def _spec_from_args(args) -> tuple[ConstructionSpec, str, str]:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_check_lattice(args) -> int:
+def cmd_check_lattice(args) -> None:
     if (args.e is None) != (args.rho is None):
-        _err("--e and --rho go together: give both for the region breakdown, or neither")
-        return BAD_INPUT
+        raise _Failure(BAD_INPUT, "--e and --rho go together: give both for the region "
+                       "breakdown, or neither")
     try:
         name, lat = parse_lattice(Path(args.path).read_text())
     except OSError as exc:
-        _err(f"cannot read file: {exc}")
-        return BAD_INPUT
+        raise _Failure(BAD_INPUT, f"cannot read file: {exc}")
     except (UnicodeDecodeError, FileFormatError) as exc:
-        _err(f"parse error: {exc}")
-        return BAD_INPUT
+        raise _Failure(BAD_INPUT, f"parse error: {exc}")
     except LatticeError as exc:
-        _err(f"not a bounded lattice: {exc}")
-        return MATH_FAIL
+        raise _Failure(MATH_FAIL, f"not a bounded lattice: {exc}")
     if args.e is not None:
         try:
             regions = case_regions(lat, lat.index(args.e), lat.index(args.rho))
         except (KeyError, LatticeError) as exc:
-            _err(str(exc))
-            return BAD_INPUT
+            raise _Failure(BAD_INPUT, str(exc))
     print(
         f"{name}: bounded lattice with {lat.n} elements, "
         f"bottom {lat.name(lat.bottom)!r}, top {lat.name(lat.top)!r}"
@@ -152,36 +181,24 @@ def cmd_check_lattice(args) -> int:
         )
         for label, mask in labels:
             print(f"  {label}: {{{', '.join(lat.name(x) for x in ids_of(mask))}}}")
-    return PASS
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> None:
     if (args.rho is not None) != (args.eq == 1):
-        _err(f"--eq {args.eq} takes its threshold with {'--rho' if args.eq == 1 else '--sigma'}")
-        return BAD_INPUT
-    try:
-        spec, orientation, name = _spec_from_args(args)
-    except _INPUT_ERRORS as exc:
-        _err(f"parse error: {exc}")
-        return BAD_INPUT
-    except LatticeError as exc:
-        _err(f"invalid lattice: {exc}")
-        return BAD_INPUT
+        flag = "--rho" if args.eq == 1 else "--sigma"
+        raise _Failure(BAD_INPUT, f"--eq {args.eq} takes its threshold with {flag}")
+    spec, orientation, name = _spec_from_args(args)
     lat = spec.lattice
     construct = construct_eq1 if orientation == "join" else construct_eq2
     try:
         table = construct(spec, check_inner=not args.no_verify_inner)
     except SpecInvalid as exc:
-        _err(f"invalid spec: {exc}")
-        return MATH_FAIL
+        raise _Failure(MATH_FAIL, f"invalid spec: {exc}")
 
     rendered = render_table(table, args.format, lattice_name=name)
     if args.out:
-        try:
+        with _writing():
             Path(args.out).write_text(rendered)
-        except OSError as exc:
-            _err(f"cannot write file: {exc}")
-            return BAD_INPUT
     else:
         sys.stdout.write(rendered)
 
@@ -197,13 +214,9 @@ def cmd_construct(args) -> int:
 
     if args.verify:
         axioms = is_uninorm(table, spec.neutral)
-        if axioms.ok:
-            _err("verify: uninorm axioms all pass")
-        else:
-            for line in format_axiom_report(axioms, lat):
-                _err(line)
-            return MATH_FAIL
-    return PASS
+        if not axioms.ok:
+            raise _Failure(MATH_FAIL, *format_axiom_report(axioms, lat))
+        _err("verify: uninorm axioms all pass")
 
 
 def _matching_report(spec: ConstructionSpec, orientation: str) -> HypothesisReport:
@@ -214,64 +227,44 @@ def _matching_report(spec: ConstructionSpec, orientation: str) -> HypothesisRepo
     return report if report.anchor_class == "beside_threshold" else check_for(spec, other)
 
 
-def cmd_verify(args) -> int:
-    try:
+def cmd_verify(args) -> None:
+    with _reading():
         _, lat, table = read_table(args.table, args.lattice)
         e = lat.index(args.e)
-    except _INPUT_ERRORS as exc:
-        _err(f"parse error: {exc}")
-        return BAD_INPUT
-    except LatticeError as exc:
-        _err(f"invalid lattice: {exc}")
-        return BAD_INPUT
     try:
         report = is_uninorm(table, e)
     except NeutralOutsideCarrier as exc:
-        _err(f"invalid input: {exc}")
-        return BAD_INPUT
-    if report.ok:
-        print("uninorm: all axioms pass")
-        return PASS
-    for line in format_axiom_report(report, lat):
-        _err(line)
-    return MATH_FAIL
+        raise _Failure(BAD_INPUT, f"invalid input: {exc}")
+    if not report.ok:
+        raise _Failure(MATH_FAIL, *format_axiom_report(report, lat))
+    print("uninorm: all axioms pass")
 
 
-def cmd_theorem(args) -> int:
-    try:
-        spec, orientation, _ = _spec_from_args(args)
-    except _INPUT_ERRORS as exc:
-        _err(f"parse error: {exc}")
-        return BAD_INPUT
-    except LatticeError as exc:
-        _err(f"invalid lattice: {exc}")
-        return BAD_INPUT
+def cmd_theorem(args) -> None:
+    spec, orientation, _ = _spec_from_args(args)
     profile = THEOREMS[args.which]
     if profile.orientation != orientation:
-        _err(f"{args.which} expects --{'rho' if profile.orientation == 'join' else 'sigma'}")
-        return BAD_INPUT
+        flag = "rho" if profile.orientation == "join" else "sigma"
+        raise _Failure(BAD_INPUT, f"{args.which} expects --{flag}")
     try:
         report = check_for(spec, args.which)
     except SpecInvalid as exc:
-        _err(f"invalid spec: {exc}")
-        return BAD_INPUT
+        raise _Failure(BAD_INPUT, f"invalid spec: {exc}")
     for line in format_hypothesis_report(report, spec.lattice):
         print(line)
     failures = report.standing_failures()
     if failures:
         print(f"prediction refused: standing hypothesis failed ({failures[0]})")
-        return PASS
+        return
     verdict = verify_equivalence(spec, args.which)
     print(f"predicted uninorm: {verdict.predicted}")
     print(f"brute-force verdict: {verdict.observed}")
     print(f"agree: {verdict.agree}")
     if not verdict.agree:
-        _err("DISAGREEMENT: prediction contradicts exhaustive verification")
+        lines = ["DISAGREEMENT: prediction contradicts exhaustive verification"]
         if verdict.counterwitness:
-            for line in format_axiom_report(verdict.report, spec.lattice):
-                _err(line)
-        return MATH_FAIL
-    return PASS
+            lines += format_axiom_report(verdict.report, spec.lattice)
+        raise _Failure(MATH_FAIL, *lines)
 
 
 def _fuzz_seed(args) -> int:
@@ -285,14 +278,10 @@ def _fuzz_seed(args) -> int:
         raise ValueError(f"LATNORM_SEED must be an integer, got {raw!r}") from None
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> None:
     theorem = args.theorem
-    if theorem not in THEOREMS:
-        _err(f"unknown theorem {theorem!r}")
-        return BAD_INPUT
     if args.seeds < 0:
-        _err(f"--seeds must be a non-negative count, got {args.seeds}")
-        return BAD_INPUT
+        raise _Failure(BAD_INPUT, f"--seeds must be a non-negative count, got {args.seeds}")
     if args.size is not None:
         size = tuple(args.size)
     else:
@@ -301,28 +290,25 @@ def cmd_fuzz(args) -> int:
         GenConfig(seed=0, size_range=size)  # rejects a --size outside the generator's range
         seed = _fuzz_seed(args)
     except ValueError as exc:
-        _err(f"invalid fuzz input: {exc}")
-        return BAD_INPUT
+        raise _Failure(BAD_INPUT, f"invalid fuzz input: {exc}")
     if args.drop_clause is not None:
         try:
             hit = find_counterexample(
                 theorem, args.drop_clause, budget=args.seeds, seed=seed, size_range=size
             )
         except UnknownClause as exc:
-            _err(str(exc))
-            return BAD_INPUT
+            raise _Failure(BAD_INPUT, str(exc))
         except ExhaustedRejection as exc:
-            _err(f"seed {seed}: {exc}")
-            return BAD_INPUT
+            raise _Failure(BAD_INPUT, f"seed {seed}: {exc}")
         if hit is None:
             print(f"no counterexample within {args.seeds} instances")
-            return PASS
-        if args.dump and not _dump_instance(hit.spec, args.dump, f"counterexample-{theorem}"):
-            return BAD_INPUT
+            return
+        if args.dump:
+            _dump_instance(hit.spec, args.dump, f"counterexample-{theorem}")
         print(f"counterexample found ({hit.source}); dropped clause: {hit.dropped_clause}")
         for line in format_axiom_report(hit.axiom_report, hit.spec.lattice):
             _err(line)
-        return PASS
+        return
 
     classes = THEOREMS[theorem].anchor_classes
     agree = 0
@@ -336,36 +322,28 @@ def cmd_fuzz(args) -> int:
                 theorem=theorem,
             )
         except ExhaustedRejection as exc:
-            _err(f"seed {seed + i}: {exc}")
-            return BAD_INPUT
+            raise _Failure(BAD_INPUT, f"seed {seed + i}: {exc}")
         verdict = verify_equivalence(spec, theorem)
-        if verdict.agree:
-            agree += 1
-        else:
-            stem = f"disagreement-{theorem}-{seed + i}"
-            if args.dump and not _dump_instance(spec, args.dump, stem):
-                return BAD_INPUT
-            _err(f"seed {seed + i}: prediction {verdict.predicted} but verdict {verdict.observed}")
-            for line in format_axiom_report(verdict.report, spec.lattice):
-                _err(line)
+        if not verdict.agree:
+            if args.dump:
+                _dump_instance(spec, args.dump, f"disagreement-{theorem}-{seed + i}")
             print(f"{agree}/{args.seeds} agree")
-            return MATH_FAIL
+            raise _Failure(
+                MATH_FAIL,
+                f"seed {seed + i}: prediction {verdict.predicted} but verdict {verdict.observed}",
+                *format_axiom_report(verdict.report, spec.lattice),
+            )
+        agree += 1
     print(f"{agree}/{args.seeds} agree")
-    return PASS
 
 
-def _dump_instance(spec: ConstructionSpec, directory: str, stem: str) -> bool:
-    """Write the instance's lattice and inner table under ``directory``;
-    False, after one line on stderr, when they cannot be written."""
-    try:
-        write_instance(directory, stem, spec.lattice, {"Ustar": spec.inner})
-    except OSError as exc:
-        _err(f"cannot write file: {exc}")
-        return False
-    return True
+@_writing()
+def _dump_instance(spec: ConstructionSpec, directory: str, stem: str) -> None:
+    """Write the instance's lattice and inner table under ``directory``."""
+    write_instance(directory, stem, spec.lattice, {"Ustar": spec.inner})
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> None:
     if args.replay:
         report = corpus_mod.replay_all()
         for entry in report.entries:
@@ -378,24 +356,41 @@ def cmd_corpus(args) -> int:
             )
         passed = sum(e.ok for e in report.entries)
         print(f"{passed}/{len(report.entries)} entries reproduce")
-        return PASS if report.ok else MATH_FAIL
-    try:
+        if not report.ok:
+            raise _Failure(MATH_FAIL)
+        return
+    with _writing():
         for entry in corpus_mod.all_entries():
             write_instance(args.export, entry.id, entry.lattice, entry.tables)
-    except OSError as exc:
-        _err(f"cannot write file: {exc}")
-        return BAD_INPUT
     print(f"exported {len(corpus_mod.ENTRY_IDS)} entries to {Path(args.export)}")
-    return PASS
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed flag is one ``<prog>: error: ...`` line and exit 2, raised
+    like every other failure (no usage block, no ``SystemExit``)."""
+
+    def error(self, message):
+        # an unrecognized argument is not quoted: its line breaks are escaped
+        raise _Failure(BAD_INPUT, f"{self.prog}: error: " + "\\n".join(message.splitlines()))
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latnorm",
         description="Bounded lattices, uninorm constructions, exhaustive verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # the spec flags of construct and theorem
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("lattice")
+    spec.add_argument("ustar")
+    group = spec.add_mutually_exclusive_group(required=True)
+    group.add_argument("--rho", help="threshold for the join form (--eq 1, th31, th33)")
+    group.add_argument("--sigma", help="threshold for the meet form (--eq 2, th34, th36)")
+    spec.add_argument("--e", required=True, help="neutral element")
+    spec.add_argument("--anchor", required=True)
 
     p = sub.add_parser("check-lattice", help="validate a lattice file")
     p.add_argument("path")
@@ -403,15 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", help="threshold element for the region breakdown")
     p.set_defaults(fn=cmd_check_lattice)
 
-    p = sub.add_parser("construct", help="run a threshold construction")
-    p.add_argument("lattice")
-    p.add_argument("ustar")
+    p = sub.add_parser("construct", parents=[spec], help="run a threshold construction")
     p.add_argument("--eq", type=int, choices=(1, 2), required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rho", help="threshold for the join form (--eq 1)")
-    group.add_argument("--sigma", help="threshold for the meet form (--eq 2)")
-    p.add_argument("--e", required=True, help="neutral element")
-    p.add_argument("--anchor", required=True)
     p.add_argument("--out")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--verify", action="store_true", help="also run the axiom battery")
@@ -428,19 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", help="lattice file (default: sibling <name>.lattice.json)")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("theorem", help="hypothesis report plus equivalence run")
+    p = sub.add_parser("theorem", parents=[spec], help="hypothesis report plus equivalence run")
     p.add_argument("--which", choices=tuple(THEOREMS), required=True)
-    p.add_argument("lattice")
-    p.add_argument("ustar")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rho")
-    group.add_argument("--sigma")
-    p.add_argument("--e", required=True)
-    p.add_argument("--anchor", required=True)
     p.set_defaults(fn=cmd_theorem)
 
     p = sub.add_parser("fuzz", help="seeded equivalence fuzzing / clause-drop search")
-    p.add_argument("--theorem", required=True)
+    p.add_argument("--theorem", choices=tuple(THEOREMS), required=True)
     p.add_argument("--seeds", type=int, required=True, help="instance count")
     p.add_argument(
         "--size", type=int, nargs=2, metavar=("MIN", "MAX"),
@@ -465,11 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        args.fn(args)
+    except _Failure as failure:
+        code, *lines = failure.args
+        for line in lines:
+            _err(line)
+        return code
     except BrokenPipeError:
-        return PASS
+        pass
+    return PASS
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .lattice import BoundedLattice, ElementId, case_regions, ids_of
+from .lattice import BoundedLattice, CaseRegions, ElementId, case_regions, ids_of
 from .optable import AxiomReport, OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
@@ -166,16 +166,15 @@ ANCHOR_CLASS_BLOCKS = {
 }
 
 
-def anchor_class_masks(
-    lat: BoundedLattice, neutral: ElementId, threshold: ElementId
-) -> dict[str, int]:
-    """The join-form anchor classes as disjoint masks of the carrier: each is
-    its :data:`ANCHOR_CLASS_BLOCKS` block of ``case_regions(lat, neutral,
-    threshold)`` less bottom and neutral (which only ``low`` holds).  An
-    anchor in none of them is of class ``"other"``."""
-    regions = case_regions(lat, neutral, threshold)
-    others = ~(1 << lat.bottom | 1 << neutral)
-    return {name: getattr(regions, block) & others for name, block in ANCHOR_CLASS_BLOCKS.items()}
+def anchor_class_mask(
+    lat: BoundedLattice, regions: CaseRegions, neutral: ElementId, join_class: str
+) -> int:
+    """The join-form anchor class ``join_class`` as a mask of the carrier:
+    its :data:`ANCHOR_CLASS_BLOCKS` block of ``regions`` (the
+    ``case_regions`` of ``neutral`` and a threshold) less bottom and
+    neutral, which only ``low`` holds.  The classes are disjoint; an anchor
+    in none of them is of class ``"other"``."""
+    return getattr(regions, ANCHOR_CLASS_BLOCKS[join_class]) & ~(1 << lat.bottom | 1 << neutral)
 
 
 # -- spec validation --------------------------------------------------------
@@ -334,9 +333,9 @@ def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisR
     q = spec.anchor
     top = lat.top
     join = lat.join
-    classes = anchor_class_masks(lat, spec.neutral, spec.threshold)
-    anchor_class = next((name for name, mask in classes.items() if mask >> q & 1), "other")
     regions = case_regions(lat, spec.neutral, spec.threshold)
+    anchor_class = next((name for name in ANCHOR_CLASS_BLOCKS
+                         if anchor_class_mask(lat, regions, spec.neutral, name) >> q & 1), "other")
     iso = regions.isolated
     inc_q = lat.incomparables_mask(q)
 

@@ -19,6 +19,8 @@ This module is the only one that knows how the files sit on disk:
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -186,12 +188,14 @@ def render_table_text(table: OpTable) -> str:
 
 
 def render_table_csv(table: OpTable) -> str:
-    lat = table.lattice
-    names = [lat.names[a] for a in table.carrier]
-    lines = [",".join(["U", *names])]
-    for a, row in zip(table.carrier, table.values):
-        lines.append(",".join([lat.names[a], *(lat.names[v] for v in row)]))
-    return "\n".join(lines) + "\n"
+    """Header ``U`` and the carrier, then one row per element, quoted as CSV needs."""
+    names = table.lattice.names
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["U", *(names[a] for a in table.carrier)])
+    writer.writerows([names[a], *map(names.__getitem__, row)]
+                     for a, row in zip(table.carrier, table.values))
+    return out.getvalue()
 
 
 def render_table(table: OpTable, fmt: str, lattice_name: str = "") -> str:
@@ -215,8 +219,7 @@ def table_cells_from_text(text: str) -> list[list[str]]:
 
 
 def table_cells_from_csv(text: str) -> list[list[str]]:
-    lines = text.strip().splitlines()
-    return [line.split(",")[1:] for line in lines[1:]]
+    return [row[1:] for row in list(csv.reader(io.StringIO(text)))[1:]]
 
 
 # -- file layout -------------------------------------------------------------

@@ -30,9 +30,8 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .construct import (
-    ANCHOR_CLASS_BLOCKS,
     ConstructionSpec,
-    anchor_class_masks,
+    anchor_class_mask,
     check_for,
     dual_class,
     dual_spec,
@@ -282,19 +281,18 @@ def enumerate_uninorms(lat: BoundedLattice, carrier, e: ElementId) -> list[OpTab
 # -- construction specs ------------------------------------------------------
 
 
-def _hosting_pairs(lat: BoundedLattice, join_class: str) -> list[tuple[ElementId, ElementId]]:
-    """The (threshold, neutral) pairs, interior threshold and neutral below
-    it, whose ``join_class`` mask is non-empty; thresholds ascending, then
-    neutrals ascending.  The mask is read off its ``case_regions`` block,
-    as in ``anchor_class_masks`` but without the per-pair dict."""
-    block = ANCHOR_CLASS_BLOCKS[join_class]
-    bottom = 1 << lat.bottom
+def _hosting_pairs(lat: BoundedLattice, join_class: str) -> list[tuple[ElementId, ElementId, int]]:
+    """(threshold, neutral, class mask) for each pair, interior threshold
+    and neutral below it, whose ``join_class`` mask is non-empty;
+    thresholds ascending, then neutrals ascending."""
     return [
-        (threshold, neutral)
+        (threshold, neutral, mask)
         for threshold in range(lat.n)
         if threshold not in (lat.bottom, lat.top)
         for neutral in ids_of(lat.down[threshold])
-        if getattr(case_regions(lat, neutral, threshold), block) & ~(bottom | 1 << neutral)
+        if (mask := anchor_class_mask(
+            lat, case_regions(lat, neutral, threshold), neutral, join_class
+        ))
     ]
 
 
@@ -348,16 +346,16 @@ def gen_spec_candidates(
             hosts = _hosting_pairs(lat, join_class)
             if not hosts:
                 continue
-            threshold, neutral = rng.choice(hosts)
-            pick = join_class
+            threshold, neutral, mask = rng.choice(hosts)
         else:
             interior = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
             if not interior:
                 continue
             threshold = rng.choice(interior)
             neutral = rng.choice(lat.interval(lat.bottom, threshold))
-            pick = rng.choice(join_classes)
-        candidates = ids_of(anchor_class_masks(lat, neutral, threshold)[pick])
+            regions = case_regions(lat, neutral, threshold)
+            mask = anchor_class_mask(lat, regions, neutral, rng.choice(join_classes))
+        candidates = ids_of(mask)
         if not candidates:
             continue
         anchor = rng.choice(candidates)

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from latnorm import corpus
+from latnorm import cli, corpus
 from latnorm.cli import main
 from latnorm.fileio import (
     parse_lattice,
@@ -14,7 +14,8 @@ from latnorm.fileio import (
     table_cells_from_text,
 )
 from latnorm.lattice import build_lattice
-from latnorm.optable import OpTable
+from latnorm.optable import AxiomReport, OpTable
+from latnorm.verify import EquivalenceVerdict
 
 
 @pytest.fixture()
@@ -231,6 +232,45 @@ def test_fuzz_small_run(capsys):
     assert "20/20 agree" in capsys.readouterr().out
 
 
+def _planted_disagreement(spec, theorem):
+    """A verdict that contradicts the prediction, with a commutativity witness
+    (no known spec disagrees)."""
+    lat = spec.lattice
+    report = AxiomReport(spec.neutral, (lat.bottom, lat.top, lat.top, lat.bottom),
+                         None, None, None, None)
+    return EquivalenceVerdict(True, False, ("commutative", report.commutative), report)
+
+
+def test_theorem_disagreement_exits_one_with_its_witness(golden, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_equivalence", _planted_disagreement)
+    code = main(["theorem", "--which", "th31", str(golden / "L11.lattice.json"),
+                 str(golden / "L11.Ustar.table.json"), "--rho", "rho", "--e", "e",
+                 "--anchor", "q"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.endswith(
+        "predicted uninorm: True\nbrute-force verdict: False\nagree: False\n"
+    )
+    assert captured.err == (
+        "DISAGREEMENT: prediction contradicts exhaustive verification\n"
+        "commutativity violated: U(0,1) = 1 but U(1,0) = 0\n"
+    )
+
+
+def test_fuzz_disagreement_exits_one_and_dumps_the_instance(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_equivalence", _planted_disagreement)
+    code = main(["fuzz", "--theorem", "th31", "--seeds", "3", "--dump", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "0/3 agree\n"
+    [seed_line, witness] = captured.err.splitlines()
+    assert seed_line == "seed 0: prediction True but verdict False"
+    assert witness.startswith("commutativity violated: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "disagreement-th31-0.Ustar.table.json", "disagreement-th31-0.lattice.json",
+    ]
+
+
 def test_fuzz_drop_clause_dumps_artifacts(tmp_path, capsys):
     code = main([
         "fuzz", "--theorem", "th31", "--seeds", "500",
@@ -308,6 +348,17 @@ def test_formats_render_same_content():
     assert json_doc["rows"] == names
 
 
+def test_csv_quotes_names_with_commas_and_quotes():
+    odd = ("0", "a,b", 'say "hi"', "1")
+    lat = build_lattice(odd, [("0", "a,b"), ("0", 'say "hi"'), ("a,b", "1"), ('say "hi"', "1")])
+    table = OpTable(lattice=lat, carrier=tuple(range(4)),
+                    values=tuple(tuple(lat.join(x, y) for y in range(4)) for x in range(4)))
+    text = render_table(table, "csv")
+    assert text.splitlines()[0] == 'U,0,"a,b","say ""hi""",1'
+    json_doc = json.loads(render_table(table, "json", lattice_name="odd"))
+    assert table_cells_from_csv(text) == json_doc["rows"]
+
+
 def test_le_pairs_alternative_key(tmp_path):
     doc = {
         "name": "tiny",
@@ -321,6 +372,56 @@ def test_le_pairs_alternative_key(tmp_path):
 
 def _one_line(text: str) -> bool:
     return len(text.splitlines()) == 1 and "Traceback" not in text
+
+
+_SPEC = ["{L11}", "{L11.Ustar}", "--e", "e", "--anchor", "q"]
+_CYCLE = {"name": "bad", "elements": ["0", "a", "b", "1"],
+          "covers": [["0", "a"], ["a", "b"], ["b", "a"], ["b", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, env, code, line",
+    [
+        (["check-lattice", "/nonexistent/x.json"], None, 2,
+         "cannot read file: [Errno 2] No such file or directory: '/nonexistent/x.json'"),
+        (["check-lattice", "{junk}"], None, 2,
+         "parse error: not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (["check-lattice", "{cycle}"], None, 1,
+         "not a bounded lattice: antisymmetry violated: 'a' <= 'b' <= 'a'"),
+        (["theorem", "--which", "th34", *_SPEC, "--rho", "rho"], None, 2, "th34 expects --sigma"),
+        (["theorem", "--which", "th31", *_SPEC, "--rho", "1"], None, 2,
+         "invalid spec: theorem checkers require an interior threshold"),
+        (["verify", "{L11.Ustar}", "--e", "m"], None, 2,
+         "invalid input: neutral 'm' is outside the table carrier"),
+        (["fuzz", "--theorem", "th31", "--seeds", "-3"], None, 2,
+         "--seeds must be a non-negative count, got -3"),
+        (["fuzz", "--theorem", "th31", "--seeds", "3"], "abc", 2,
+         "invalid fuzz input: LATNORM_SEED must be an integer, got 'abc'"),
+        (["fuzz", "--theorem", "th31", "--seeds", "3", "--size", "1", "40"], None, 2,
+         "invalid fuzz input: size_range must satisfy 2 <= min <= max <= 12"),
+        (["construct", *_SPEC, "--eq", "1", "--sigma", "rho"], None, 2,
+         "--eq 1 takes its threshold with --rho"),
+    ],
+    ids=["missing-file", "bad-json", "cycle", "orientation", "bound-threshold",
+         "neutral-outside", "negative-seeds", "seed-variable", "size-range", "eq-flag"],
+)
+def test_every_failure_prints_its_one_line(golden, tmp_path, monkeypatch, capsys,
+                                           argv, env, code, line):
+    (tmp_path / "junk.json").write_text("{not json")
+    (tmp_path / "cycle.lattice.json").write_text(json.dumps(_CYCLE))
+    paths = {
+        "{L11}": str(golden / "L11.lattice.json"),
+        "{L11.Ustar}": str(golden / "L11.Ustar.table.json"),
+        "{junk}": str(tmp_path / "junk.json"),
+        "{cycle}": str(tmp_path / "cycle.lattice.json"),
+    }
+    if env is not None:
+        monkeypatch.setenv("LATNORM_SEED", env)
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
 
 
 @pytest.mark.parametrize("eq, flag", [("1", "--sigma"), ("2", "--rho")])

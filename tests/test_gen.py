@@ -1,7 +1,7 @@
 import pytest
 
 import latnorm.gen as gen_module
-from latnorm.construct import THEOREMS, anchor_class_masks, check_for
+from latnorm.construct import THEOREMS, anchor_class_mask, check_for
 from latnorm.gen import (
     ExhaustedRejection,
     GenConfig,
@@ -234,10 +234,13 @@ def test_hosting_pairs_match_brute_force():
         lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 9)))
         for t in range(lat.n):
             for n in lat.interval(lat.bottom, t):
-                assert anchor_class_masks(lat, n, t) == _brute_classes(lat, n, t)
+                regions = case_regions(lat, n, t)
+                classes = {c: anchor_class_mask(lat, regions, n, c) for c in JOIN_CLASSES}
+                assert classes == _brute_classes(lat, n, t)
         for join_class in JOIN_CLASSES:
             hosts = gen_module._hosting_pairs(lat, join_class)
-            assert hosts == _brute_hosts(lat, join_class)
+            assert hosts == [(t, n, _brute_classes(lat, n, t)[join_class])
+                             for t, n in _brute_hosts(lat, join_class)]
             hosted[join_class] += bool(hosts)
     # every class is hosted by some lattice and missing from another
     assert all(0 < count < 200 for count in hosted.values()), hosted

@@ -5,12 +5,16 @@ mutated at the JSON level (values replaced, keys or items deleted, names
 swapped), and the subcommands that read it run on the result with flag
 values that may name unknown elements.  JSON nested too deep to decode, or
 holding an integer too long to convert, is one parse error, and a malformed
-table file is rejected with the message of its first failing check.
+table file is rejected with the message of its first failing check.  A
+malformed command line (a value that is not an integer or not one of the
+choices, a required flag left out, an unknown flag, no subcommand) is one
+``latnorm <command>: error: ...`` line, and ``main`` returns 2.
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnorm import corpus
+from latnorm import THEOREMS, corpus
 from latnorm.cli import main
 from latnorm.fileio import FileFormatError, parse_table, render_lattice, render_table
 from latnorm.lattice import build_lattice
@@ -216,3 +220,116 @@ def test_well_formed_table_resolves_every_name():
     assert name == "chain"
     assert table.carrier == (2, 0, 1)
     assert table.values == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+
+
+# -- malformed command lines: one argparse line, returned as exit 2 ----------
+
+# per subcommand: positionals, then (flag, values) pairs; every one required
+# but construct's --format and fuzz's --size and --seed
+_ARGV = {
+    "check-lattice": (["L.lattice.json"], []),
+    "construct": (["L.lattice.json", "L.Ustar.table.json"], [
+        ("--eq", ["1"]), ("--rho", ["rho"]), ("--e", ["e"]), ("--anchor", ["q"]),
+        ("--format", ["csv"]),
+    ]),
+    "verify": (["L.U1.table.json"], [("--e", ["e"])]),
+    "theorem": (["L.lattice.json", "L.Ustar.table.json"], [
+        ("--which", ["th31"]), ("--rho", ["rho"]), ("--e", ["e"]), ("--anchor", ["q"]),
+    ]),
+    "fuzz": ([], [("--theorem", ["th31"]), ("--seeds", ["1"]), ("--size", ["4", "5"]),
+                  ("--seed", ["3"])]),
+    "corpus": ([], [("--replay", [])]),
+}
+_OPTIONAL = {"--format", "--size", "--seed"}
+_INT_FLAGS = {"--seeds", "--size", "--seed"}
+_CHOICES = {"--eq": (1, 2), "--format": ("table", "csv", "json"),
+            "--which": tuple(THEOREMS), "--theorem": tuple(THEOREMS)}
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _outside_choices(flag: str, text: str) -> bool:
+    """Whether ``flag`` rejects ``text``; --eq converts it with int() first."""
+    if flag == "--eq":
+        return not _is_int(text) or int(text) not in _CHOICES[flag]
+    return text not in _CHOICES[flag]
+
+
+# a value that is not itself read as a flag (``-h`` would print the help)
+_values = st.text(max_size=4).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def malformed_argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV)))
+    positionals, options = _ARGV[command]
+    positionals, options = list(positionals), [(flag, list(vals)) for flag, vals in options]
+    kinds = ["unknown-argument", "no-subcommand", "missing"]
+    kinds += ["not-an-int"] * any(flag in _INT_FLAGS for flag, _ in options)
+    kinds += ["no-such-choice"] * any(flag in _CHOICES for flag, _ in options)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "not-an-int":
+        flag, vals = draw(st.sampled_from([o for o in options if o[0] in _INT_FLAGS]))
+        vals[draw(st.integers(0, len(vals) - 1))] = draw(
+            _values.filter(lambda text: not _is_int(text))
+        )
+    elif kind == "no-such-choice":
+        flag, vals = draw(st.sampled_from([o for o in options if o[0] in _CHOICES]))
+        vals[0] = draw(_values.filter(lambda text: _outside_choices(flag, text)))
+    elif kind == "missing":
+        required = [("positional", i) for i in range(len(positionals))]
+        required += [("flag", o) for o in options if o[0] not in _OPTIONAL]
+        what, item = draw(st.sampled_from(required))
+        if what == "positional":
+            del positionals[item]
+        else:
+            options.remove(item)
+    tokens = positionals + [token for flag, vals in options for token in (flag, *vals)]
+    if kind == "unknown-argument":
+        unknown = st.builds("--x{}".format, st.text("abcdefgh-", max_size=4)) | _values
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(unknown))
+    if kind == "no-subcommand":
+        return tokens
+    return [command, *tokens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=malformed_argv())
+def test_a_malformed_command_line_is_one_line_and_exit_two(argv):
+    code, out, err = _run(argv)  # returns: no SystemExit
+    assert code == 2, argv
+    assert out == "", argv
+    [line] = err.splitlines()
+    # argparse's own wording differs across Python versions; its prefix does not
+    assert re.match(r"latnorm( [a-z-]+)?: error: ", line), (argv, line)
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        ([], "latnorm: error: "),
+        (["fuzz", "--theorem", "th31", "--seeds", "abc"], "latnorm fuzz: error: argument --seeds: "),
+        (["construct", "x", "y", "--eq", "3", "--rho", "r", "--e", "e", "--anchor", "q"],
+         "latnorm construct: error: argument --eq: "),
+        # argparse does not quote unrecognized arguments
+        (["corpus", "--replay", "a\nb"], "latnorm: error: unrecognized arguments: a\\nb"),
+    ],
+    ids=["no-subcommand", "seeds", "eq", "line-break"],
+)
+def test_a_malformed_flag_is_one_line(argv, prefix):
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+def test_help_still_exits_zero():
+    with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as info:
+        main(["fuzz", "--help"])
+    assert info.value.code == 0
+    assert out.getvalue().startswith("usage: latnorm fuzz")
