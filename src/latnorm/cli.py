@@ -8,7 +8,8 @@ stderr, data to stdout.
 :class:`_Failure` with the exit code and its stderr lines (one line for
 malformed input, the witnesses for a failed property), and so does the
 argument parser on a malformed flag; ``main`` prints the lines and
-returns the code.
+returns the code.  An invalid spec is malformed input to every subcommand:
+``main`` maps :class:`SpecInvalid` to exit 2.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import corpus as corpus_mod
 from .construct import (
     THEOREMS,
     ConstructionSpec,
+    HypothesesNotMet,
     HypothesisReport,
     SpecInvalid,
     check_for,
@@ -38,8 +40,8 @@ from .verify import UnknownClause, find_counterexample, verify_equivalence
 
 PASS, MATH_FAIL, BAD_INPUT = 0, 1, 2
 
-# unreadable, undecodable, malformed, or naming an unknown element
-_INPUT_ERRORS = (OSError, UnicodeDecodeError, FileFormatError, KeyError)
+# undecodable, malformed, or naming an unknown element
+_INPUT_ERRORS = (UnicodeDecodeError, FileFormatError, KeyError)
 
 
 class _Failure(Exception):
@@ -52,6 +54,8 @@ def _reading():
     """Input files and the element names they are read with: exit 2."""
     try:
         yield
+    except OSError as exc:
+        raise _Failure(BAD_INPUT, f"cannot read file: {exc}")
     except _INPUT_ERRORS as exc:
         raise _Failure(BAD_INPUT, f"parse error: {exc}")
     except LatticeError as exc:
@@ -153,14 +157,11 @@ def cmd_check_lattice(args) -> None:
     if (args.e is None) != (args.rho is None):
         raise _Failure(BAD_INPUT, "--e and --rho go together: give both for the region "
                        "breakdown, or neither")
-    try:
-        name, lat = parse_lattice(Path(args.path).read_text())
-    except OSError as exc:
-        raise _Failure(BAD_INPUT, f"cannot read file: {exc}")
-    except (UnicodeDecodeError, FileFormatError) as exc:
-        raise _Failure(BAD_INPUT, f"parse error: {exc}")
-    except LatticeError as exc:
-        raise _Failure(MATH_FAIL, f"not a bounded lattice: {exc}")
+    with _reading():
+        try:
+            name, lat = parse_lattice(Path(args.path).read_text())
+        except LatticeError as exc:
+            raise _Failure(MATH_FAIL, f"not a bounded lattice: {exc}")
     if args.e is not None:
         try:
             regions = case_regions(lat, lat.index(args.e), lat.index(args.rho))
@@ -190,10 +191,7 @@ def cmd_construct(args) -> None:
     spec, orientation, name = _spec_from_args(args)
     lat = spec.lattice
     construct = construct_eq1 if orientation == "join" else construct_eq2
-    try:
-        table = construct(spec, check_inner=not args.no_verify_inner)
-    except SpecInvalid as exc:
-        raise _Failure(MATH_FAIL, f"invalid spec: {exc}")
+    table = construct(spec, check_inner=not args.no_verify_inner)
 
     rendered = render_table(table, args.format, lattice_name=name)
     if args.out:
@@ -246,17 +244,17 @@ def cmd_theorem(args) -> None:
     if profile.orientation != orientation:
         flag = "rho" if profile.orientation == "join" else "sigma"
         raise _Failure(BAD_INPUT, f"{args.which} expects --{flag}")
+    refused = None
     try:
-        report = check_for(spec, args.which)
-    except SpecInvalid as exc:
-        raise _Failure(BAD_INPUT, f"invalid spec: {exc}")
+        verdict = verify_equivalence(spec, args.which)
+        report = verdict.hypotheses
+    except HypothesesNotMet as exc:
+        refused, report = exc.clause, exc.report
     for line in format_hypothesis_report(report, spec.lattice):
         print(line)
-    failures = report.standing_failures()
-    if failures:
-        print(f"prediction refused: standing hypothesis failed ({failures[0]})")
+    if refused:
+        print(f"prediction refused: standing hypothesis failed ({refused})")
         return
-    verdict = verify_equivalence(spec, args.which)
     print(f"predicted uninorm: {verdict.predicted}")
     print(f"brute-force verdict: {verdict.observed}")
     print(f"agree: {verdict.agree}")
@@ -448,7 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.fn(args)
+        try:
+            args.fn(args)
+        except SpecInvalid as exc:
+            raise _Failure(BAD_INPUT, f"invalid spec: {exc}")
     except _Failure as failure:
         code, *lines = failure.args
         for line in lines:

@@ -43,9 +43,18 @@ class SpecInvalid(Exception):
 
 
 class HypothesesNotMet(Exception):
-    def __init__(self, clause: str):
-        super().__init__(f"standing hypothesis failed: {clause}")
-        self.clause = clause
+    """The standing clauses of ``report`` are not the ones a check admits:
+    ``clause`` is the first that fails other than ``dropped``, or
+    ``dropped`` itself when that is the one that holds."""
+
+    def __init__(self, report: HypothesisReport, dropped: Optional[str] = None):
+        others = [clause for clause in report.standing_failures() if clause != dropped]
+        self.report = report
+        self.clause = others[0] if others else dropped
+        if others:
+            super().__init__(f"standing hypothesis failed: {self.clause}")
+        else:
+            super().__init__(f"dropped clause holds: {dropped}")
 
 
 @dataclass(frozen=True)

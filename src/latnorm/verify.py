@@ -6,11 +6,11 @@ and :func:`assoc_partitioned` re-derives the same verdict from the
 partitioned clause battery that the construction proofs use.  Their
 agreement on random commutative tables is part of the acceptance suite.
 
-:func:`verify_equivalence` runs a theorem prediction side by side with
-the brute-force axiom verdict on the constructed table; the two must
-agree whenever the standing hypotheses hold.  :func:`find_counterexample`
-searches seeded random specs for an instance where dropping a single
-hypothesis clause breaks the construction.  The example corpus is not
+:func:`verify_equivalence`, the one check that the fuzz suite, ``latnorm
+theorem`` and :func:`find_counterexample` share, sets a theorem prediction
+beside the brute-force axiom verdict on the constructed table.  The search
+passes it a dropped clause and keeps the first seeded random spec that is
+predicted a uninorm and observed to fail.  The example corpus is not
 searched: no entry isolates a single clause.
 """
 
@@ -23,6 +23,7 @@ from typing import Optional
 from .construct import (
     ConstructionSpec,
     HypothesesNotMet,
+    HypothesisReport,
     SpecInvalid,
     check_for,
     construct_for,
@@ -150,22 +151,26 @@ class EquivalenceVerdict:
     observed: bool
     counterwitness: Optional[tuple]
     report: AxiomReport
+    hypotheses: HypothesisReport
 
     @property
     def agree(self) -> bool:
         return self.predicted == self.observed
 
 
-def verify_equivalence(spec: ConstructionSpec, theorem: str) -> EquivalenceVerdict:
+def verify_equivalence(
+    spec: ConstructionSpec, theorem: str, drop_clause: Optional[str] = None
+) -> EquivalenceVerdict:
     """Theorem prediction vs brute-force axiom verdict for one spec.
 
-    Raises :class:`HypothesesNotMet` with the first failed standing clause
-    before anything is constructed; the prediction is the parallel condition.
+    Unless the standing clauses hold (all but ``drop_clause``, which must
+    fail), raises :class:`HypothesesNotMet` with the report before anything
+    is constructed.  The prediction is the parallel condition; the verdict
+    carries the report as ``hypotheses``.
     """
     report = check_for(spec, theorem)
-    failures = report.standing_failures()
-    if failures:
-        raise HypothesesNotMet(failures[0])
+    if report.standing_failures() != (() if drop_clause is None else (drop_clause,)):
+        raise HypothesesNotMet(report, drop_clause)
     table = construct_for(spec, theorem)
     axioms = is_uninorm(table, spec.neutral)
     counter = None
@@ -180,6 +185,7 @@ def verify_equivalence(spec: ConstructionSpec, theorem: str) -> EquivalenceVerdi
         observed=axioms.ok,
         counterwitness=counter,
         report=axioms,
+        hypotheses=report,
     )
 
 
@@ -188,39 +194,9 @@ class Counterexample:
     spec: ConstructionSpec
     theorem: str
     dropped_clause: str
-    hypothesis_report: object
+    hypothesis_report: HypothesisReport
     axiom_report: AxiomReport
     source: str  # "generated:<seed>:<index>"
-
-
-def _qualifies(
-    spec: ConstructionSpec, theorem: str, dropped: Optional[str], source: str = ""
-) -> Optional[Counterexample]:
-    """A counterexample isolates one clause: every other standing clause
-    holds, the parallel condition holds, the dropped clause fails, and the
-    constructed table fails an axiom.  With no dropped clause every clause
-    must hold, so the theorem guarantees nothing qualifies."""
-    try:
-        report = check_for(spec, theorem)
-    except SpecInvalid:
-        return None
-    failures = set(report.standing_failures())
-    if failures != ({dropped} if dropped is not None else set()):
-        return None
-    if not report.parallel_condition_ok.ok:
-        return None
-    table = construct_for(spec, theorem)
-    axioms = is_uninorm(table, spec.neutral)
-    if axioms.ok:
-        return None
-    return Counterexample(
-        spec=spec,
-        theorem=theorem,
-        dropped_clause=dropped or "",
-        hypothesis_report=report,
-        axiom_report=axioms,
-        source=source,
-    )
 
 
 def find_counterexample(
@@ -232,7 +208,9 @@ def find_counterexample(
 ) -> Optional[Counterexample]:
     """Search for an instance proving the dropped clause necessary.
 
-    Tries the first ``budget`` seeded random specs with sizes in
+    A candidate counts when :func:`verify_equivalence` admits it with
+    ``drop_clause`` and predicts a uninorm that the axioms refute.  Tries
+    the first ``budget`` seeded random specs with sizes in
     ``size_range``, so results are deterministic for a given seed and
     range.  Returns ``None`` when the budget is exhausted; with
     ``drop_clause=None`` that is the only possible outcome.  Raises
@@ -249,7 +227,11 @@ def find_counterexample(
 
     cfg = GenConfig(seed=seed, size_range=size_range)
     for i, spec in enumerate(islice(gen_spec_candidates(cfg, theorem), budget)):
-        hit = _qualifies(spec, theorem, drop_clause, f"generated:{seed}:{i}")
-        if hit is not None:
-            return hit
+        try:
+            verdict = verify_equivalence(spec, theorem, drop_clause)
+        except (SpecInvalid, HypothesesNotMet):
+            continue
+        if verdict.predicted and not verdict.observed:
+            return Counterexample(spec, theorem, drop_clause or "", verdict.hypotheses,
+                                  verdict.report, f"generated:{seed}:{i}")
     return None

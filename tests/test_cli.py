@@ -3,8 +3,9 @@ import shutil
 
 import pytest
 
-from latnorm import cli, corpus
+from latnorm import cli, construct, corpus
 from latnorm.cli import main
+from latnorm.construct import check_for
 from latnorm.fileio import (
     parse_lattice,
     parse_table,
@@ -234,11 +235,12 @@ def test_fuzz_small_run(capsys):
 
 def _planted_disagreement(spec, theorem):
     """A verdict that contradicts the prediction, with a commutativity witness
-    (no known spec disagrees)."""
+    and the spec's hypothesis report (no known spec disagrees)."""
     lat = spec.lattice
     report = AxiomReport(spec.neutral, (lat.bottom, lat.top, lat.top, lat.bottom),
                          None, None, None, None)
-    return EquivalenceVerdict(True, False, ("commutative", report.commutative), report)
+    return EquivalenceVerdict(True, False, ("commutative", report.commutative), report,
+                              check_for(spec, theorem))
 
 
 def test_theorem_disagreement_exits_one_with_its_witness(golden, monkeypatch, capsys):
@@ -255,6 +257,27 @@ def test_theorem_disagreement_exits_one_with_its_witness(golden, monkeypatch, ca
         "DISAGREEMENT: prediction contradicts exhaustive verification\n"
         "commutativity violated: U(0,1) = 1 but U(1,0) = 0\n"
     )
+
+
+def test_theorem_builds_one_hypothesis_report(golden, monkeypatch, capsys):
+    # the report printed is the one the verdict was checked against
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(f"latnorm.construct.{name}", wrapper)
+
+    counting("_join_report", construct._join_report)
+    counting("validate_spec", construct.validate_spec)
+    code = main(["theorem", "--which", "th31", str(golden / "L11.lattice.json"),
+                 str(golden / "L11.Ustar.table.json"), "--rho", "rho", "--e", "e",
+                 "--anchor", "q"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("agree: True\n")
+    assert calls.count("_join_report") == 1
+    assert calls.count("validate_spec") == 2  # the report's and the construction's
 
 
 def test_fuzz_disagreement_exits_one_and_dumps_the_instance(tmp_path, monkeypatch, capsys):
@@ -384,6 +407,11 @@ _CYCLE = {"name": "bad", "elements": ["0", "a", "b", "1"],
     [
         (["check-lattice", "/nonexistent/x.json"], None, 2,
          "cannot read file: [Errno 2] No such file or directory: '/nonexistent/x.json'"),
+        (["verify", "/nonexistent/x.json", "--e", "e"], None, 2,
+         "cannot read file: [Errno 2] No such file or directory: '/nonexistent/x.json'"),
+        (["construct", "/nonexistent/x.json", "{L11.Ustar}", "--e", "e", "--anchor", "q",
+          "--eq", "1", "--rho", "rho"], None, 2,
+         "cannot read file: [Errno 2] No such file or directory: '/nonexistent/x.json'"),
         (["check-lattice", "{junk}"], None, 2,
          "parse error: not valid JSON: Expecting property name enclosed in double quotes: "
          "line 1 column 2 (char 1)"),
@@ -402,9 +430,14 @@ _CYCLE = {"name": "bad", "elements": ["0", "a", "b", "1"],
          "invalid fuzz input: size_range must satisfy 2 <= min <= max <= 12"),
         (["construct", *_SPEC, "--eq", "1", "--sigma", "rho"], None, 2,
          "--eq 1 takes its threshold with --rho"),
+        (["construct", *_SPEC, "--eq", "2", "--sigma", "rho"], None, 2,
+         "invalid spec: neutral element must lie above the threshold"),
+        (["theorem", "--which", "th34", *_SPEC, "--sigma", "rho"], None, 2,
+         "invalid spec: neutral element must lie above the threshold"),
     ],
-    ids=["missing-file", "bad-json", "cycle", "orientation", "bound-threshold",
-         "neutral-outside", "negative-seeds", "seed-variable", "size-range", "eq-flag"],
+    ids=["missing-file", "verify-missing-file", "construct-missing-file", "bad-json", "cycle",
+         "orientation", "bound-threshold", "neutral-outside", "negative-seeds", "seed-variable",
+         "size-range", "eq-flag", "construct-invalid-spec", "theorem-invalid-spec"],
 )
 def test_every_failure_prints_its_one_line(golden, tmp_path, monkeypatch, capsys,
                                            argv, env, code, line):
@@ -810,7 +843,7 @@ def test_construct_no_verify_inner_admits_a_broken_inner(golden, tmp_path, capsy
         assert captured.out == BROKEN_L11_CONSTRUCTED
         assert captured.err == "no hypothesis report: " + failure
     else:
-        assert code == 1
+        assert code == 2
         assert captured.out == ""
         assert captured.err == "invalid spec: " + failure
 

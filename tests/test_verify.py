@@ -7,6 +7,7 @@ from latnorm.construct import (
     THEOREMS,
     ConstructionSpec,
     HypothesesNotMet,
+    SpecInvalid,
     check_for,
     construct_for,
     dual_spec,
@@ -30,7 +31,6 @@ from latnorm.verify import (
     NotCommutative,
     Partition,
     UnknownClause,
-    _qualifies,
     assoc_partitioned,
     find_counterexample,
     verify_equivalence,
@@ -121,6 +121,44 @@ def test_equivalence_on_corpus(entries):
     for entry_id in ("L13", "L22"):
         with pytest.raises(HypothesesNotMet):
             verify_equivalence(entries[entry_id].spec, entries[entry_id].theorem)
+
+
+@pytest.mark.parametrize("dropped, named", [(None, "join-pairs"), ("join-pairs", "join-anchor"),
+                                             ("join-anchor", "join-pairs")])
+def test_refusal_names_the_first_failing_clause_other_than_the_dropped_one(l13, dropped, named):
+    # L13 fails both join clauses under th31
+    with pytest.raises(HypothesesNotMet) as err:
+        verify_equivalence(l13.spec, "th31", dropped)
+    assert err.value.clause == named
+    assert str(err.value) == f"standing hypothesis failed: {named}"
+
+
+@pytest.mark.parametrize("entry_id, theorem, dropped", [("L11", "th31", "join-pairs"),
+                                                        ("L11", "th31", "join-anchor"),
+                                                        ("L21", "th33", "join-anchor")])
+def test_refusal_says_when_the_dropped_clause_holds(entries, entry_id, theorem, dropped):
+    with pytest.raises(HypothesesNotMet) as err:
+        verify_equivalence(entries[entry_id].spec, theorem, dropped)
+    assert err.value.clause == dropped
+    assert str(err.value) == f"dropped clause holds: {dropped}"
+
+
+@pytest.mark.parametrize("entry_id, theorem, dropped, admitted", [
+    ("L11", "th31", None, True), ("L22", "th33", "join-anchor", True),
+    ("L13", "th31", None, False), ("L13", "th31", "join-pairs", False),
+    ("L11", "th31", "join-anchor", False),
+])
+def test_refusal_and_verdict_carry_the_hypothesis_report(entries, entry_id, theorem, dropped,
+                                                         admitted):
+    spec = entries[entry_id].spec
+    try:
+        report = verify_equivalence(spec, theorem, dropped).hypotheses
+    except HypothesesNotMet as err:
+        assert not admitted
+        report = err.report
+    else:
+        assert admitted
+    assert report == check_for(spec, theorem)
 
 
 def test_false_branch_has_necessity_shaped_witness():
@@ -285,12 +323,18 @@ def test_corpus_entries_do_not_qualify_for_single_clause_drops():
 
 
 def test_no_corpus_entry_qualifies_for_any_clause_drop(entries):
-    # the premise on which the clause-drop search leaves the corpus out
+    # the premise on which the clause-drop search leaves the corpus out: no
+    # entry is admitted with a clause dropped, predicted a uninorm and
+    # observed to fail
     for entry in entries.values():
         for theorem, profile in THEOREMS.items():
             spec = entry.spec if profile.orientation == "join" else dual_spec(entry.spec)
             for clause in (*profile.droppable_clauses, None):
-                assert _qualifies(spec, theorem, clause) is None, (entry.id, theorem, clause)
+                try:
+                    verdict = verify_equivalence(spec, theorem, clause)
+                except (HypothesesNotMet, SpecInvalid):
+                    continue
+                assert verdict.observed or not verdict.predicted, (entry.id, theorem, clause)
 
 
 def test_chain_specs_always_agree():
