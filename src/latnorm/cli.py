@@ -31,6 +31,7 @@ from .construct import (
     check_for,
     construct_eq1,
     construct_eq2,
+    join_anchor_class,
 )
 from .fileio import FileFormatError, parse_lattice, read_table, render_table, write_instance
 from .gen import ExhaustedRejection, GenConfig, gen_spec
@@ -219,10 +220,12 @@ def cmd_construct(args) -> None:
 
 def _matching_report(spec: ConstructionSpec, orientation: str) -> HypothesisReport:
     """The report of the theorem whose anchor class holds the spec's anchor:
-    th33/th36 beside the threshold, th31/th34 elsewhere."""
+    th33/th36 beside the threshold, th31/th34 elsewhere.  The spec is valid
+    up to its inner table, as the construction checked."""
     side, other = ("th33", "th31") if orientation == "join" else ("th36", "th34")
-    report = check_for(spec, side)
-    return report if report.anchor_class == "beside_threshold" else check_for(spec, other)
+    lat = spec.lattice if orientation == "join" else spec.lattice.dual()
+    beside = join_anchor_class(lat, spec.threshold, spec.neutral, spec.anchor) == "beside_threshold"
+    return check_for(spec, side if beside else other)
 
 
 def cmd_verify(args) -> None:

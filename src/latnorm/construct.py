@@ -16,10 +16,19 @@ The meet form is the order dual (meets, bottom, and the upper interval),
 and the code treats it as such: the meet-form construction, the t-conorm
 pinch and the meet-form hypothesis reports are the join-form (t-norm)
 code run on the spec transported to the dual lattice with
-:func:`dual_spec`, the result read back in the original order.  Spec
-validation transports a meet-form spec once and returns the join form;
-its texts name the caller's side.  The inner table's axiom verdict travels
-with the spec: it is computed on first use, for the table as given.
+:func:`dual_spec`, the result read back in the original order.  A spec's
+dual is built once and kept both ways, as a lattice's is, so a meet-form
+spec goes to join form once however many checks read it.  Spec validation
+returns the join form; its texts name the caller's side.  The inner
+table's axiom verdict travels with the spec: it is computed on first use,
+for the table as given.
+
+A hypothesis report splits along what it reads.  Every clause but
+``inner-class`` reads only the frame (lattice, threshold, neutral,
+anchor): :func:`frame_report` computes those once per frame and theorem
+and keeps them on the join-form lattice, so a generator can reject a frame
+before it draws an inner table.  :func:`check_for` adds the inner clause
+and keeps the whole report on the spec.
 
 Constructions are total: they evaluate for any valid spec, including ones
 that violate the theorem hypotheses, so counterexamples can be
@@ -65,7 +74,10 @@ class ConstructionSpec:
     form) or [threshold, top] (meet form) with the given neutral element.
     The anchor may be any lattice element; whether a theorem applies to it
     is the checkers' business, not the construction's.  ``inner_report``
-    (the inner table's axiom verdict) is computed once, on first use.
+    (the inner table's axiom verdict) is computed once, on first use; so
+    are the hypothesis report of each theorem (:func:`check_for`) and the
+    dual spec (:func:`dual_spec`), which the spec keeps.  A spec made with
+    ``dataclasses.replace`` starts with none of them.
     """
 
     lattice: BoundedLattice
@@ -91,7 +103,10 @@ class HypothesisReport:
 
     Field names follow the join-form reading; for the meet-form theorems
     the same slots hold the dual clauses (meets to bottom).  A ``None``
-    ``join_pairs_ok`` means the theorem does not state that clause.
+    ``join_pairs_ok`` means the theorem does not state that clause.  Every
+    clause but ``inner_in_ub`` reads the frame alone; a ``None``
+    ``inner_in_ub`` marks a report of the frame (:func:`frame_report`),
+    which has not read the inner table.
     """
 
     theorem: str
@@ -99,7 +114,7 @@ class HypothesisReport:
     join_pairs_ok: Optional[Clause]
     join_anchor_ok: Clause
     parallel_condition_ok: Clause
-    inner_in_ub: bool
+    inner_in_ub: Optional[bool]
     nonempty_guard: bool
 
     def standing_failures(self) -> tuple[str, ...]:
@@ -111,7 +126,7 @@ class HypothesisReport:
             failed.append(profile.pairs_clause)
         if not self.join_anchor_ok.ok:
             failed.append(profile.anchor_clause)
-        if not self.inner_in_ub:
+        if self.inner_in_ub is False:
             failed.append("inner-class")
         return tuple(failed)
 
@@ -213,22 +228,31 @@ def validate_spec(
 
 
 def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
-    """Transport a spec across lattice duality (join form <-> meet form)."""
-    dual = spec.lattice.dual()
-    return ConstructionSpec(
-        lattice=dual,
-        threshold=spec.threshold,
-        neutral=spec.neutral,
-        anchor=spec.anchor,
-        inner=rewrap(spec.inner, dual),
-    )
+    """Transport a spec across lattice duality (join form <-> meet form).
+    Built once and kept both ways (of racing threads, the first to store it
+    wins), so ``dual_spec(dual_spec(spec)) is spec``."""
+    dual = spec.__dict__.get("_dual")
+    if dual is None:
+        lat = spec.lattice.dual()
+        built = ConstructionSpec(
+            lattice=lat,
+            threshold=spec.threshold,
+            neutral=spec.neutral,
+            anchor=spec.anchor,
+            inner=rewrap(spec.inner, lat),
+        )
+        built.__dict__["_dual"] = spec
+        dual = spec.__dict__.setdefault("_dual", built)
+    return dual
 
 
 # -- the two constructions --------------------------------------------------
 
 
 def _join_form(spec: ConstructionSpec) -> OpTable:
-    """Cells of the join-form construction; the spec is already validated."""
+    """Cells of the join-form construction; the spec is already validated.
+    The regions are the ones its lattice keeps, which a report on the
+    spec's frame has already derived."""
     lat = spec.lattice
     regions = case_regions(lat, spec.neutral, spec.threshold)
     low_mask = regions.low
@@ -323,28 +347,68 @@ def construct_pinched_tconorm(lat: BoundedLattice, pivot: ElementId, lower: OpTa
 
 
 def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
-    """Hypothesis report of one theorem; meet-form theorems are checked in
-    join form on the dual spec."""
-    profile = theorem_profile(theorem)
-    if spec.threshold in (spec.lattice.bottom, spec.lattice.top):
-        raise SpecInvalid("theorem checkers require an interior threshold")
-    report = _join_report(validate_spec(spec, profile.orientation), profile)
-    if profile.orientation == "join":
-        return report
-    return replace(report, anchor_class=dual_class(report.anchor_class))
+    """Hypothesis report of one theorem: the :func:`frame_report` plus
+    ``inner-class``.  Meet-form theorems are checked in join form on the
+    dual spec.  Computed once per theorem and kept on the spec."""
+    kept = spec.__dict__.setdefault("_reports", {})
+    report = kept.get(theorem)
+    if report is None:
+        profile = theorem_profile(theorem)
+        if spec.threshold in (spec.lattice.bottom, spec.lattice.top):
+            raise SpecInvalid("theorem checkers require an interior threshold")
+        join_spec = validate_spec(spec, profile.orientation)
+        frame = frame_report(join_spec.lattice, spec.threshold, spec.neutral, spec.anchor, theorem)
+        inner_in_ub = in_class_ub(join_spec.inner, spec.neutral)
+        report = kept.setdefault(theorem, replace(frame, inner_in_ub=inner_in_ub))
+    return report
 
 
-def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisReport:
-    """Each clause's first witness, in id order, read off the frame's masks:
-    the anchor classes, the ``case_regions`` blocks and the anchor's
+def frame_report(
+    lat: BoundedLattice,
+    threshold: ElementId,
+    neutral: ElementId,
+    anchor: ElementId,
+    theorem: str,
+) -> HypothesisReport:
+    """The clauses of ``theorem`` that read the frame alone (``inner_in_ub``
+    is ``None``), the anchor class named as the theorem names it.  The frame
+    is in join form: for a meet-form theorem ``lat`` is the dual of the
+    spec's lattice.  It must be valid (an interior threshold, the neutral
+    below it).  Computed once per frame and theorem and kept on ``lat``."""
+    key = ("frame", theorem, threshold, neutral, anchor)
+    report = lat.kept.get(key)
+    if report is None:
+        profile = theorem_profile(theorem)
+        report = _join_frame(lat, threshold, neutral, anchor, profile)
+        if profile.orientation == "meet":
+            report = replace(report, anchor_class=dual_class(report.anchor_class))
+        report = lat.kept.setdefault(key, report)
+    return report
+
+
+def join_anchor_class(
+    lat: BoundedLattice, threshold: ElementId, neutral: ElementId, anchor: ElementId
+) -> str:
+    """The join-form class of ``anchor`` in the frame: the one whose
+    :func:`anchor_class_mask` holds it, else ``"other"``."""
+    regions = case_regions(lat, neutral, threshold)
+    return next((name for name in ANCHOR_CLASS_BLOCKS
+                 if anchor_class_mask(lat, regions, neutral, name) >> anchor & 1), "other")
+
+
+def _join_frame(
+    lat: BoundedLattice,
+    threshold: ElementId,
+    neutral: ElementId,
+    q: ElementId,
+    profile: TheoremProfile,
+) -> HypothesisReport:
+    """Each frame clause's first witness, in id order, read off the frame's
+    masks: the anchor classes, the ``case_regions`` blocks and the anchor's
     incomparables."""
-    lat = spec.lattice
-    q = spec.anchor
     top = lat.top
     join = lat.join
-    regions = case_regions(lat, spec.neutral, spec.threshold)
-    anchor_class = next((name for name in ANCHOR_CLASS_BLOCKS
-                         if anchor_class_mask(lat, regions, spec.neutral, name) >> q & 1), "other")
+    regions = case_regions(lat, neutral, threshold)
     iso = regions.isolated
     inc_q = lat.incomparables_mask(q)
 
@@ -364,11 +428,11 @@ def _join_report(spec: ConstructionSpec, profile: TheoremProfile) -> HypothesisR
 
     return HypothesisReport(
         theorem=profile.id,
-        anchor_class=anchor_class,
+        anchor_class=join_anchor_class(lat, threshold, neutral, q),
         join_pairs_ok=pairs,
         join_anchor_ok=anchor_clause,
         parallel_condition_ok=parallel_clause,
-        inner_in_ub=in_class_ub(spec.inner, spec.neutral),
+        inner_in_ub=None,
         nonempty_guard=bool(outside),
     )
 

@@ -4,7 +4,8 @@ The t-conorm cores and the ``join_core`` uninorm family are not written
 out: they are the t-norm cores and the ``meet_core`` family built on the
 dual lattice and read back, drawing from the generator in the same
 order.  Meet-form specs are generated in join form and transported with
-:func:`~latnorm.construct.dual_spec`.
+:func:`~latnorm.construct.dual_spec`, which keeps the join-form spec as
+the dual, so checking the spec later transports nothing again.
 
 Everything here is deterministic: generator state is an explicit
 ``random.Random`` seeded from the config, there is no hidden global
@@ -20,6 +21,12 @@ draws the pair first and redraws on an empty class (see
 :func:`gen_spec_candidates`).  Uninorms are not rejection-sampled:
 :func:`gen_uninorm` builds a valid skeleton, keeps only mutations that
 pass, and never redraws.
+
+:func:`gen_spec` wanting the hypotheses checks each candidate's frame
+(lattice, threshold, neutral, anchor) before it draws the inner table, and
+draws no table for a frame that fails; the inner seed is drawn either way,
+so each seed yields the spec it would if every table were drawn.  The spec
+it returns keeps its hypothesis report.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .construct import (
     check_for,
     dual_class,
     dual_spec,
+    frame_report,
     pinch_tnorm,
     theorem_profile,
 )
@@ -300,7 +308,9 @@ def gen_spec_candidates(
     cfg: GenConfig,
     theorem: str,
     anchor_class: Optional[str] = None,
-) -> Iterator[ConstructionSpec]:
+    *,
+    _frames_first: bool = False,
+) -> Iterator:
     """Endless deterministic stream of valid specs for one theorem.
 
     Hypotheses are NOT enforced here; callers filter.  For the meet-form
@@ -321,6 +331,11 @@ def gen_spec_candidates(
 
     An ``anchor_class`` that is not one of the theorem's classes raises
     ``ValueError`` naming them, on the first ``next``, before any draw.
+
+    ``_frames_first`` is :func:`gen_spec`'s: each candidate is then a pair
+    (its :func:`~latnorm.construct.frame_report`, the spec), and a frame
+    that fails a standing clause comes with ``None`` for a spec, its inner
+    table not drawn.
     """
     profile = theorem_profile(theorem)
     if anchor_class not in (None, *profile.anchor_classes):
@@ -359,17 +374,21 @@ def gen_spec_candidates(
         if not candidates:
             continue
         anchor = rng.choice(candidates)
+        inner_seed = rng.getrandbits(48)
+        dry_run = 0
+        if _frames_first:
+            frame = frame_report(lat, threshold, neutral, anchor, theorem)
+            if frame.standing_failures():
+                yield frame, None
+                continue
         below = lat.interval(lat.bottom, threshold)
-        inner = gen_uninorm(
-            lat, below, neutral, replace(cfg, seed=rng.getrandbits(48), class_filter="ub")
-        )
+        inner = gen_uninorm(lat, below, neutral, replace(cfg, seed=inner_seed, class_filter="ub"))
         spec = ConstructionSpec(
             lattice=lat, threshold=threshold, neutral=neutral, anchor=anchor, inner=inner
         )
         if profile.orientation == "meet":
             spec = dual_spec(spec)
-        dry_run = 0
-        yield spec
+        yield (frame, spec) if _frames_first else spec
 
 
 def gen_spec(
@@ -381,15 +400,17 @@ def gen_spec(
     """First spec for ``theorem`` whose anchor lies in the requested class.
 
     Every candidate's anchor is drawn from that class.  With
-    ``want_hypotheses`` the theorem's standing clauses must hold as well;
-    sampling is capped and the exhaustion error names the clause that
-    kept failing.
+    ``want_hypotheses`` the theorem's standing clauses must hold as well:
+    a candidate's frame is checked before its inner table is drawn, and
+    the spec returned keeps its report.  Sampling is capped at
+    ``ATTEMPT_CAP`` candidates and the exhaustion error names the clause
+    that kept failing.
     """
-    candidates = gen_spec_candidates(cfg, theorem, anchor_class=anchor_class)
     if not want_hypotheses:
-        return next(candidates)
-    for spec in islice(candidates, ATTEMPT_CAP):
-        failures = check_for(spec, theorem).standing_failures()
+        return next(gen_spec_candidates(cfg, theorem, anchor_class=anchor_class))
+    candidates = gen_spec_candidates(cfg, theorem, anchor_class=anchor_class, _frames_first=True)
+    for frame, spec in islice(candidates, ATTEMPT_CAP):
+        failures = (frame if spec is None else check_for(spec, theorem)).standing_failures()
         if not failures:
             return spec
     raise ExhaustedRejection(f"no spec within cap; last failing clause: {failures[0]}")

@@ -12,8 +12,9 @@ pairs) and checks one meet per incomparable pair (a finite poset with a
 top in which every two elements have a meet is a lattice, so the joins
 need no check); see :func:`build_lattice`.  No join or meet table is
 stored: a join is one dict lookup of ``up[a] & up[b]``, a meet the same
-over ``down``.  Instances are immutable (the covers and the dual are
-derived once, on first use) and safe to share across threads.
+over ``down``.  Instances are immutable and safe to share across threads:
+the covers, the dual and the :func:`case_regions` of each pair are derived
+once, on first use, and kept.
 """
 
 from __future__ import annotations
@@ -181,6 +182,13 @@ class BoundedLattice:
                     rest &= ~self.up[w]
         return tuple(covers)
 
+    @cached_property
+    def kept(self) -> dict:
+        """Values derived from the lattice and kept with it, by tagged key:
+        the :func:`case_regions` of each pair and the hypothesis frame
+        reports of :func:`latnorm.construct.frame_report`."""
+        return {}
+
     def incomparables_mask(self, a: ElementId) -> int:
         return self.all_mask & ~(self.up[a] | self.down[a])
 
@@ -224,8 +232,17 @@ def case_regions(lat: BoundedLattice, neutral: ElementId, threshold: ElementId) 
 
     Requires neutral <= threshold.  The six blocks are pairwise disjoint
     and cover the carrier; this is asserted because every construction
-    case split relies on it.
+    case split relies on it.  Derived once per pair and kept on the
+    lattice, so a frame's report and its construction read the same blocks.
     """
+    key = ("regions", neutral, threshold)
+    regions = lat.kept.get(key)
+    if regions is None:
+        regions = lat.kept.setdefault(key, _derive_regions(lat, neutral, threshold))
+    return regions
+
+
+def _derive_regions(lat: BoundedLattice, neutral: ElementId, threshold: ElementId) -> CaseRegions:
     up_n, down_n = lat.up[neutral], lat.down[neutral]
     up_t, down_t = lat.up[threshold], lat.down[threshold]
     if not up_n >> threshold & 1:

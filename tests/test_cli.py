@@ -259,25 +259,41 @@ def test_theorem_disagreement_exits_one_with_its_witness(golden, monkeypatch, ca
     )
 
 
+def _count_calls(monkeypatch, *names) -> list:
+    """Wrap each ``latnorm.construct`` function named; the list the wrappers
+    append their names to."""
+    calls = []
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(construct, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(f"latnorm.construct.{name}", wrapper)
+    return calls
+
+
 def test_theorem_builds_one_hypothesis_report(golden, monkeypatch, capsys):
     # the report printed is the one the verdict was checked against
-    calls = []
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(f"latnorm.construct.{name}", wrapper)
-
-    counting("_join_report", construct._join_report)
-    counting("validate_spec", construct.validate_spec)
+    calls = _count_calls(monkeypatch, "_join_frame", "validate_spec")
     code = main(["theorem", "--which", "th31", str(golden / "L11.lattice.json"),
                  str(golden / "L11.Ustar.table.json"), "--rho", "rho", "--e", "e",
                  "--anchor", "q"])
     assert code == 0
     assert capsys.readouterr().out.endswith("agree: True\n")
-    assert calls.count("_join_report") == 1
+    assert calls.count("_join_frame") == 1
     assert calls.count("validate_spec") == 2  # the report's and the construction's
+
+
+@pytest.mark.parametrize("anchor, theorem", [("q", "th31"), ("m", "th31"), ("s", "th33")])
+def test_construct_builds_one_hypothesis_report(golden, monkeypatch, capsys, anchor, theorem):
+    # the anchor class picks the theorem before any report is built
+    calls = _count_calls(monkeypatch, "_join_frame", "validate_spec")
+    code = main(["construct", str(golden / "L11.lattice.json"),
+                 str(golden / "L11.Ustar.table.json"), "--eq", "1", "--rho", "rho", "--e", "e",
+                 "--anchor", anchor, "--verify"])
+    assert code == 0
+    assert f"theorem {theorem}: anchor class" in capsys.readouterr().err
+    assert calls.count("_join_frame") == 1
+    assert calls.count("validate_spec") == 2  # the construction's and the report's
 
 
 def test_fuzz_disagreement_exits_one_and_dumps_the_instance(tmp_path, monkeypatch, capsys):

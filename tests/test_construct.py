@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -309,8 +311,9 @@ def test_chain_construction_is_uninorm():
 @pytest.mark.parametrize("theorem", ["th31", "th34"])
 def test_each_spec_runs_the_inner_battery_once(l11, monkeypatch, theorem):
     # a fresh spec (the corpus loader already checked l11.spec's inner
-    # table); th34 runs on it transported to the dual lattice (meet form)
-    spec = replace(l11.spec) if theorem == "th31" else dual_spec(l11.spec)
+    # table, and its kept dual may hold a verdict); th34 runs on it
+    # transported to the dual lattice (meet form)
+    spec = replace(l11.spec) if theorem == "th31" else dual_spec(replace(l11.spec))
     calls = []
 
     def counting(table, e):
@@ -323,6 +326,36 @@ def test_each_spec_runs_the_inner_battery_once(l11, monkeypatch, theorem):
     construct_for(spec, theorem)
     verify_equivalence(spec, theorem)
     assert calls == [spec.neutral]
+
+
+def test_kept_state_is_one_object_across_threads(l11):
+    # threads that ask a fresh spec for its dual and reports at once all
+    # get the one dual that is kept, and equal reports
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            spec = replace(l11.spec)
+            start = threading.Barrier(8)
+            seen = []
+
+            def ask():
+                start.wait(timeout=10)
+                dual = dual_spec(spec)
+                seen.append((dual, check_for(dual, "th34")))
+
+            workers = [threading.Thread(target=ask) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            assert len(seen) == 8
+            assert all(dual is dual_spec(spec) for dual, _ in seen)
+            assert dual_spec(dual_spec(spec)) is spec
+            assert all(report == check_for(dual_spec(spec), "th34") for _, report in seen)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_checker_rejects_boundary_threshold(l11):

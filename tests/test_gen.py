@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import latnorm.gen as gen_module
@@ -298,6 +300,21 @@ def test_dual_spec_roundtrip(l11):
     twice = dual_spec(dual_spec(l11.spec))
     assert twice.lattice == l11.spec.lattice
     assert twice.inner.values == l11.spec.inner.values
+    # the dual is kept both ways, as the lattice's is
+    assert twice is l11.spec
+    assert dual_spec(l11.spec) is dual_spec(l11.spec)
+    assert dual_spec(l11.spec).lattice is l11.spec.lattice.dual()
+
+
+def test_replace_starts_without_kept_state(l11):
+    spec = l11.spec
+    check_for(spec, "th31")
+    dual_spec(spec)
+    assert {"inner_report", "_reports", "_dual"} <= set(vars(spec))
+    fresh = replace(spec)
+    assert set(vars(fresh)) == {"lattice", "threshold", "neutral", "anchor", "inner"}
+    assert dual_spec(fresh) is not dual_spec(spec)
+    assert check_for(fresh, "th31") == check_for(spec, "th31")
 
 
 def test_exhaustion_error_names_constraint():
