@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
-from .lattice import BoundedLattice, CaseRegions, ElementId, case_regions, ids_of
+from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
 from .optable import AxiomReport, OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
@@ -190,15 +190,34 @@ ANCHOR_CLASS_BLOCKS = {
 }
 
 
+def anchor_class_rule(
+    lat: BoundedLattice, join_class: str
+) -> Callable[[ElementId, ElementId], int]:
+    """The join-form anchor class ``join_class`` of ``lat``, as a function
+    (threshold, neutral) -> mask of the carrier: its
+    :data:`ANCHOR_CLASS_BLOCKS` block of the ``case_regions`` of the pair,
+    read off the order masks by :data:`~latnorm.lattice.ANCHOR_BLOCK_RULES`,
+    less bottom and neutral, which only ``low`` holds.  No regions are
+    derived or kept, so a scan over every pair of a lattice costs a few
+    integer operations per pair.  The classes are disjoint; an anchor in
+    none of them is of class ``"other"``."""
+    block = ANCHOR_BLOCK_RULES[ANCHOR_CLASS_BLOCKS[join_class]]
+    up, down, bottom_bit = lat.up, lat.down, 1 << lat.bottom
+
+    def mask(threshold: ElementId, neutral: ElementId) -> int:
+        return block(up[neutral], down[neutral], up[threshold], down[threshold]) & ~(
+            bottom_bit | 1 << neutral
+        )
+
+    return mask
+
+
 def anchor_class_mask(
-    lat: BoundedLattice, regions: CaseRegions, neutral: ElementId, join_class: str
+    lat: BoundedLattice, threshold: ElementId, neutral: ElementId, join_class: str
 ) -> int:
-    """The join-form anchor class ``join_class`` as a mask of the carrier:
-    its :data:`ANCHOR_CLASS_BLOCKS` block of ``regions`` (the
-    ``case_regions`` of ``neutral`` and a threshold) less bottom and
-    neutral, which only ``low`` holds.  The classes are disjoint; an anchor
-    in none of them is of class ``"other"``."""
-    return getattr(regions, ANCHOR_CLASS_BLOCKS[join_class]) & ~(1 << lat.bottom | 1 << neutral)
+    """The mask of the join-form anchor class ``join_class`` in the frame
+    (``neutral`` <= ``threshold``); see :func:`anchor_class_rule`."""
+    return anchor_class_rule(lat, join_class)(threshold, neutral)
 
 
 # -- spec validation --------------------------------------------------------
@@ -391,9 +410,8 @@ def join_anchor_class(
 ) -> str:
     """The join-form class of ``anchor`` in the frame: the one whose
     :func:`anchor_class_mask` holds it, else ``"other"``."""
-    regions = case_regions(lat, neutral, threshold)
     return next((name for name in ANCHOR_CLASS_BLOCKS
-                 if anchor_class_mask(lat, regions, neutral, name) >> anchor & 1), "other")
+                 if anchor_class_mask(lat, threshold, neutral, name) >> anchor & 1), "other")
 
 
 def _join_frame(

@@ -3,7 +3,13 @@ from dataclasses import replace
 import pytest
 
 import latnorm.gen as gen_module
-from latnorm.construct import THEOREMS, anchor_class_mask, check_for
+from latnorm.construct import (
+    ANCHOR_CLASS_BLOCKS,
+    THEOREMS,
+    anchor_class_mask,
+    anchor_class_rule,
+    check_for,
+)
 from latnorm.gen import (
     ExhaustedRejection,
     GenConfig,
@@ -230,22 +236,42 @@ def _brute_hosts(lat, join_class):
     ]
 
 
+def _fresh_lattices() -> list:
+    """200 lattices of sizes 2..12, drawn anew, so nothing is kept on them."""
+    return [gen_lattice(GenConfig(seed=seed, size_range=(2, 12))) for seed in range(200)]
+
+
 def test_hosting_pairs_match_brute_force():
     hosted = dict.fromkeys(JOIN_CLASSES, 0)
-    for seed in range(200):
-        lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 9)))
-        for t in range(lat.n):
-            for n in lat.interval(lat.bottom, t):
-                regions = case_regions(lat, n, t)
-                classes = {c: anchor_class_mask(lat, regions, n, c) for c in JOIN_CLASSES}
-                assert classes == _brute_classes(lat, n, t)
+    lattices = _fresh_lattices()
+    assert max(lat.n for lat in lattices) == 12
+    for lat in lattices:
         for join_class in JOIN_CLASSES:
             hosts = gen_module._hosting_pairs(lat, join_class)
             assert hosts == [(t, n, _brute_classes(lat, n, t)[join_class])
                              for t, n in _brute_hosts(lat, join_class)]
             hosted[join_class] += bool(hosts)
+        # the scan derives and keeps no regions, so a discarded lattice costs nothing more
+        assert lat.kept == {}
+        for t in range(lat.n):
+            for n in lat.interval(lat.bottom, t):
+                classes = {c: anchor_class_mask(lat, t, n, c) for c in JOIN_CLASSES}
+                assert classes == _brute_classes(lat, n, t)
     # every class is hosted by some lattice and missing from another
     assert all(0 < count < 200 for count in hosted.values()), hosted
+
+
+@pytest.mark.parametrize("join_class", JOIN_CLASSES)
+def test_class_rule_is_the_case_regions_block(join_class):
+    # the one rule that the hosting scan and the anchor classes read is the
+    # class's block of the asserted six-block partition, less bottom and neutral
+    block = ANCHOR_CLASS_BLOCKS[join_class]
+    for lat in _fresh_lattices():
+        class_mask = anchor_class_rule(lat, join_class)
+        for t in range(lat.n):
+            for n in lat.interval(lat.bottom, t):
+                want = getattr(case_regions(lat, n, t), block) & ~(1 << lat.bottom | 1 << n)
+                assert class_mask(t, n) == want, (lat.names, t, n)
 
 
 def test_gen_spec_rejects_a_class_outside_the_theorem(monkeypatch):
