@@ -269,33 +269,49 @@ def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
 
 
 def _join_form(spec: ConstructionSpec) -> OpTable:
-    """Cells of the join-form construction; the spec is already validated.
-    The regions are the ones its lattice keeps, which a report on the
-    spec's frame has already derived."""
+    """The join-form construction of a validated spec, built a row at a
+    time from the ``case_regions`` blocks its lattice keeps (a report on the
+    spec's frame has already derived them).  With I = [bottom, threshold] =
+    ``low | mid | side_inner``, a row x in I is x's inner row on the I
+    columns and, on the others, y when x is in ``low``, else top; a row x
+    outside I is x on the ``low`` columns, x v y v anchor on the
+    ``isolated`` columns when x is isolated, and top on the rest.  Each row
+    is one ``bytes.translate``: a column index string shared by the rows of
+    its kind, read through a table of the row's values (element ids stay
+    below ``MAX_ELEMENTS`` = 64), so no Python runs per cell."""
     lat = spec.lattice
+    n, top = lat.n, lat.top
     regions = case_regions(lat, spec.neutral, spec.threshold)
-    low_mask = regions.low
-    inner_mask = low_mask | regions.mid | regions.side_inner
-    iso = regions.isolated
+    low, iso = regions.low, regions.isolated
+    inner_mask = low | regions.mid | regions.side_inner
     inner = spec.inner
-    join = lat.join
+    inner_pos = inner.pos
+    size = len(inner.carrier)
+    iso_ids = ids_of(iso)
+    # a row in I reads its inner row, then `ids` (x in low) or `tops`
+    inner_pick = bytes([inner_pos[y] if inner_mask >> y & 1 else size + y for y in range(n)])
+    ids, tops = bytes(range(n)), bytes([top]) * n
+    inner_pad = bytes(256 - size - n)
+    # a row outside I reads top, x, then its values on the isolated columns
+    outer_pick = bytearray(1 if low >> y & 1 else 0 for y in range(n))
+    for j, y in enumerate(iso_ids, 2):
+        outer_pick[y] = j
+    not_isolated = bytes([top]) * len(iso_ids)
+    outer_pad = bytes(254 - len(iso_ids))
     anchor = spec.anchor
-    top = lat.top
 
-    def cell(x: ElementId, y: ElementId) -> ElementId:
-        x_in = inner_mask >> x & 1
-        y_in = inner_mask >> y & 1
-        if x_in and y_in:
-            return inner.value(x, y)
-        if not x_in and low_mask >> y & 1:
-            return x
-        if low_mask >> x & 1 and not y_in:
-            return y
-        if iso >> x & 1 and iso >> y & 1:
-            return join(join(x, y), anchor)
-        return top
+    def row(x: ElementId) -> tuple[ElementId, ...]:
+        if inner_mask >> x & 1:
+            values = bytes(inner.values[inner_pos[x]]) + (ids if low >> x & 1 else tops)
+            return tuple(inner_pick.translate(values + inner_pad))
+        if iso >> x & 1:
+            # (x v y) v anchor = (x v anchor) v y
+            values = bytes(lat.joins(lat.join(x, anchor), iso_ids))
+        else:
+            values = not_isolated
+        return tuple(outer_pick.translate(bytes((top, x)) + values + outer_pad))
 
-    return table_from_function(lat, range(lat.n), cell)
+    return OpTable(lattice=lat, carrier=tuple(range(n)), values=tuple(map(row, range(n))))
 
 
 def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:

@@ -126,8 +126,7 @@ def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
 
 
 def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
-    index = {name: i for i, name in enumerate(lat.names)}
-    resolved = _resolve_names(index, carrier_names, rows)
+    resolved = _resolve_names(lat._index, carrier_names, rows)
     if resolved is None:
         resolved = _checked_names(lat, carrier_names, rows)
     carrier, values = resolved
@@ -140,17 +139,19 @@ def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
 def _resolve_names(index: dict, carrier_names, rows):
     """(carrier, values) as ids, one lookup per name, for a square table of
     element names; ``None`` when a type, a name or the shape is off.  Only
-    strings are keys of ``index``, so every name that resolves is one."""
+    strings are keys of ``index`` (the lattice's name -> element map), so
+    every name that resolves is one."""
     size = len(carrier_names) if type(carrier_names) is list else -1
     if type(rows) is not list or len(rows) != size:
         return None
+    get = index.__getitem__
     try:
-        carrier = tuple([index[name] for name in carrier_names])
+        carrier = tuple(map(get, carrier_names))
         values = []
         for row in rows:
             if type(row) is not list or len(row) != size:
                 return None
-            values.append(tuple([index[cell] for cell in row]))
+            values.append(tuple(map(get, row)))
     except (KeyError, TypeError):  # an unknown name, or an unhashable cell
         return None
     return carrier, tuple(values)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 ElementId = int
 
@@ -133,6 +133,12 @@ class BoundedLattice:
 
     def meet(self, a: ElementId, b: ElementId) -> ElementId:
         return self._by_down[self.down[a] & self.down[b]]
+
+    def joins(self, a: ElementId, ids) -> Iterator[ElementId]:
+        """a v y for each y of ``ids``, in order; lazily, and with no Python
+        call per element."""
+        up = self.up
+        return map(self._by_up.__getitem__, map(up[a].__and__, map(up.__getitem__, ids)))
 
     # -- subsets ----------------------------------------------------------
 

@@ -14,10 +14,12 @@ monotonicity is bit-sliced.  There each table line (a row, plus its column
 when both arguments are checked) is one int whose field c is the down-set
 mask of the cell, and the ints are ANDed down the covers of the carrier,
 so one comparison per element decides it (O(lines * (n + carrier covers))
-big-int operations on ints of n * ceil(n / 8) bytes).  Only where a row or
-an element fails does a per-cell walk name the witness, which is the one a
-per-cell scan of every cell would return.  The per-cell loops are kept as
-the reference in ``tests/test_battery_oracle.py``.
+big-int operations on ints of n * ceil(n / 8) bytes); the same ints name
+the witness, one AND per element above the failing one.  Only where a
+commutativity or associativity row fails does a walk of its cells name the
+witness.  Every witness is the one a per-cell scan of every cell would
+return; the per-cell loops are kept as the reference in
+``tests/test_battery_oracle.py``.
 
 The ``ut`` and ``umin`` class predicates are not written out: each is its
 twin (``ub``, ``umax``) evaluated on the table transported to the order
@@ -199,9 +201,11 @@ def first_associativity_witness(t: OpTable) -> Optional[AssociativityWitness]:
 
     Every triple is decided, a whole row at a time.  Rows are held as
     bytes of element ids (ids stay below ``MAX_ELEMENTS`` = 64), and for
-    each ``a`` in carrier order U(a, .) becomes a translation table, so one
-    ``bytes.translate`` of all the rows gives U(a, U(b, c)) for every
-    (b, c) at once, compared with the rows U(U(a, b), .) that row a picks.
+    each ``a`` in carrier order U(a, .) becomes a translation table (itself
+    one ``bytes.translate`` of the carrier position of every id through row
+    a's bytes), so one ``bytes.translate`` of all the rows gives
+    U(a, U(b, c)) for every (b, c) at once, compared with the rows
+    U(U(a, b), .) that row a picks.
     A mismatching ``a``, or one whose row leaves the carrier, is rescanned
     row by row, and a mismatching (a, b) cell by cell, so the witness is
     the lexicographically first triple of a per-cell scan, and cells
@@ -216,11 +220,14 @@ def first_associativity_witness(t: OpTable) -> Optional[AssociativityWitness]:
     all_rows = b"".join(rows)
     # byte x of the table of row a is U(a, x), or 0xFF, which no element id
     # reaches, where x is outside the carrier; no cell holds an id past the
-    # lattice, so the rest of the 256 bytes is padding
-    cols = [pos.get(x, len(carrier)) for x in range(t.lattice.n)]
+    # lattice, so the rest of the 256 bytes is padding.  `gather` holds the
+    # carrier position of each x (len(carrier) outside it), so translating
+    # it through row a's bytes, then 0xFF, then filler, is that table.
+    gather = bytes([pos.get(x, len(carrier)) for x in range(t.lattice.n)])
+    tail = b"\xff" + bytes(255 - len(carrier))
     pad = bytes(256 - t.lattice.n)
-    for a, row_a in zip(carrier, values):
-        u_a = bytes(map((*row_a, 0xFF).__getitem__, cols)) + pad
+    for a, row_a, bytes_a in zip(carrier, values, rows):
+        u_a = gather.translate(bytes_a + tail) + pad
         if in_carrier.issuperset(row_a) and all_rows.translate(u_a) == b"".join(
             map(row_of.__getitem__, row_a)
         ):
@@ -257,10 +264,13 @@ def first_monotonicity_witness(
     carrier: a meet of down-sets is a down-set, so ``N[a]`` holds in field c
     the down-set of the meet of U(b, c) over all b >= a, and it differs from
     ``D[a]`` exactly when some b > a and some c have U(a, c) not <= U(b, c).
-    The first such ``a`` in carrier order is the witness's, and the per-cell
-    (b, c, side) scan of that one ``a`` names the witness a full scan would.
-    O(lines * (n + carrier covers)) big-int operations on n * w-byte ints
-    instead of O(n^3) cell comparisons.
+    The first such ``a`` in carrier order is the witness's.  Its b is the
+    first b > a in carrier order with ``drop = D[a] & ~D[b]`` non-zero: a
+    set field c of the first half is U(a, c) not <= U(b, c), of the second
+    U(c, a) not <= U(c, b).  The lowest set field of each half gives c, the
+    left side winning at equal c, which is the witness a per-cell
+    (b, c, side) scan would name.  O(lines * (n + carrier covers)) big-int
+    operations on n * w-byte ints instead of O(n^3) cell comparisons.
     """
     lat = t.lattice
     carrier = t.carrier
@@ -286,20 +296,28 @@ def first_monotonicity_witness(
     a = next((a for a in carrier if N[a] != D[a]), None)
     if a is None:
         return None
+    k = len(carrier)
+    bits = 8 * width
+    half = k * bits
+    above = up[a] & ~(1 << a)
+    line_a = D[a]
     for b in carrier:
-        if a == b or not lat.leq(a, b):
-            continue
-        for c in carrier:
-            ua = t.value(a, c)
-            ub = t.value(b, c)
-            if not lat.leq(ua, ub):
-                return (a, b, c, ua, ub, "left")
-            if both_sides:
-                va = t.value(c, a)
-                vb = t.value(c, b)
-                if not lat.leq(va, vb):
-                    return (a, b, c, va, vb, "right")
+        drop = line_a & ~D[b] if above >> b & 1 else 0
+        if drop:
+            left = _lowest_field(drop & ((1 << half) - 1), bits, k)
+            right = _lowest_field(drop >> half, bits, k)
+            if left <= right:  # at equal c the left side is named first
+                c = carrier[left]
+                return (a, b, c, t.value(a, c), t.value(b, c), "left")
+            c = carrier[right]
+            return (a, b, c, t.value(c, a), t.value(c, b), "right")
     raise AssertionError("the masks found a drop at this element")
+
+
+def _lowest_field(mask: int, bits: int, empty: int) -> int:
+    """Index of the lowest non-zero ``bits``-bit field of ``mask``;
+    ``empty`` when ``mask`` is 0."""
+    return ((mask & -mask).bit_length() - 1) // bits if mask else empty
 
 
 def first_neutral_witness(t: OpTable, e: ElementId) -> Optional[NeutralWitness]:

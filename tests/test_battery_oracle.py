@@ -9,7 +9,11 @@ carrier in id order, shuffled, or a proper sub-carrier that is not an
 interval; meet and join tables, random cells (some outside the carrier) and
 tables with one mutated cell; and the 64-element chain, Boolean lattice
 and 8x8 grid, whole, on a sub-carrier that is not convex, and with a drop
-on the right side only.
+on the right side only.  Three 64-element tables pin how the monotonicity
+witness is named once the failing element is found: a right drop at an
+earlier argument than the first left one, drops on both sides at the same
+argument (the left is named), and a first element above that does not drop
+where a later one does.
 """
 
 import random
@@ -194,4 +198,55 @@ def test_a_drop_on_the_right_side_only():
     t = OpTable(lat, meet.carrier, tuple(map(tuple, cells)))
     assert first_monotonicity_witness(t, both_sides=False) is None
     assert first_monotonicity_witness(t, both_sides=True) == (62, 63, 0, 1, 0, "right")
+    assert_same_witnesses(t)
+
+
+def _planted(lat, carrier, cells):
+    """The meet on ``carrier`` with the cells of ``cells`` ((x, y) -> value,
+    by element) set; the plants need not be symmetric."""
+    pos = {a: i for i, a in enumerate(carrier)}
+    values = [[lat.meet(a, b) for b in carrier] for a in carrier]
+    for (x, y), v in cells.items():
+        values[pos[x]][pos[y]] = v
+    return OpTable(lat, tuple(carrier), tuple(map(tuple, values)))
+
+
+def test_a_right_drop_at_an_earlier_c_is_named_first():
+    # the min on the 64-chain with U(c50, c40) = c45 and U(c40, c60) = c45:
+    # row c40 falls from c45 to c41 against c41 at c60 (left), and column
+    # c40 does so at c50 (right), which the scan reaches first
+    lat = _chain(64)
+    t = _planted(lat, range(64), {(50, 40): 45, (40, 60): 45})
+    assert first_monotonicity_witness(t, both_sides=True) == (40, 41, 50, 45, 41, "right")
+    assert first_monotonicity_witness(t, both_sides=False) == (40, 41, 60, 45, 41, "left")
+    assert_same_witnesses(t)
+
+
+def test_drops_on_both_sides_at_one_c_name_the_left():
+    # the meet on the 8x8 grid with U(g5_0, top) = U(top, g5_0) = g6_0:
+    # against g5_1, the first element above g5_0, both sides drop at top
+    lat = _grid(8, 8)
+    a, b, top = lat.index("g5_0"), lat.index("g5_1"), lat.top
+    up = lat.index("g6_0")
+    t = _planted(lat, range(64), {(a, top): up, (top, a): up})
+    assert first_monotonicity_witness(t, both_sides=True) == (a, b, top, up, b, "left")
+    assert_same_witnesses(t)
+    # the same on a shuffled carrier, where top is not the last column
+    carrier = list(range(64))
+    random.Random(19).shuffle(carrier)
+    assert_same_witnesses(_planted(lat, carrier, {(a, top): up, (top, a): up}))
+
+
+def test_the_first_element_above_need_not_be_the_witness():
+    # the meet on 2^6 with U(101000, top) = 101001: 101001, the first
+    # element above 101000, lies above that value, 101010 after it does not
+    lat = _boolean(6)
+    a, top = lat.index("101000"), lat.top
+    first, second = lat.index("101001"), lat.index("101010")
+    t = _planted(lat, range(64), {(a, top): first})
+    assert min(b for b in range(64) if b != a and lat.leq(a, b)) == first
+    for both_sides in (False, True):
+        assert first_monotonicity_witness(t, both_sides=both_sides) == (
+            a, second, top, first, second, "left"
+        )
     assert_same_witnesses(t)
