@@ -27,8 +27,8 @@ A hypothesis report splits along what it reads.  Every clause but
 ``inner-class`` reads only the frame (lattice, threshold, neutral,
 anchor): :func:`frame_report` computes those once per frame and theorem
 and keeps them on the join-form lattice, so a generator can reject a frame
-before it draws an inner table.  :func:`check_for` adds the inner clause
-and keeps the whole report on the spec.
+before it draws an inner table.  :func:`check_for` adds the inner clause;
+it builds a new report on every call and keeps nothing on the spec.
 
 Constructions are total: they evaluate for any valid spec, including ones
 that violate the theorem hypotheses, so counterexamples can be
@@ -73,11 +73,10 @@ class ConstructionSpec:
     ``inner`` must be an operation table on [bottom, threshold] (join
     form) or [threshold, top] (meet form) with the given neutral element.
     The anchor may be any lattice element; whether a theorem applies to it
-    is the checkers' business, not the construction's.  ``inner_report``
-    (the inner table's axiom verdict) is computed once, on first use; so
-    are the hypothesis report of each theorem (:func:`check_for`) and the
-    dual spec (:func:`dual_spec`), which the spec keeps.  A spec made with
-    ``dataclasses.replace`` starts with none of them.
+    is the checkers' business, not the construction's.  A spec keeps two
+    values, each computed once, on first use: ``inner_report`` (the inner
+    table's axiom verdict) and its dual (:func:`dual_spec`).  A spec made
+    with ``dataclasses.replace`` starts with neither.
     """
 
     lattice: BoundedLattice
@@ -270,11 +269,10 @@ def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
 
 def _join_form(spec: ConstructionSpec) -> OpTable:
     """The join-form construction of a validated spec, built a row at a
-    time from the ``case_regions`` blocks its lattice keeps (a report on the
-    spec's frame has already derived them).  With I = [bottom, threshold] =
-    ``low | mid | side_inner``, a row x in I is x's inner row on the I
-    columns and, on the others, y when x is in ``low``, else top; a row x
-    outside I is x on the ``low`` columns, x v y v anchor on the
+    time from the ``case_regions`` blocks of its frame.  With I = [bottom,
+    threshold] = ``low | mid | side_inner``, a row x in I is x's inner row
+    on the I columns and, on the others, y when x is in ``low``, else top;
+    a row x outside I is x on the ``low`` columns, x v y v anchor on the
     ``isolated`` columns when x is isolated, and top on the rest.  Each row
     is one ``bytes.translate``: a column index string shared by the rows of
     its kind, read through a table of the row's values (element ids stay
@@ -382,20 +380,15 @@ def construct_pinched_tconorm(lat: BoundedLattice, pivot: ElementId, lower: OpTa
 
 
 def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
-    """Hypothesis report of one theorem: the :func:`frame_report` plus
-    ``inner-class``.  Meet-form theorems are checked in join form on the
-    dual spec.  Computed once per theorem and kept on the spec."""
-    kept = spec.__dict__.setdefault("_reports", {})
-    report = kept.get(theorem)
-    if report is None:
-        profile = theorem_profile(theorem)
-        if spec.threshold in (spec.lattice.bottom, spec.lattice.top):
-            raise SpecInvalid("theorem checkers require an interior threshold")
-        join_spec = validate_spec(spec, profile.orientation)
-        frame = frame_report(join_spec.lattice, spec.threshold, spec.neutral, spec.anchor, theorem)
-        inner_in_ub = in_class_ub(join_spec.inner, spec.neutral)
-        report = kept.setdefault(theorem, replace(frame, inner_in_ub=inner_in_ub))
-    return report
+    """Hypothesis report of one theorem: the :func:`frame_report` (kept on
+    the join-form lattice) plus ``inner-class``.  Meet-form theorems are
+    checked in join form on the dual spec."""
+    profile = theorem_profile(theorem)
+    if spec.threshold in (spec.lattice.bottom, spec.lattice.top):
+        raise SpecInvalid("theorem checkers require an interior threshold")
+    join_spec = validate_spec(spec, profile.orientation)
+    frame = frame_report(join_spec.lattice, spec.threshold, spec.neutral, spec.anchor, theorem)
+    return replace(frame, inner_in_ub=in_class_ub(join_spec.inner, spec.neutral))
 
 
 def frame_report(

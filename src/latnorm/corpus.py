@@ -137,9 +137,16 @@ def _entry(
     )
 
 
-def _build_l11() -> CorpusEntry:
-    return _entry(
-        "L11",
+# note of the L13 and L22 cells that are kept as printed
+_KEPT = (
+    "symmetric as printed but contradicts the join case of the "
+    "formula on the reconstructed covers; kept because the printed "
+    "table is the counterexample object"
+)
+
+
+_ENTRIES = {
+    "L11": dict(
         elements=("0", "q", "e", "k", "c", "rho", "m", "t", "s", "d", "1"),
         covers=[
             ("0", "q"), ("0", "k"),
@@ -175,12 +182,8 @@ def _build_l11() -> CorpusEntry:
         theorem="th31",
         constructed_key="U1",
         expected_uninorm=True,
-    )
-
-
-def _build_l12() -> CorpusEntry:
-    return _entry(
-        "L12",
+    ),
+    "L12": dict(
         elements=("0", "f", "e", "c", "q", "rho", "s", "t", "m", "d", "1"),
         covers=[
             ("0", "f"), ("0", "t"),
@@ -223,20 +226,8 @@ def _build_l12() -> CorpusEntry:
                      "symmetric cell (f,e) both give f",
             ),
         ],
-    )
-
-
-# note of the L13 and L22 cells that are kept as printed
-_KEPT = (
-    "symmetric as printed but contradicts the join case of the "
-    "formula on the reconstructed covers; kept because the printed "
-    "table is the counterexample object"
-)
-
-
-def _build_l13() -> CorpusEntry:
-    return _entry(
-        "L13",
+    ),
+    "L13": dict(
         elements=("0", "q", "e", "rho", "s", "m", "t", "d", "1"),
         covers=[
             ("0", "q"), ("0", "s"), ("0", "m"),
@@ -282,12 +273,8 @@ def _build_l13() -> CorpusEntry:
             Erratum(row="t", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
         ],
         cited_witness=("s", "t", "m"),
-    )
-
-
-def _build_l21() -> CorpusEntry:
-    return _entry(
-        "L21",
+    ),
+    "L21": dict(
         elements=("0", "f", "e", "c", "rho", "q", "t", "m", "d", "1"),
         covers=[
             ("0", "f"), ("0", "t"),
@@ -327,12 +314,8 @@ def _build_l21() -> CorpusEntry:
                      "symmetric cell (f,e) both give f",
             ),
         ],
-    )
-
-
-def _build_l22() -> CorpusEntry:
-    return _entry(
-        "L22",
+    ),
+    "L22": dict(
         elements=("0", "e", "rho", "s", "t", "m", "q", "d", "1"),
         covers=[
             ("0", "e"), ("0", "s"), ("0", "t"),
@@ -369,25 +352,17 @@ def _build_l22() -> CorpusEntry:
             Erratum(row="m", col="s", printed="1", formula="d", repaired=False, note=_KEPT),
         ],
         cited_witness=("s", "m", "t"),
-    )
-
-
-_BUILDERS = {
-    "L11": _build_l11,
-    "L12": _build_l12,
-    "L13": _build_l13,
-    "L21": _build_l21,
-    "L22": _build_l22,
+    ),
 }
 
-ENTRY_IDS = tuple(_BUILDERS)
+ENTRY_IDS = tuple(_ENTRIES)
 
 
 def load(entry_id: str) -> CorpusEntry:
     """Build and validate one corpus entry."""
-    if entry_id not in _BUILDERS:
+    if entry_id not in _ENTRIES:
         raise UnknownId(f"unknown corpus id {entry_id!r}; choose from {ENTRY_IDS}")
-    entry = _BUILDERS[entry_id]()
+    entry = _entry(entry_id, **_ENTRIES[entry_id])
     report = entry.spec.inner_report
     assert report.ok, f"{entry_id}: inner table fails {report.failures()}"
     return entry
@@ -420,21 +395,22 @@ class ReplayReport:
 
 
 def replay_entry(entry: CorpusEntry) -> EntryReplay:
+    """Construct the entry's table and check it against the print: the
+    cells where they differ must be exactly the errata's, one erratum per
+    cell, each holding the constructed value as ``formula`` and the
+    printed one as ``printed``."""
     table = construct_for(entry.spec, entry.theorem)
     diff = table.diff(entry.printed)
-    expected_diff = {
-        (entry.lattice.index(err.row), entry.lattice.index(err.col))
+    index = entry.lattice.index
+    ledger = {
+        (index(err.row), index(err.col)): (index(err.formula), index(err.printed))
         for err in entry.errata
     }
-    diff_ok = set(diff) == expected_diff
-    if diff_ok:
-        for err in entry.errata:
-            r = entry.lattice.index(err.row)
-            c = entry.lattice.index(err.col)
-            if table.value(r, c) != entry.lattice.index(err.formula):
-                diff_ok = False
-            if entry.printed.value(r, c) != entry.lattice.index(err.printed):
-                diff_ok = False
+    diff_ok = (
+        len(ledger) == len(entry.errata)
+        and set(diff) == set(ledger)
+        and all(ledger[r, c] == (table.value(r, c), entry.printed.value(r, c)) for r, c in diff)
+    )
 
     report = is_uninorm(entry.stored, entry.spec.neutral)
     verdict_ok = report.ok == entry.expected_uninorm

@@ -27,8 +27,10 @@ skeleton, keeps only mutations that pass, and never redraws.
 :func:`gen_spec` wanting the hypotheses checks each candidate's frame
 (lattice, threshold, neutral, anchor) before it draws the inner table, and
 draws no table for a frame that fails; the inner seed is drawn either way,
-so each seed yields the spec it would if every table were drawn.  The spec
-it returns keeps its hypothesis report.
+so each seed yields the spec it would if every table were drawn.  The frame
+decides: the inner table is always in ``ub``, so the ``inner-class`` clause
+holds for every spec drawn.  The frame report stays on the lattice; the
+spec keeps no report.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .construct import (
     ConstructionSpec,
     anchor_class_mask,
     anchor_class_rule,
-    check_for,
     dual_class,
     dual_spec,
     frame_report,
@@ -297,9 +298,8 @@ def _hosting_pairs(lat: BoundedLattice, join_class: str) -> list[tuple[ElementId
     and neutral below it, whose ``join_class`` mask is non-empty;
     thresholds ascending, then neutrals ascending.  Each mask is read off
     the order masks by :func:`~latnorm.construct.anchor_class_rule`, a few
-    integer operations per pair (about 6 µs per lattice of 4..9 elements,
-    where deriving every pair's ``case_regions`` took about 30 µs).  No
-    regions are derived, so a lattice the stream throws away keeps nothing."""
+    integer operations per pair, so a lattice the stream throws away keeps
+    nothing."""
     class_mask = anchor_class_rule(lat, join_class)
     hosts = []
     for threshold in range(lat.n):
@@ -411,16 +411,17 @@ def gen_spec(
 
     Every candidate's anchor is drawn from that class.  With
     ``want_hypotheses`` the theorem's standing clauses must hold as well:
-    a candidate's frame is checked before its inner table is drawn, and
-    the spec returned keeps its report.  Sampling is capped at
-    ``ATTEMPT_CAP`` candidates and the exhaustion error names the clause
-    that kept failing.
+    the spec returned is the first drawn, a spec being drawn only for a
+    frame that passes (see :func:`gen_spec_candidates`).  Sampling is
+    capped at ``ATTEMPT_CAP`` candidates and the exhaustion error names
+    the first failing clause of the last frame.
     """
     if not want_hypotheses:
         return next(gen_spec_candidates(cfg, theorem, anchor_class=anchor_class))
     candidates = gen_spec_candidates(cfg, theorem, anchor_class=anchor_class, _frames_first=True)
     for frame, spec in islice(candidates, ATTEMPT_CAP):
-        failures = (frame if spec is None else check_for(spec, theorem)).standing_failures()
-        if not failures:
+        if spec is not None:
             return spec
-    raise ExhaustedRejection(f"no spec within cap; last failing clause: {failures[0]}")
+    raise ExhaustedRejection(
+        f"no spec within cap; last failing clause: {frame.standing_failures()[0]}"
+    )

@@ -13,8 +13,9 @@ top in which every two elements have a meet is a lattice, so the joins
 need no check); see :func:`build_lattice`.  No join or meet table is
 stored: a join is one dict lookup of ``up[a] & up[b]``, a meet the same
 over ``down``.  Instances are immutable and safe to share across threads:
-the covers, the dual and the :func:`case_regions` of each pair are derived
-once, on first use, and kept.
+the covers, the dual and the hypothesis frame reports are derived once, on
+first use, and kept; the :func:`case_regions` blocks are derived on every
+call, a few mask operations.
 """
 
 from __future__ import annotations
@@ -187,9 +188,9 @@ class BoundedLattice:
 
     @cached_property
     def kept(self) -> dict:
-        """Values derived from the lattice and kept with it, by tagged key:
-        the :func:`case_regions` of each pair and the hypothesis frame
-        reports of :func:`latnorm.construct.frame_report`."""
+        """The hypothesis frame reports of
+        :func:`latnorm.construct.frame_report`, kept with the lattice by
+        tagged key ``("frame", ...)``."""
         return {}
 
     def incomparables_mask(self, a: ElementId) -> int:
@@ -230,21 +231,6 @@ class CaseRegions(NamedTuple):
     high: int
 
 
-def case_regions(lat: BoundedLattice, neutral: ElementId, threshold: ElementId) -> CaseRegions:
-    """Partition the carrier for the threshold constructions.
-
-    Requires neutral <= threshold.  The six blocks are pairwise disjoint
-    and cover the carrier; this is asserted because every construction
-    case split relies on it.  Derived once per pair and kept on the
-    lattice, so a frame's report and its construction read the same blocks.
-    """
-    key = ("regions", neutral, threshold)
-    regions = lat.kept.get(key)
-    if regions is None:
-        regions = lat.kept.setdefault(key, _derive_regions(lat, neutral, threshold))
-    return regions
-
-
 # The three blocks of :func:`case_regions` that hold the anchor classes, each
 # a rule on the order masks of the neutral and the threshold alone:
 # (up_n, down_n, up_t, down_t) -> block.  ``~(up | down)`` is the complement
@@ -256,7 +242,14 @@ ANCHOR_BLOCK_RULES: dict[str, Callable[[int, int, int, int], int]] = {
 }
 
 
-def _derive_regions(lat: BoundedLattice, neutral: ElementId, threshold: ElementId) -> CaseRegions:
+def case_regions(lat: BoundedLattice, neutral: ElementId, threshold: ElementId) -> CaseRegions:
+    """Partition the carrier for the threshold constructions.
+
+    Requires neutral <= threshold.  The six blocks are pairwise disjoint
+    and cover the carrier; this is asserted because every construction
+    case split relies on it.  Derived on every call, from the order masks
+    of the pair.
+    """
     up_n, down_n = lat.up[neutral], lat.down[neutral]
     up_t, down_t = lat.up[threshold], lat.down[threshold]
     if not up_n >> threshold & 1:
@@ -285,6 +278,23 @@ def _closure(up: list[int], n: int) -> None:
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= row_k
+
+
+def _close(order, edges: list[int]) -> list[int]:
+    """The mask of each element and everything it reaches along ``edges``
+    (each element's direct successors, or predecessors), filled along
+    ``order``, in which every element comes after those its edges reach.
+    Set bits are walked inline, with no generator per element."""
+    masks = [0] * len(edges)
+    for v in order:
+        mask = 1 << v
+        rest = edges[v]
+        while rest:
+            low = rest & -rest
+            mask |= masks[low.bit_length() - 1]
+            rest ^= low
+        masks[v] = mask
+    return masks
 
 
 def _cycle_error(names: tuple[str, ...], succ: list[int]) -> NotAPoset:
@@ -332,17 +342,11 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
     ``ValueError``.
 
     The closure costs O(n + pairs): Kahn's algorithm orders the elements
-    so that every pair goes forward, then ``up`` is filled in one pass
-    backwards along that order and ``down`` in one pass forwards, each
-    element OR-ing the masks of its direct successors (predecessors).  The
-    three passes walk set bits inline, with no generator per element, and
-    the name index built to read the pairs is the lattice's own: a
-    generated draw of 4..9 elements builds in about 19 µs, against 23 µs
-    with a generator per element and a second index (best of 40 runs over
-    1,045 draws, 2-core Intel Xeon, Python 3.11).
-    When the order comes out short the pairs hold a cycle; only then is
-    Warshall's O(n^2) closure run, to name the pair that breaks
-    antisymmetry.
+    so that every pair goes forward, then :func:`_close` fills ``up`` in one
+    pass backwards along that order and ``down``, its mirror image, in one
+    pass forwards.  When the order comes out short the pairs hold a cycle;
+    only then is Warshall's O(n^2) closure run, to name the pair that
+    breaks antisymmetry.
 
     A finite poset with a top in which every two elements have a meet is
     a lattice (the join of a and b is the meet of their common upper
@@ -396,24 +400,8 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
     if len(order) < n:
         raise _cycle_error(names, succ)
 
-    up = [0] * n
-    for v in reversed(order):
-        mask = 1 << v
-        rest = succ[v]
-        while rest:
-            low = rest & -rest
-            mask |= up[low.bit_length() - 1]
-            rest ^= low
-        up[v] = mask
-    down = [0] * n
-    for v in order:
-        mask = 1 << v
-        rest = pred[v]
-        while rest:
-            low = rest & -rest
-            mask |= down[low.bit_length() - 1]
-            rest ^= low
-        down[v] = mask
+    up = _close(reversed(order), succ)
+    down = _close(order, pred)
 
     all_mask = (1 << n) - 1
     bottoms = [i for i in range(n) if up[i] == all_mask]

@@ -9,16 +9,17 @@ that can be re-evaluated against the table.
 Witnesses are the lexicographically first in carrier presentation order,
 so reports are reproducible run to run.  The scans work on whole rows and
 bit masks rather than single cells: commutativity compares row i with
-column i, associativity all rows through ``bytes.translate``, and
+column i, the neutral check row e and column e with the carrier,
+associativity all rows through ``bytes.translate``, and
 monotonicity is bit-sliced.  There each table line (a row, plus its column
 when both arguments are checked) is one int whose field c is the down-set
 mask of the cell, and the ints are ANDed down the covers of the carrier,
 so one comparison per element decides it (O(lines * (n + carrier covers))
 big-int operations on ints of n * ceil(n / 8) bytes); the same ints name
 the witness, one AND per element above the failing one.  Only where a
-commutativity or associativity row fails does a walk of its cells name the
-witness.  Every witness is the one a per-cell scan of every cell would
-return; the per-cell loops are kept as the reference in
+commutativity, neutral or associativity row fails does a walk of its cells
+name the witness.  Every witness is the one a per-cell scan of every cell
+would return; the per-cell loops are kept as the reference in
 ``tests/test_battery_oracle.py``.
 
 The ``ut`` and ``umin`` class predicates are not written out: each is its
@@ -29,6 +30,7 @@ dual of its lattice with :func:`rewrap`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .lattice import BoundedLattice, ElementId, ids_of, mask_of
@@ -321,13 +323,20 @@ def _lowest_field(mask: int, bits: int, empty: int) -> int:
 
 
 def first_neutral_witness(t: OpTable, e: ElementId) -> Optional[NeutralWitness]:
-    for x in t.carrier:
-        got = t.value(e, x)
-        if got != x:
-            return (x, got)
-        got = t.value(x, e)
-        if got != x:
-            return (x, got)
+    """First x in carrier order with U(e,x) != x, else U(x,e) != x.
+
+    Row e and column e are compared whole with the carrier; only on a
+    mismatch are their cells walked to name the witness.
+    """
+    carrier = t.carrier
+    i = t.pos[e]
+    row, col = t.values[i], tuple(map(itemgetter(i), t.values))
+    if row != carrier or col != carrier:
+        for x, ex, xe in zip(carrier, row, col):
+            if ex != x:
+                return (x, ex)
+            if xe != x:
+                return (x, xe)
     return None
 
 

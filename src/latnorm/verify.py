@@ -166,9 +166,10 @@ def verify_equivalence(
     Unless the standing clauses hold (all but ``drop_clause``, which must
     fail), raises :class:`HypothesesNotMet` with the report before anything
     is constructed.  The prediction is the parallel condition; the verdict
-    carries the report as ``hypotheses``.  The report is the one the spec
-    keeps (see :func:`~latnorm.construct.check_for`), so a spec from
-    :func:`~latnorm.gen.gen_spec` is not checked again.
+    carries the report as ``hypotheses``.  The report is built here, once
+    (see :func:`~latnorm.construct.check_for`); its frame clauses are the
+    ones kept on the join-form lattice, so a spec from
+    :func:`~latnorm.gen.gen_spec` has its frame read, not checked again.
     """
     report = check_for(spec, theorem)
     if report.standing_failures() != (() if drop_clause is None else (drop_clause,)):

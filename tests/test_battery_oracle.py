@@ -1,9 +1,11 @@
-"""Differential tests of the associativity and monotonicity scans.
+"""Differential tests of the associativity, monotonicity and neutral scans.
 
-``first_associativity_witness`` compares whole rows and
+``first_associativity_witness`` compares whole rows,
 ``first_monotonicity_witness`` localizes the failing element with bit
-masks.  Both must return exactly what the per-cell loops they replaced
-returned, ``None`` included.  Those loops are kept here as the reference
+masks and ``first_neutral_witness`` compares row e and column e whole with
+the carrier.  Each must return exactly what the per-cell loop it replaced
+returned, ``None`` included; the neutral scan is checked at every element
+of the carrier as the neutral.  Those loops are kept here as the reference
 and run on seeded tables: generated lattices of 2..10 elements with the
 carrier in id order, shuffled, or a proper sub-carrier that is not an
 interval; meet and join tables, random cells (some outside the carrier) and
@@ -26,6 +28,7 @@ from latnorm.optable import (
     OpTable,
     first_associativity_witness,
     first_monotonicity_witness,
+    first_neutral_witness,
     meet_table,
 )
 
@@ -74,11 +77,24 @@ def reference_monotonicity(t, both_sides):
     return None
 
 
+def reference_neutral(t, e):
+    for x in t.carrier:
+        got = t.value(e, x)
+        if got != x:
+            return (x, got)
+        got = t.value(x, e)
+        if got != x:
+            return (x, got)
+    return None
+
+
 def assert_same_witnesses(t):
     assert first_associativity_witness(t) == reference_associativity(t)
     for both_sides in (False, True):
         got = first_monotonicity_witness(t, both_sides=both_sides)
         assert got == reference_monotonicity(t, both_sides)
+    for e in t.carrier:
+        assert first_neutral_witness(t, e) == reference_neutral(t, e)
 
 
 def _carrier(lat, rng, layout):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from latnorm import corpus
@@ -121,3 +123,51 @@ def test_anchor_below_neutral_in_l11(l11):
     lat = l11.lattice
     assert lat.lt(lat.index("q"), lat.index("e"))
     assert lat.lt(lat.bottom, lat.index("q"))
+
+
+def _replays_with(entry, errata) -> bool:
+    return corpus.replay_entry(replace(entry, errata=tuple(errata))).diff_matches_errata
+
+
+def _other_name(lat, name):
+    return next(other for other in lat.names if other != name)
+
+
+def test_the_shipped_ledgers_match(entries):
+    for entry in entries.values():
+        assert _replays_with(entry, entry.errata), entry.id
+
+
+def test_a_dropped_erratum_fails_the_replay(entries):
+    dropped = 0
+    for entry in entries.values():
+        for i in range(len(entry.errata)):
+            assert not _replays_with(entry, entry.errata[:i] + entry.errata[i + 1:]), (entry.id, i)
+            dropped += 1
+    assert dropped == 13
+
+
+def test_an_erratum_where_table_and_print_agree_fails_the_replay(entries):
+    for entry in entries.values():
+        lat, printed = entry.lattice, entry.printed
+        diff = set(corpus.replay_entry(entry).diff_cells)
+        r, c = next((a, b) for a in printed.carrier for b in printed.carrier if (a, b) not in diff)
+        value = lat.name(printed.value(r, c))
+        extra = corpus.Erratum(row=lat.name(r), col=lat.name(c), printed=value, formula=value,
+                               repaired=False, note="")
+        assert not _replays_with(entry, entry.errata + (extra,)), entry.id
+
+
+@pytest.mark.parametrize("field", ["formula", "printed"])
+def test_a_wrong_erratum_value_fails_the_replay(entries, field):
+    for entry in entries.values():
+        for i, err in enumerate(entry.errata):
+            wrong = replace(err, **{field: _other_name(entry.lattice, getattr(err, field))})
+            errata = entry.errata[:i] + (wrong,) + entry.errata[i + 1:]
+            assert not _replays_with(entry, errata), (entry.id, i)
+
+
+def test_an_erratum_listed_twice_fails_the_replay(entries):
+    for entry in entries.values():
+        for err in entry.errata:
+            assert not _replays_with(entry, entry.errata + (err,)), entry.id

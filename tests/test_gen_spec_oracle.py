@@ -7,7 +7,9 @@ verbatim as the reference (reading the cap from the module, so a test can
 lower it), over the plain candidate stream.  Both run on
 the six (theorem, anchor class) pairs of the fuzz suite, at 100 seeds with
 sizes 4..9 and 30 seeds with sizes 4..12, and under a tiny candidate cap,
-where both must raise the same exhaustion error.
+where both must raise the same exhaustion error.  A fuzz op (``gen_spec``,
+then ``verify_equivalence``) builds one hypothesis report, in
+``verify_equivalence``: the spec keeps none.
 """
 
 from itertools import islice
@@ -99,9 +101,14 @@ def test_gen_spec_draws_one_inner_table(monkeypatch):
 
 @pytest.mark.parametrize("theorem, anchor_class", PAIRS)
 def test_verify_equivalence_reads_the_kept_report(monkeypatch, theorem, anchor_class):
-    spec = gen_spec(GenConfig(seed=3, size_range=(4, 9)), anchor_class, True, theorem)
-    kept = check_for(spec, theorem)
+    # a fuzz op builds one report: gen_spec reads frames only, and
+    # verify_equivalence builds the report from the frame report kept on
+    # the lattice (no second _join_frame), then constructs
     calls = _count(monkeypatch, construct, "_join_frame", "in_class_ub", "validate_spec")
-    verdict = verify_equivalence(spec, theorem)
-    assert verdict.hypotheses is kept
-    assert calls == ["validate_spec"]  # the construction's; no second report
+    for seed in range(20):
+        calls.clear()
+        spec = gen_spec(GenConfig(seed=seed, size_range=(4, 9)), anchor_class, True, theorem)
+        assert set(calls) == {"_join_frame"}, seed
+        calls.clear()
+        verify_equivalence(spec, theorem)
+        assert calls == ["validate_spec", "in_class_ub", "validate_spec"], seed
