@@ -21,3 +21,19 @@ def l13(entries):
 @pytest.fixture(scope="session")
 def l22(entries):
     return entries["L22"]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, *names)`` wraps each function named in
+    ``module`` and returns the list the wrappers append their names to."""
+    def wrap(module, *names) -> list:
+        calls = []
+        for name in names:
+            def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return wrap

@@ -3,27 +3,24 @@
 ``first_associativity_witness`` compares whole rows,
 ``first_monotonicity_witness`` localizes the failing element with bit
 masks and ``first_neutral_witness`` compares row e and column e whole with
-the carrier.  Each must return exactly what the per-cell loop it replaced
-returned, ``None`` included; the neutral scan is checked at every element
-of the carrier as the neutral.  Those loops are kept here as the reference
-and run on seeded tables: generated lattices of 2..10 elements with the
-carrier in id order, shuffled, or a proper sub-carrier that is not an
-interval; meet and join tables, random cells (some outside the carrier) and
-tables with one mutated cell; and the 64-element chain, Boolean lattice
-and 8x8 grid, whole, on a sub-carrier that is not convex, and with a drop
-on the right side only.  Three 64-element tables pin how the monotonicity
-witness is named once the failing element is found: a right drop at an
-earlier argument than the first left one, drops on both sides at the same
-argument (the left is named), and a first element above that does not drop
-where a later one does.
+the carrier, at every e.  Each must return exactly what the per-cell loop
+it replaced returned, ``None`` included.  Those loops are the reference.
+They run on the join-form construction of every catalogue frame with
+n <= 6; on seeded tables over generated lattices of 2..10 elements (the
+carrier in id order, shuffled, or a sub-carrier that is not an interval;
+meet and join tables, random cells, one mutated cell); and on the
+64-element chain, Boolean lattice and 8x8 grid, whole, on a sub-carrier
+that is not convex, and with planted cells that pin how the monotonicity
+witness is named.
 """
 
 import random
 
 import pytest
 
+from latnorm.construct import construct_eq1
 from latnorm.gen import GenConfig, gen_lattice
-from latnorm.lattice import build_lattice, mask_of
+from latnorm.lattice import mask_of
 from latnorm.optable import (
     OpTable,
     first_associativity_witness,
@@ -31,6 +28,8 @@ from latnorm.optable import (
     first_neutral_witness,
     meet_table,
 )
+
+from families import boolean, catalogue_specs, chain, grid
 
 
 def reference_associativity(t):
@@ -145,28 +144,13 @@ def test_small_tables_match_the_per_cell_loops(layout, fill):
     assert checked >= 100
 
 
-def _chain(n):
-    names = [f"c{i}" for i in range(n)]
-    return build_lattice(names, [(names[i], names[i + 1]) for i in range(n - 1)])
-
-
-def _boolean(k):
-    names = [format(i, f"0{k}b") for i in range(2 ** k)]
-    covers = [
-        (names[i], names[i | 1 << b]) for i in range(2 ** k) for b in range(k) if not i >> b & 1
-    ]
-    return build_lattice(names, covers)
-
-
-def _grid(rows, cols):
-    names = [f"g{i}_{j}" for i in range(rows) for j in range(cols)]
-    covers = [(names[i], names[i + cols]) for i in range(len(names) - cols)]
-    covers += [(names[i], names[i + 1]) for i in range(len(names)) if i % cols < cols - 1]
-    return build_lattice(names, covers)
-
-
-LATTICES_64 = [_chain(64), _boolean(6), _grid(8, 8)]
+LATTICES_64 = [chain(64), boolean(6), grid(8, 8)]
 IDS_64 = ["chain64", "bool2^6", "grid8x8"]
+
+
+def test_catalogue_constructions_match_the_per_cell_loops():
+    for spec in catalogue_specs(6):
+        assert_same_witnesses(construct_eq1(spec, check_inner=False))
 
 
 @pytest.mark.parametrize("lat", LATTICES_64, ids=IDS_64)
@@ -207,7 +191,7 @@ def test_a_drop_on_the_right_side_only():
     # the meet (min) on the 64-chain with U(c0, c62) = c1: column c62 still
     # rises down the rows (c1 <= min(b, c62) for every b above c0), but row
     # c0 falls from c1 at c62 back to c0 at c63
-    lat = _chain(64)
+    lat = chain(64)
     meet = meet_table(lat)
     cells = [list(row) for row in meet.values]
     cells[0][62] = 1
@@ -231,7 +215,7 @@ def test_a_right_drop_at_an_earlier_c_is_named_first():
     # the min on the 64-chain with U(c50, c40) = c45 and U(c40, c60) = c45:
     # row c40 falls from c45 to c41 against c41 at c60 (left), and column
     # c40 does so at c50 (right), which the scan reaches first
-    lat = _chain(64)
+    lat = chain(64)
     t = _planted(lat, range(64), {(50, 40): 45, (40, 60): 45})
     assert first_monotonicity_witness(t, both_sides=True) == (40, 41, 50, 45, 41, "right")
     assert first_monotonicity_witness(t, both_sides=False) == (40, 41, 60, 45, 41, "left")
@@ -241,7 +225,7 @@ def test_a_right_drop_at_an_earlier_c_is_named_first():
 def test_drops_on_both_sides_at_one_c_name_the_left():
     # the meet on the 8x8 grid with U(g5_0, top) = U(top, g5_0) = g6_0:
     # against g5_1, the first element above g5_0, both sides drop at top
-    lat = _grid(8, 8)
+    lat = grid(8, 8)
     a, b, top = lat.index("g5_0"), lat.index("g5_1"), lat.top
     up = lat.index("g6_0")
     t = _planted(lat, range(64), {(a, top): up, (top, a): up})
@@ -256,7 +240,7 @@ def test_drops_on_both_sides_at_one_c_name_the_left():
 def test_the_first_element_above_need_not_be_the_witness():
     # the meet on 2^6 with U(101000, top) = 101001: 101001, the first
     # element above 101000, lies above that value, 101010 after it does not
-    lat = _boolean(6)
+    lat = boolean(6)
     a, top = lat.index("101000"), lat.top
     first, second = lat.index("101001"), lat.index("101010")
     t = _planted(lat, range(64), {(a, top): first})

@@ -259,21 +259,9 @@ def test_theorem_disagreement_exits_one_with_its_witness(golden, monkeypatch, ca
     )
 
 
-def _count_calls(monkeypatch, *names) -> list:
-    """Wrap each ``latnorm.construct`` function named; the list the wrappers
-    append their names to."""
-    calls = []
-    for name in names:
-        def wrapper(*args, _name=name, _fn=getattr(construct, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(f"latnorm.construct.{name}", wrapper)
-    return calls
-
-
-def test_theorem_builds_one_hypothesis_report(golden, monkeypatch, capsys):
+def test_theorem_builds_one_hypothesis_report(golden, count_calls, capsys):
     # the report printed is the one the verdict was checked against
-    calls = _count_calls(monkeypatch, "_join_frame", "validate_spec")
+    calls = count_calls(construct, "_join_frame", "validate_spec")
     code = main(["theorem", "--which", "th31", str(golden / "L11.lattice.json"),
                  str(golden / "L11.Ustar.table.json"), "--rho", "rho", "--e", "e",
                  "--anchor", "q"])
@@ -284,9 +272,9 @@ def test_theorem_builds_one_hypothesis_report(golden, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("anchor, theorem", [("q", "th31"), ("m", "th31"), ("s", "th33")])
-def test_construct_builds_one_hypothesis_report(golden, monkeypatch, capsys, anchor, theorem):
+def test_construct_builds_one_hypothesis_report(golden, count_calls, capsys, anchor, theorem):
     # the anchor class picks the theorem before any report is built
-    calls = _count_calls(monkeypatch, "_join_frame", "validate_spec")
+    calls = count_calls(construct, "_join_frame", "validate_spec")
     code = main(["construct", str(golden / "L11.lattice.json"),
                  str(golden / "L11.Ustar.table.json"), "--eq", "1", "--rho", "rho", "--e", "e",
                  "--anchor", anchor, "--verify"])

@@ -17,14 +17,11 @@ from latnorm.construct import (
     validate_spec,
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
-from latnorm.lattice import build_lattice, case_regions
+from latnorm.lattice import case_regions
 from latnorm.optable import OpTable, is_uninorm, join_table, rewrap, table_from_function
 from latnorm.verify import verify_equivalence
 
-
-def chain(n):
-    names = tuple(str(i) for i in range(n))
-    return build_lattice(names, [(str(i), str(i + 1)) for i in range(n - 1)])
+from families import chain
 
 
 def random_specs(count, **cfg_kwargs):

@@ -2,12 +2,12 @@
 
 ``_join_form`` builds the table a row at a time from the ``case_regions``
 blocks.  It must give exactly the cells of the per-cell closure it
-replaced, which is kept here, verbatim, as the reference; the meet form is
-that closure run on the dual spec and read back.  Both constructions are
-compared on every corpus spec at every anchor, on generated specs of the
-six (theorem, anchor class) pairs the fuzz suite draws, and on join-form
-specs over 64 elements (the Boolean lattice 2^6 and the 8x8 grid) with a
-meet-core inner table.
+replaced, kept here verbatim as the reference; the meet form is that
+closure run on the dual spec and read back.  Both forms are compared on
+every catalogue frame with n <= 7, on every corpus spec at every anchor,
+on the generated specs of 4..12 elements of the fuzz suite's (theorem,
+anchor class) pairs that have more than 7, and on join-form specs with a
+meet-core inner table over the 64-element Boolean lattice and 8x8 grid.
 """
 
 from dataclasses import replace
@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from latnorm.construct import (
+    THEOREMS,
     ConstructionSpec,
     construct_eq1,
     construct_eq2,
@@ -22,8 +23,10 @@ from latnorm.construct import (
     validate_spec,
 )
 from latnorm.gen import GenConfig, gen_spec
-from latnorm.lattice import ElementId, build_lattice, case_regions
+from latnorm.lattice import ElementId, case_regions
 from latnorm.optable import OpTable, rewrap, table_from_function
+
+from families import FUZZ_PAIRS, boolean, catalogue_specs, grid, meet_core
 
 
 def reference_join_form(spec: ConstructionSpec) -> OpTable:
@@ -71,20 +74,15 @@ def assert_both_forms_match(join_spec):
     assert construct_eq2(meet_spec, check_inner=False) == reference_eq2(meet_spec)
 
 
+def test_every_catalogue_frame():
+    for spec in catalogue_specs(7):
+        assert_both_forms_match(spec)
+
+
 def test_corpus_specs_at_every_anchor(entries):
     for entry in entries.values():
         for anchor in range(entry.lattice.n):
             assert_both_forms_match(replace(entry.spec, anchor=anchor))
-
-
-FUZZ_PAIRS = [
-    ("th31", "under_neutral"),
-    ("th31", "beside_neutral"),
-    ("th33", "beside_threshold"),
-    ("th34", "over_neutral"),
-    ("th34", "beside_neutral"),
-    ("th36", "beside_threshold"),
-]
 
 
 @pytest.mark.parametrize("want_hypotheses", [True, False])
@@ -93,62 +91,23 @@ def test_generated_specs(theorem, anchor_class, want_hypotheses):
     for seed in range(20):
         spec = gen_spec(GenConfig(seed=seed, size_range=(4, 12)), anchor_class,
                         want_hypotheses=want_hypotheses, theorem=theorem)
-        if theorem in ("th31", "th33"):
-            assert construct_eq1(spec) == reference_eq1(spec)
-        else:
-            assert construct_eq2(spec) == reference_eq2(spec)
-        # and the other form, on the same frame read across duality
-        other = dual_spec(spec)
-        form = construct_eq2 if theorem in ("th31", "th33") else construct_eq1
-        reference = reference_eq2 if theorem in ("th31", "th33") else reference_eq1
-        assert form(other) == reference(other)
-
-
-def _boolean(k):
-    names = [format(i, f"0{k}b") for i in range(2 ** k)]
-    covers = [
-        (names[i], names[i | 1 << b]) for i in range(2 ** k) for b in range(k) if not i >> b & 1
-    ]
-    return build_lattice(names, covers)
-
-
-def _grid(rows, cols):
-    names = [f"g{i}_{j}" for i in range(rows) for j in range(cols)]
-    covers = [(names[i], names[i + cols]) for i in range(len(names) - cols)]
-    covers += [(names[i], names[i + 1]) for i in range(len(names)) if i % cols < cols - 1]
-    return build_lattice(names, covers)
-
-
-def _meet_core(lat, threshold, neutral):
-    """The meet on [bottom, neutral]; outside it the other argument wins,
-    and two arguments outside give the threshold."""
-    core = lat.interval_mask(lat.bottom, neutral)
-
-    def cell(x, y):
-        if core >> x & 1 and core >> y & 1:
-            return lat.meet(x, y)
-        if core >> y & 1:
-            return x
-        if core >> x & 1:
-            return y
-        return threshold
-
-    return table_from_function(lat, lat.interval(lat.bottom, threshold), cell)
+        if spec.lattice.n > 7:  # the catalogue holds the rest
+            assert_both_forms_match(spec if THEOREMS[theorem].orientation == "join" else dual_spec(spec))
 
 
 @pytest.mark.parametrize(
     "lat, threshold, neutral",
     [
         # 2^6: threshold {0,1,2,3}, neutral {0,1}
-        (_boolean(6), "001111", "000011"),
+        (boolean(6), "001111", "000011"),
         # 8x8 grid: [bottom, g4_3] holds the 5x4 corner, neutral g2_1 below it
-        (_grid(8, 8), "g4_3", "g2_1"),
+        (grid(8, 8), "g4_3", "g2_1"),
     ],
     ids=["bool2^6", "grid8x8"],
 )
 def test_64_element_join_form_specs(lat, threshold, neutral):
     threshold, neutral = lat.index(threshold), lat.index(neutral)
-    inner = _meet_core(lat, threshold, neutral)
+    inner = meet_core(lat, threshold, neutral)
     regions = case_regions(lat, neutral, threshold)
     assert all(regions)  # every block is populated
     base = ConstructionSpec(lat, threshold, neutral, lat.bottom, inner)

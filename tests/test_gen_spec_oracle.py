@@ -18,12 +18,11 @@ import pytest
 
 import latnorm.gen as gen_module
 from latnorm import construct
-from latnorm.construct import THEOREMS, check_for
+from latnorm.construct import check_for
 from latnorm.gen import ExhaustedRejection, GenConfig, gen_spec, gen_spec_candidates
 from latnorm.verify import verify_equivalence
 
-PAIRS = [(theorem, anchor_class) for theorem in sorted(THEOREMS)
-         for anchor_class in THEOREMS[theorem].anchor_classes]
+from families import FUZZ_PAIRS
 
 
 def _reference_gen_spec(cfg, anchor_class, want_hypotheses, theorem):
@@ -48,7 +47,7 @@ def _outcome(draw, cfg, anchor_class, theorem):
             spec.inner.carrier, spec.inner.values)
 
 
-@pytest.mark.parametrize("theorem, anchor_class", PAIRS)
+@pytest.mark.parametrize("theorem, anchor_class", FUZZ_PAIRS)
 def test_gen_spec_draws_the_reference_spec(theorem, anchor_class):
     for seeds, window in ((range(100), (4, 9)), (range(100, 130), (4, 12))):
         for seed in seeds:
@@ -61,7 +60,7 @@ def test_exhaustion_names_the_reference_clause(monkeypatch):
     # a cap of two candidates (and two lattice draws) exhausts often
     monkeypatch.setattr(gen_module, "ATTEMPT_CAP", 2)
     texts = set()
-    for theorem, anchor_class in PAIRS:
+    for theorem, anchor_class in FUZZ_PAIRS:
         for seed in range(40):
             cfg = GenConfig(seed=seed, size_range=(4, 9))
             want = _outcome(_reference_gen_spec, cfg, anchor_class, theorem)
@@ -73,20 +72,10 @@ def test_exhaustion_names_the_reference_clause(monkeypatch):
     assert any("last failing clause" not in text for text in texts), texts
 
 
-def _count(monkeypatch, module, *names) -> list:
-    calls = []
-    for name in names:
-        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
-def test_gen_spec_draws_one_inner_table(monkeypatch):
-    calls = _count(monkeypatch, gen_module, "gen_uninorm")
+def test_gen_spec_draws_one_inner_table(count_calls):
+    calls = count_calls(gen_module, "gen_uninorm")
     drawn = 0
-    for theorem, anchor_class in PAIRS:
+    for theorem, anchor_class in FUZZ_PAIRS:
         for seed in range(10):
             cfg = GenConfig(seed=seed, size_range=(4, 9))
             calls.clear()
@@ -96,15 +85,15 @@ def test_gen_spec_draws_one_inner_table(monkeypatch):
             gen_spec(cfg, anchor_class, True, theorem)
             assert calls == ["gen_uninorm"], (theorem, anchor_class, seed)
     # the reference also draws a table for each rejected candidate
-    assert drawn > len(PAIRS) * 10
+    assert drawn > len(FUZZ_PAIRS) * 10
 
 
-@pytest.mark.parametrize("theorem, anchor_class", PAIRS)
-def test_verify_equivalence_reads_the_kept_report(monkeypatch, theorem, anchor_class):
+@pytest.mark.parametrize("theorem, anchor_class", FUZZ_PAIRS)
+def test_verify_equivalence_reads_the_kept_report(count_calls, theorem, anchor_class):
     # a fuzz op builds one report: gen_spec reads frames only, and
     # verify_equivalence builds the report from the frame report kept on
     # the lattice (no second _join_frame), then constructs
-    calls = _count(monkeypatch, construct, "_join_frame", "in_class_ub", "validate_spec")
+    calls = count_calls(construct, "_join_frame", "in_class_ub", "validate_spec")
     for seed in range(20):
         calls.clear()
         spec = gen_spec(GenConfig(seed=seed, size_range=(4, 9)), anchor_class, True, theorem)

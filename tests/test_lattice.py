@@ -16,10 +16,7 @@ from latnorm.lattice import (
     mask_of,
 )
 
-
-def chain(n):
-    names = tuple(str(i) for i in range(n))
-    return build_lattice(names, [(str(i), str(i + 1)) for i in range(n - 1)])
+from families import chain
 
 
 def diamond():

@@ -1,7 +1,6 @@
 import pytest
 
 from latnorm.gen import GenConfig, gen_lattice, gen_uninorm
-from latnorm.lattice import build_lattice
 from latnorm.optable import (
     NeutralOutsideCarrier,
     OpTable,
@@ -17,10 +16,7 @@ from latnorm.optable import (
     table_from_function,
 )
 
-
-def chain(n):
-    names = tuple(str(i) for i in range(n))
-    return build_lattice(names, [(str(i), str(i + 1)) for i in range(n - 1)])
+from families import chain
 
 
 def test_meet_is_t_norm():

@@ -9,6 +9,7 @@ from latnorm.construct import (
     HypothesesNotMet,
     SpecInvalid,
     check_for,
+    construct_eq1,
     construct_for,
     dual_spec,
 )
@@ -36,10 +37,7 @@ from latnorm.verify import (
     verify_equivalence,
 )
 
-
-def chain(n):
-    names = tuple(str(i) for i in range(n))
-    return build_lattice(names, [(str(i), str(i + 1)) for i in range(n - 1)])
+from families import catalogue_specs, chain
 
 
 def random_commutative_table(rng, n):
@@ -105,6 +103,19 @@ def test_table2_with_six_region_partition(l11):
         tuple(frozenset(ids_of(mask)) for mask in regions if mask)
     )
     assert assoc_partitioned(l11.stored, part) is None
+
+
+def test_six_region_partition_on_every_catalogue_construction():
+    # the join-form construction of every catalogue frame with n <= 6
+    failing = 0
+    for spec in catalogue_specs(6):
+        t = construct_eq1(spec, check_inner=False)
+        regions = case_regions(spec.lattice, spec.neutral, spec.threshold)
+        part = Partition(tuple(frozenset(ids_of(mask)) for mask in regions if mask))
+        verdict = assoc_partitioned(t, part)
+        assert (verdict is None) == (first_associativity_witness(t) is None), spec
+        failing += verdict is not None
+    assert failing  # both verdicts occur
 
 
 def test_not_commutative_precondition():
