@@ -20,8 +20,12 @@ code run on the spec transported to the dual lattice with
 dual is built once and kept both ways, as a lattice's is, so a meet-form
 spec goes to join form once however many checks read it.  Spec validation
 returns the join form; its texts name the caller's side.  The inner
-table's axiom verdict travels with the spec: it is computed on first use,
-for the table as given.
+table's axiom verdict stays with the join-form table, not with the spec:
+:func:`~latnorm.optable.is_uninorm` keeps it on the table, so every spec
+on that table, in either form, reads the one verdict.  Only failure names
+reach the texts, and an axiom holds on a table exactly when it holds on the
+same cells read in the dual lattice, so the texts are the same in both
+forms.
 
 A hypothesis report splits along what it reads.  Every clause but
 ``inner-class`` reads only the frame (lattice, threshold, neutral,
@@ -40,11 +44,10 @@ license are exactly the equivalences the verification module fuzzes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
-from .optable import AxiomReport, OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
+from .optable import OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
 
 
 class SpecInvalid(Exception):
@@ -73,10 +76,10 @@ class ConstructionSpec:
     ``inner`` must be an operation table on [bottom, threshold] (join
     form) or [threshold, top] (meet form) with the given neutral element.
     The anchor may be any lattice element; whether a theorem applies to it
-    is the checkers' business, not the construction's.  A spec keeps two
-    values, each computed once, on first use: ``inner_report`` (the inner
-    table's axiom verdict) and its dual (:func:`dual_spec`).  A spec made
-    with ``dataclasses.replace`` starts with neither.
+    is the checkers' business, not the construction's.  A spec keeps one
+    value, computed on first use: its dual (:func:`dual_spec`); a spec made
+    with ``dataclasses.replace`` starts without it.  The inner table's
+    verdicts are kept on the table (:attr:`~latnorm.optable.OpTable.kept`).
     """
 
     lattice: BoundedLattice
@@ -84,10 +87,6 @@ class ConstructionSpec:
     neutral: ElementId
     anchor: ElementId
     inner: OpTable
-
-    @cached_property
-    def inner_report(self) -> AxiomReport:
-        return is_uninorm(self.inner, self.neutral)
 
 
 @dataclass(frozen=True)
@@ -238,10 +237,10 @@ def validate_spec(
         raise SpecInvalid("inner table carrier is not the threshold interval")
     if spec.inner.lattice != spec.lattice:
         raise SpecInvalid("inner table belongs to a different lattice")
-    if check_inner and not spec.inner_report.ok:
-        raise SpecInvalid(
-            "inner table fails uninorm axioms: " + ", ".join(spec.inner_report.failures())
-        )
+    if check_inner:
+        report = is_uninorm(join_spec.inner, spec.neutral)
+        if not report.ok:
+            raise SpecInvalid("inner table fails uninorm axioms: " + ", ".join(report.failures()))
     return join_spec
 
 

@@ -363,7 +363,7 @@ def load(entry_id: str) -> CorpusEntry:
     if entry_id not in _ENTRIES:
         raise UnknownId(f"unknown corpus id {entry_id!r}; choose from {ENTRY_IDS}")
     entry = _entry(entry_id, **_ENTRIES[entry_id])
-    report = entry.spec.inner_report
+    report = is_uninorm(entry.spec.inner, entry.spec.neutral)
     assert report.ok, f"{entry_id}: inner table fails {report.failures()}"
     return entry
 

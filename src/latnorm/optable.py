@@ -25,11 +25,18 @@ would return; the per-cell loops are kept as the reference in
 The ``ut`` and ``umin`` class predicates are not written out: each is its
 twin (``ub``, ``umax``) evaluated on the table transported to the order
 dual of its lattice with :func:`rewrap`.
+
+A table keeps its own verdicts: :func:`is_uninorm` and :func:`in_class_ub`
+compute theirs once per table and neutral and keep it on the table
+(:attr:`OpTable.kept`), so a table checked where it is drawn is not checked
+again where it is used.  A verdict is not carried across duality: a table
+read in another lattice is another table, with verdicts of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -76,6 +83,12 @@ class OpTable:
     @property
     def carrier_mask(self) -> int:
         return mask_of(self.carrier)
+
+    @cached_property
+    def kept(self) -> dict:
+        """The verdicts of :func:`is_uninorm` and :func:`in_class_ub`, kept
+        with the table by tagged key ``("uninorm", e)`` / ``("ub", e)``."""
+        return {}
 
     def value(self, a: ElementId, b: ElementId) -> ElementId:
         pos = self.pos
@@ -350,12 +363,27 @@ def first_closure_witness(t: OpTable) -> Optional[ClosureWitness]:
     return None
 
 
+def _kept(t: OpTable, name: str, compute: Callable[[OpTable, ElementId], object], e: ElementId):
+    """The verdict ``t.kept[name, e]``, ``compute(t, e)`` on first use and
+    kept (of racing threads, the first to store it wins)."""
+    kept = t.kept
+    verdict = kept.get((name, e))
+    if verdict is None:
+        verdict = kept.setdefault((name, e), compute(t, e))
+    return verdict
+
+
 def is_uninorm(t: OpTable, e: ElementId) -> AxiomReport:
-    """Run all five uninorm checks exhaustively with the given neutral."""
-    if e not in set(t.carrier):
+    """Run all five uninorm checks exhaustively with the given neutral.
+    Computed once per table and neutral and kept on the table."""
+    if e not in t.pos:
         raise NeutralOutsideCarrier(
             f"neutral {t.lattice.name(e)!r} is outside the table carrier"
         )
+    return _kept(t, "uninorm", _axiom_battery, e)
+
+
+def _axiom_battery(t: OpTable, e: ElementId) -> AxiomReport:
     commutative = first_commutativity_witness(t)
     return AxiomReport(
         neutral_element=e,
@@ -406,7 +434,12 @@ def in_class_umax(t: OpTable, e: ElementId) -> bool:
 
 
 def in_class_ub(t: OpTable, e: ElementId) -> bool:
-    """Values landing in [bottom, e] force both arguments into [bottom, e]."""
+    """Values landing in [bottom, e] force both arguments into [bottom, e].
+    Computed once per table and neutral and kept on the table."""
+    return _kept(t, "ub", _scan_ub, e)
+
+
+def _scan_ub(t: OpTable, e: ElementId) -> bool:
     below, _ = _carrier_interval_masks(t, e)
     for a in t.carrier:
         a_in = below >> a & 1

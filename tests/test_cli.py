@@ -852,6 +852,25 @@ def test_construct_no_verify_inner_admits_a_broken_inner(golden, tmp_path, capsy
         assert captured.err == "invalid spec: " + failure
 
 
+def test_construct_meet_form_names_a_non_monotone_inner(golden, tmp_path, capsys):
+    # U(q, q) = e breaks monotonicity alone; the meet-form spec is checked
+    # in join form on the dual lattice, where the failure has the same name
+    directory = _covers_reversed(golden, tmp_path, "L11")
+    doc = json.loads((golden / "L11.Ustar.table.json").read_text())
+    q = doc["carrier"].index("q")
+    doc["rows"][q][q] = "e"
+    broken = tmp_path / "nonmonotone.table.json"
+    broken.write_text(json.dumps(doc))
+    elements = json.loads((golden / "L11.lattice.json").read_text())["elements"]
+    for anchor in elements:
+        argv = _construct_argv(directory, "L11", "2", ustar=broken)
+        argv[argv.index("--anchor") + 1] = anchor
+        assert main(argv + ["--verify"]) == 2, anchor
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid spec: inner table fails uninorm axioms: monotone\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "verify-cell", "construct", "theorem"])
 def test_an_unknown_element_name_is_quoted_once(golden, tmp_path, capsys, command):
     doc = json.loads((golden / "L11.U1.table.json").read_text())

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from latnorm import optable
 from latnorm.construct import (
     ConstructionSpec,
     HypothesesNotMet,
@@ -307,50 +308,76 @@ def test_chain_construction_is_uninorm():
 
 @pytest.mark.parametrize("theorem", ["th31", "th34"])
 def test_each_spec_runs_the_inner_battery_once(l11, monkeypatch, theorem):
-    # a fresh spec (the corpus loader already checked l11.spec's inner
-    # table, and its kept dual may hold a verdict); th34 runs on it
-    # transported to the dual lattice (meet form)
-    spec = replace(l11.spec) if theorem == "th31" else dual_spec(replace(l11.spec))
-    calls = []
+    # a fresh join-form inner table (the corpus loader already checked
+    # l11.spec's); th34 runs on the spec transported to the dual lattice
+    # (meet form), whose join form holds that table
+    lat = l11.lattice
+    table = OpTable(lat, l11.spec.inner.carrier, l11.spec.inner.values)
+    join = replace(l11.spec, inner=table)
+    form = (lambda s: s) if theorem == "th31" else dual_spec
+    spec = form(join)
+    other_anchor = form(replace(join, anchor=lat.index("k")))
+    runs = []
+    battery = optable._axiom_battery
 
-    def counting(table, e):
-        if table is spec.inner:
-            calls.append(e)
-        return is_uninorm(table, e)
+    def counting(t, e):
+        if t is table:
+            runs.append(e)
+        return battery(t, e)
 
-    monkeypatch.setattr("latnorm.construct.is_uninorm", counting)
+    monkeypatch.setattr(optable, "_axiom_battery", counting)
     check_for(spec, theorem)
     construct_for(spec, theorem)
     verify_equivalence(spec, theorem)
-    assert calls == [spec.neutral]
+    check_for(other_anchor, theorem)
+    construct_for(other_anchor, theorem)
+    # the other orientation reads the same join-form table
+    check_for(dual_spec(spec), {"th31": "th34", "th34": "th31"}[theorem])
+    assert runs == [join.neutral]
+
+
+def _at_once(fn, count=8):
+    """``fn()`` from ``count`` threads released together; their results."""
+    start = threading.Barrier(count)
+    results = []
+
+    def run():
+        start.wait(timeout=10)
+        results.append(fn())
+
+    workers = [threading.Thread(target=run) for _ in range(count)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    assert len(results) == count
+    return results
 
 
 def test_kept_state_is_one_object_across_threads(l11):
     # threads that ask a fresh spec for its dual and reports at once all
-    # get the one dual that is kept, and equal reports
+    # get the one dual that is kept, and equal reports; threads that check
+    # one fresh table at once all get equal axiom reports
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(30):
             spec = replace(l11.spec)
-            start = threading.Barrier(8)
-            seen = []
 
             def ask():
-                start.wait(timeout=10)
                 dual = dual_spec(spec)
-                seen.append((dual, check_for(dual, "th34")))
+                return dual, check_for(dual, "th34")
 
-            workers = [threading.Thread(target=ask) for _ in range(8)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=10)
-                assert not worker.is_alive()
-            assert len(seen) == 8
+            seen = _at_once(ask)
             assert all(dual is dual_spec(spec) for dual, _ in seen)
             assert dual_spec(dual_spec(spec)) is spec
             assert all(report == check_for(dual_spec(spec), "th34") for _, report in seen)
+
+            table = OpTable(l11.lattice, l11.spec.inner.carrier, l11.spec.inner.values)
+            reports = _at_once(lambda: is_uninorm(table, l11.spec.neutral))
+            assert all(report == is_uninorm(table, l11.spec.neutral) for report in reports)
+            assert reports[0].ok
     finally:
         sys.setswitchinterval(switch)
 

@@ -17,8 +17,8 @@ from itertools import islice
 import pytest
 
 import latnorm.gen as gen_module
-from latnorm import construct
-from latnorm.construct import check_for
+from latnorm import construct, optable
+from latnorm.construct import THEOREMS, check_for
 from latnorm.gen import ExhaustedRejection, GenConfig, gen_spec, gen_spec_candidates
 from latnorm.verify import verify_equivalence
 
@@ -89,15 +89,33 @@ def test_gen_spec_draws_one_inner_table(count_calls):
 
 
 @pytest.mark.parametrize("theorem, anchor_class", FUZZ_PAIRS)
-def test_verify_equivalence_reads_the_kept_report(count_calls, theorem, anchor_class):
+def test_verify_equivalence_reads_the_kept_report(count_calls, monkeypatch, theorem,
+                                                  anchor_class):
     # a fuzz op builds one report: gen_spec reads frames only, and
     # verify_equivalence builds the report from the frame report kept on
-    # the lattice (no second _join_frame), then constructs
+    # the lattice (no second _join_frame), then constructs.  The inner
+    # table's axiom and class verdicts are the ones gen_uninorm kept on it:
+    # no battery and no ub scan runs on it again
     calls = count_calls(construct, "_join_frame", "in_class_ub", "validate_spec")
+    scans = []
+
+    def on_inner(name, fn):
+        def wrapper(t, e):
+            if t is inner:
+                scans.append(name)
+            return fn(t, e)
+        return wrapper
+
+    inner = None
+    for name in ("_axiom_battery", "_scan_ub"):
+        monkeypatch.setattr(optable, name, on_inner(name, getattr(optable, name)))
+    join_form = THEOREMS[theorem].orientation == "join"
     for seed in range(20):
         calls.clear()
         spec = gen_spec(GenConfig(seed=seed, size_range=(4, 9)), anchor_class, True, theorem)
         assert set(calls) == {"_join_frame"}, seed
+        inner = (spec if join_form else construct.dual_spec(spec)).inner
         calls.clear()
         verify_equivalence(spec, theorem)
         assert calls == ["validate_spec", "in_class_ub", "validate_spec"], seed
+        assert scans == [], seed

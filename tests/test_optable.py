@@ -16,7 +16,7 @@ from latnorm.optable import (
     table_from_function,
 )
 
-from families import chain
+from families import catalogue_specs, chain
 
 
 def test_meet_is_t_norm():
@@ -97,6 +97,23 @@ def test_table1_is_not_a_t_norm_with_threshold_neutral(l11):
     assert report.neutral is not None
     x, got = report.neutral
     assert lat.name(x) == "0" and lat.name(got) == "rho"
+
+
+def test_kept_verdicts_are_the_fresh_ones():
+    # each catalogue inner table was checked where gen_uninorm drew it; the
+    # verdicts kept on it are those of a table rebuilt from its cells
+    last = None
+    for spec in catalogue_specs(6):
+        t, e = spec.inner, spec.neutral
+        if t is last:
+            continue  # the same table under another anchor
+        last = t
+        assert ("uninorm", e) in t.kept
+        kept = is_uninorm(t, e), in_class_ub(t, e)
+        assert t.kept[("uninorm", e)] is kept[0] and t.kept[("ub", e)] is kept[1]
+        fresh = OpTable(t.lattice, t.carrier, t.values)
+        assert not fresh.kept
+        assert kept == (is_uninorm(fresh, e), in_class_ub(fresh, e))
 
 
 def test_in_class_ub_table1(l11):
