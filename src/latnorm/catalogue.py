@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
-from .lattice import BoundedLattice, build_lattice, ids_of
+from .lattice import BoundedLattice, ids_of, lattice_from_edges
 
 
 def lattice_catalogue(n: int) -> Iterator[BoundedLattice]:
@@ -34,10 +34,7 @@ def lattice_catalogue(n: int) -> Iterator[BoundedLattice]:
     if n < 1:
         raise ValueError(f"a lattice has at least one element, not {n}")
     names = tuple(f"x{i}" for i in range(n))
-    return (
-        build_lattice(names, [(names[a], names[b]) for a in range(n) for b in ids_of(code[a])])
-        for code in _codes(n)
-    )
+    return (lattice_from_edges(names, [code[x] & ~(1 << x) for x in range(n)]) for code in _codes(n))
 
 
 @lru_cache(maxsize=None)

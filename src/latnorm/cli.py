@@ -290,6 +290,7 @@ def cmd_fuzz(args) -> None:
     try:
         GenConfig(seed=0, size_range=size)  # rejects a --size outside the generator's range
         seed = _fuzz_seed(args)
+        GenConfig(seed=seed)  # rejects a negative seed
     except ValueError as exc:
         raise _Failure(BAD_INPUT, f"invalid fuzz input: {exc}")
     if args.drop_clause is not None:

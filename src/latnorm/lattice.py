@@ -7,15 +7,20 @@ fits in a machine word for the sizes this library targets (n <= 64).
 
 All validation happens at construction time: a ``BoundedLattice`` that
 exists is reflexive, antisymmetric, transitive, bounded, and has a unique
-join and meet for every pair.  Construction closes the order in O(n +
-pairs) and checks one meet per incomparable pair (a finite poset with a
-top in which every two elements have a meet is a lattice, so the joins
-need no check); see :func:`build_lattice`.  No join or meet table is
-stored: a join is one dict lookup of ``up[a] & up[b]``, a meet the same
-over ``down``.  Instances are immutable and safe to share across threads:
-the covers, the dual and the hypothesis frame reports are derived once, on
-first use, and kept; the :func:`case_regions` blocks are derived on every
-call, a few mask operations.
+join and meet for every pair.  There is one validation path.  Its core,
+:func:`lattice_from_edges`, takes the names and one mask of direct
+successors per element; :func:`build_lattice` is its name front-end, which
+checks the names and resolves (lower, upper) name pairs to those masks.
+The core closes the order in O(n + edges) and checks one meet per
+incomparable pair (a finite poset with a top in which every two elements
+have a meet is a lattice, so the joins need no check).  No join or meet
+table is stored: a join is one dict lookup of ``up[a] & up[b]``, a meet the
+same over ``down``.  The upper covers are taken from the edges at
+construction, since every cover is a generating edge.  Instances are
+immutable and safe to share across threads: the dual and the hypothesis
+frame reports are derived once, on first use, and kept; the
+:func:`case_regions` blocks are derived on every call, a few mask
+operations.
 """
 
 from __future__ import annotations
@@ -71,13 +76,15 @@ def _bits(mask: int):
 
 @dataclass(frozen=True, eq=False)
 class BoundedLattice:
-    """A finite bounded lattice. Use :func:`build_lattice` to construct one."""
+    """A finite bounded lattice.  Use :func:`build_lattice` or
+    :func:`lattice_from_edges` to construct one."""
 
     names: tuple[str, ...]
     up: tuple[int, ...]    # up[i] bit j <=> i <= j
     down: tuple[int, ...]  # down[i] bit j <=> j <= i
     bottom: ElementId
     top: ElementId
+    upper_covers: tuple[int, ...] = field(repr=False)  # bit j of entry i <=> i is covered by j
     _by_up: dict = field(repr=False)    # up-mask -> element
     _by_down: dict = field(repr=False)  # down-mask -> element
     _index: dict = field(repr=False)    # name -> element
@@ -164,26 +171,31 @@ class BoundedLattice:
             return None
         return lo, hi
 
-    @cached_property
-    def upper_covers(self) -> tuple[int, ...]:
-        """Mask of the upper covers of each element; computed on first use."""
-        return self.upper_covers_within(self.all_mask)
-
     def upper_covers_within(self, mask: int) -> tuple[int, ...]:
         """Mask of the upper covers of each element of ``mask`` in the order
-        the lattice induces on ``mask`` (0 for elements outside it).  Unless
-        ``mask`` is convex these include pairs the lattice does not cover."""
+        the lattice induces on ``mask`` (0 for elements outside it).  When
+        ``mask`` is convex (its up-closure and down-closure meet in
+        ``mask``, as an interval's do) these are the lattice's covers inside
+        ``mask``; otherwise they include pairs the lattice does not cover,
+        and are found by a scan along a linear extension."""
+        up, down = self.up, self.down
+        above = below = 0
+        for x in _bits(mask):
+            above |= up[x]
+            below |= down[x]
+        if above & below == mask:
+            return tuple(c & mask if mask >> a & 1 else 0 for a, c in enumerate(self.upper_covers))
         # a linear extension, bottom first: anything above x comes after x
-        rank = sorted(_bits(mask), key=lambda x: self.down[x].bit_count())
+        rank = sorted(_bits(mask), key=lambda x: down[x].bit_count())
         covers = [0] * self.n
         for r, v in enumerate(rank):
-            rest = self.up[v] & mask & ~(1 << v)
+            rest = up[v] & mask & ~(1 << v)
             for w in rank[r + 1:]:
                 if not rest:
                     break
                 if rest >> w & 1:  # nothing left lies below w: a cover
                     covers[v] |= 1 << w
-                    rest &= ~self.up[w]
+                    rest &= ~up[w]
         return tuple(covers)
 
     @cached_property
@@ -202,8 +214,13 @@ class BoundedLattice:
         ``lat.dual().dual() is lat``."""
         dual = self.__dict__.get("_dual")
         if dual is None:
+            lower_covers = [0] * self.n
+            for a, mask in enumerate(self.upper_covers):
+                for b in _bits(mask):
+                    lower_covers[b] |= 1 << a
             built = BoundedLattice(
                 names=self.names, up=self.down, down=self.up, bottom=self.top, top=self.bottom,
+                upper_covers=tuple(lower_covers),
                 _by_up=self._by_down, _by_down=self._by_up, _index=self._index,
             )
             built.__dict__["_dual"] = self
@@ -332,31 +349,16 @@ def _unbounded_pair_error(names, up, down, by_up, by_down) -> NotALattice:
 
 
 def build_lattice(names, order_pairs) -> BoundedLattice:
-    """Build and fully validate a bounded lattice.
+    """Build and fully validate a bounded lattice from named order pairs.
 
+    This is the name front-end of :func:`lattice_from_edges`.
     ``order_pairs`` lists (lower, upper) name pairs: the cover edges, or
-    any other subset of the order that generates it.  The
-    reflexive-transitive closure is taken, then every invariant is
-    checked: antisymmetry, global bounds, and existence of a unique join
-    and meet for each pair.  More than :data:`MAX_ELEMENTS` elements raise
-    ``ValueError``.
-
-    The closure costs O(n + pairs): Kahn's algorithm orders the elements
-    so that every pair goes forward, then :func:`_close` fills ``up`` in one
-    pass backwards along that order and ``down``, its mirror image, in one
-    pass forwards.  When the order comes out short the pairs hold a cycle;
-    only then is Warshall's O(n^2) closure run, to name the pair that
-    breaks antisymmetry.
-
-    A finite poset with a top in which every two elements have a meet is
-    a lattice (the join of a and b is the meet of their common upper
-    bounds, which include the top), so only the meets are checked, and
-    only for incomparable pairs: a meet of a and b exists iff ``down[a] &
-    down[b]`` is some element's down-mask, one dict lookup per pair.  Only
-    when a meet is missing does the full id-order scan run, to name the
-    first pair without a unique join or meet (the join before the meet)
-    in :class:`NotALattice`.  No join or meet table is stored: each join
-    is looked up on use (see :meth:`BoundedLattice.join`).
+    any other subset of the order that generates it; a pair (x, x) is
+    reflexivity.  The names are checked first: an empty carrier, more
+    than :data:`MAX_ELEMENTS` elements (``ValueError``), an empty or
+    repeated name, then a pair that names no element.  The pairs are
+    resolved to one mask of direct successors per element, and the core
+    closes the order and checks every other invariant.
     """
     names = tuple(names)
     if not names:
@@ -371,11 +373,7 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
             raise BadElementName(f"duplicate element name {name!r}")
         seen.add(name)
     index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-
-    # direct successors and predecessors; a pair (x, x) is reflexivity
-    succ = [0] * n
-    pred = [0] * n
+    succ = [0] * len(names)
     for lo, hi in order_pairs:
         if lo not in index or hi not in index:
             bad = lo if lo not in index else hi
@@ -383,7 +381,55 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
         i, j = index[lo], index[hi]
         if i != j:
             succ[i] |= 1 << j
-            pred[j] |= 1 << i
+    return lattice_from_edges(names, succ)
+
+
+def lattice_from_edges(names, succ) -> BoundedLattice:
+    """Build and fully validate a bounded lattice from id masks.
+
+    ``names`` are distinct, non-empty and at most :data:`MAX_ELEMENTS`
+    (:func:`build_lattice` checks names; this core does not).  ``succ[i]``
+    is the mask of the elements given directly above element ``i``: the
+    upper covers, or any other edges whose reflexive-transitive closure is
+    the order.  A mask with a bit outside the carrier or with its own
+    element's bit raises ``ValueError``.  Then every invariant is checked,
+    in this order: antisymmetry, global bounds, and a unique join and meet
+    for each pair.
+
+    The closure costs O(n + edges): Kahn's algorithm orders the elements
+    so that every edge goes forward, then :func:`_close` fills ``up`` in one
+    pass backwards along that order and ``down``, its mirror image, in one
+    pass forwards.  When the order comes out short the edges hold a cycle;
+    only then is Warshall's O(n^2) closure run, to name the pair that
+    breaks antisymmetry.
+
+    A finite poset with a top in which every two elements have a meet is
+    a lattice (the join of a and b is the meet of their common upper
+    bounds, which include the top), so only the meets are checked, and
+    only for incomparable pairs: a meet of a and b exists iff ``down[a] &
+    down[b]`` is some element's down-mask, one dict lookup per pair.  Only
+    when a meet is missing does the full id-order scan run, to name the
+    first pair without a unique join or meet (the join before the meet)
+    in :class:`NotALattice`.  No join or meet table is stored: each join
+    is looked up on use (see :meth:`BoundedLattice.join`).
+
+    Every cover is a generating edge, so the upper covers are taken from
+    the edges in O(edges): an edge a -> b is a cover unless b lies
+    strictly above another edge of a.
+    """
+    names = tuple(names)
+    n = len(names)
+    if len(succ) != n:
+        raise ValueError(f"{len(succ)} successor masks for {n} elements")
+    all_mask = (1 << n) - 1
+    pred = [0] * n
+    for i, mask in enumerate(succ):
+        if mask & ~all_mask or mask >> i & 1:
+            raise ValueError(f"successor mask of element {i} is not a set of other elements")
+        while mask:
+            low = mask & -mask
+            pred[low.bit_length() - 1] |= 1 << i
+            mask ^= low
 
     # Kahn: an element joins the order once all its predecessors have
     indegree = [mask.bit_count() for mask in pred]
@@ -403,7 +449,6 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
     up = _close(reversed(order), succ)
     down = _close(order, pred)
 
-    all_mask = (1 << n) - 1
     bottoms = [i for i in range(n) if up[i] == all_mask]
     tops = [i for i in range(n) if down[i] == all_mask]
     if not bottoms:
@@ -425,15 +470,27 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
                 raise _unbounded_pair_error(names, up, down, by_up, by_down)
             rest ^= low
 
+    # an edge a -> b is a cover unless b lies strictly above another edge of a
+    covers = []
+    for mask in succ:
+        beyond = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            beyond |= up[low.bit_length() - 1] & ~low
+            rest ^= low
+        covers.append(mask & ~beyond)
+
     return BoundedLattice(
         names=names,
         up=tuple(up),
         down=tuple(down),
         bottom=bottoms[0],
         top=tops[0],
+        upper_covers=tuple(covers),
         _by_up=by_up,
         _by_down=by_down,
-        _index=index,
+        _index={name: i for i, name in enumerate(names)},
     )
 
 

@@ -483,6 +483,11 @@ def test_construct_eq_must_match_threshold_flag(golden, capsys, eq, flag):
         (["--theorem", "th99", "--seeds", "3"], None),  # the last --theorem wins
         # only chains have 2 or 3 elements, and chains host no anchor class
         (["--seeds", "3", "--size", "2", "3", "--drop-clause", "join-pairs"], None),
+        # a negative seed would alias the positive one of the same magnitude
+        (["--seeds", "3", "--seed", "-1"], None),
+        (["--seeds", "3", "--seed", "-1", "--drop-clause", "join-pairs"], None),
+        (["--seeds", "3"], "-1"),
+        (["--seeds", "3", "--drop-clause", "join-pairs"], "-1"),
     ],
 )
 def test_fuzz_bad_input_exits_two(monkeypatch, capsys, argv, env):

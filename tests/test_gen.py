@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -9,6 +12,8 @@ from latnorm.construct import (
     anchor_class_mask,
     anchor_class_rule,
     check_for,
+    dual_class,
+    frame_report,
 )
 from latnorm.gen import (
     ExhaustedRejection,
@@ -20,7 +25,7 @@ from latnorm.gen import (
     gen_spec_candidates,
     gen_uninorm,
 )
-from latnorm.lattice import build_lattice, case_regions, ids_of, mask_of
+from latnorm.lattice import LatticeError, build_lattice, case_regions, ids_of, mask_of
 from latnorm.optable import (
     in_class_ub,
     in_class_umax,
@@ -37,6 +42,9 @@ def test_config_validation():
         GenConfig(seed=0, size_range=(5, 13))
     with pytest.raises(ValueError):
         GenConfig(seed=0, class_filter="nope")
+    # random.Random seeds from abs(seed), so seed -3 would draw seed 3
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        GenConfig(seed=-3)
 
 
 def test_lattice_determinism():
@@ -60,6 +68,109 @@ def test_generated_lattices_revalidate():
         lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 9)))
         again = build_lattice(lat.names, cover_pairs(lat))
         assert again == lat
+
+
+def _reference_gen_lattice(cfg):
+    """The draw before lattices were drawn as id masks: name pairs through
+    ``build_lattice``, a fresh lattice for every draw."""
+    rng = random.Random(cfg.seed)
+    for _ in range(gen_module.ATTEMPT_CAP):
+        n = rng.randint(*cfg.size_range)
+        names = tuple(f"x{i}" for i in range(n))
+        if n == 2:
+            return build_lattice(names, [("x0", "x1")])
+        mids = n - 2
+        layer_count = rng.randint(1, mids)
+        cuts = sorted(rng.sample(range(1, mids), layer_count - 1)) if layer_count > 1 else []
+        bounds = [0, *cuts, mids]
+        layers = [list(range(1 + bounds[i], 1 + bounds[i + 1])) for i in range(layer_count)]
+        covers, lower, has_upper = [], [0], set()
+        for layer in layers:
+            for node in layer:
+                parents = [p for p in lower if rng.random() < gen_module.COVER_DENSITY]
+                if not parents:
+                    parents = [rng.choice(lower)]
+                for p in parents:
+                    covers.append((names[p], names[node]))
+                    has_upper.add(p)
+            lower.extend(layer)
+        covers += [(names[x], names[n - 1]) for x in range(n - 1) if x not in has_upper]
+        try:
+            return build_lattice(names, covers)
+        except LatticeError:
+            pass
+    raise AssertionError("the reference draw exhausted its cap")
+
+
+def _fields(lat):
+    return lat.names, lat.up, lat.down, lat.bottom, lat.top, lat.upper_covers
+
+
+@pytest.mark.parametrize("size_range", [(2, 12), (4, 9), (10, 12)])
+def test_interned_lattices_are_the_drawn_ones(size_range):
+    # the same lattice with the intern table cold and warm, and the one the
+    # name-pair draw built: the stream does not move
+    for seed in range(2000):
+        cfg = GenConfig(seed=seed, size_range=size_range)
+        gen_module._interned_lattice.cache_clear()
+        cold = gen_lattice(cfg)
+        warm = gen_lattice(cfg)  # every attempt of this seed is in the table now
+        assert warm is cold
+        assert _fields(cold) == _fields(_reference_gen_lattice(cfg)), seed
+    info = gen_module._interned_lattice.cache_info()
+    assert info.maxsize == gen_module.INTERNED_LATTICES == 64
+
+
+def test_interned_lattice_keeps_the_rebuilt_frame_reports():
+    # a frame report read from a lattice shared between draws is the one
+    # computed afresh on the same lattice rebuilt from its covers
+    from latnorm.fileio import cover_pairs
+
+    read = 0
+    for seed in range(60):
+        cfg = GenConfig(seed=seed, size_range=(4, 9))
+        lat = gen_lattice(cfg)
+        rebuilt = build_lattice(lat.names, cover_pairs(lat))
+        for theorem, profile in THEOREMS.items():
+            classes = profile.anchor_classes
+            if profile.orientation == "meet":
+                classes = tuple(map(dual_class, classes))
+            for join_class in classes:
+                for t, n, mask in gen_module._hosting_pairs(lat, join_class)[:3]:
+                    a = ids_of(mask)[0]
+                    frame_report(lat, t, n, a, theorem)
+                    again = gen_lattice(cfg)
+                    assert again is lat
+                    assert ("frame", theorem, t, n, a) in again.kept
+                    assert frame_report(again, t, n, a, theorem) == frame_report(
+                        rebuilt, t, n, a, theorem)
+                    read += 1
+    assert read > 100
+
+
+def test_threads_drawing_the_same_seeds_get_equal_lattices():
+    cfgs = [GenConfig(seed=seed, size_range=(4, 9)) for seed in range(150)]
+    gen_module._interned_lattice.cache_clear()
+    want = [_fields(_reference_gen_lattice(cfg)) for cfg in cfgs]
+    results = [None] * 8
+    start = threading.Barrier(8)
+
+    def draw(k):
+        start.wait(timeout=30)
+        results[k] = [_fields(gen_lattice(cfg)) for cfg in cfgs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [want] * 8
 
 
 def test_gen_uninorm_verifies_and_is_deterministic():
@@ -237,7 +348,7 @@ def _brute_hosts(lat, join_class):
 
 
 def _fresh_lattices() -> list:
-    """200 lattices of sizes 2..12, drawn anew, so nothing is kept on them."""
+    """200 lattices of sizes 2..12."""
     return [gen_lattice(GenConfig(seed=seed, size_range=(2, 12))) for seed in range(200)]
 
 
@@ -246,13 +357,14 @@ def test_hosting_pairs_match_brute_force():
     lattices = _fresh_lattices()
     assert max(lat.n for lat in lattices) == 12
     for lat in lattices:
+        kept = dict(lat.kept)  # an interned lattice may hold reports from earlier draws
         for join_class in JOIN_CLASSES:
             hosts = gen_module._hosting_pairs(lat, join_class)
             assert hosts == [(t, n, _brute_classes(lat, n, t)[join_class])
                              for t, n in _brute_hosts(lat, join_class)]
             hosted[join_class] += bool(hosts)
         # the scan derives and keeps no regions, so a discarded lattice costs nothing more
-        assert lat.kept == {}
+        assert lat.kept == kept
         for t in range(lat.n):
             for n in lat.interval(lat.bottom, t):
                 classes = {c: anchor_class_mask(lat, t, n, c) for c in JOIN_CLASSES}

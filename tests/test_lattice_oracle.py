@@ -8,10 +8,15 @@ message.  That build is kept here as the reference: Warshall's closure
 over bit rows, the ``down`` transpose, the antisymmetry and bound checks,
 and the full id-order scan of the join and meet tables.
 
-Inputs: every ``gen._attempt_lattice`` draw for 2,000 seeds at sizes
-2..12, rejected draws included; random DAGs of up to 64 elements given as
-redundant, shuffled ``le_pairs``; cyclic inputs; inputs without a bottom
-or a top; and the posets whose first pair without a join or meet is named.
+``build_lattice`` is the name front-end of ``lattice_from_edges``, which
+takes one mask of direct successors per element.  Inputs: the core's
+inputs from every ``gen._attempt_lattice`` draw for 2,000 seeds at sizes
+2..12, rejected draws included, each run through the core; random DAGs of
+up to 64 elements given as redundant, shuffled ``le_pairs``; cyclic
+inputs; inputs without a bottom or a top; and the posets whose first pair
+without a join or meet is named.  On the random DAGs, with and without
+bounds and with a cycle closed, the core raises exactly what the
+front-end raises.
 """
 
 import random
@@ -20,7 +25,13 @@ import pytest
 
 import latnorm.gen as gen
 import latnorm.lattice as lattice
-from latnorm.lattice import NotALattice, NotAPoset, NotBounded, build_lattice
+from latnorm.lattice import (
+    NotALattice,
+    NotAPoset,
+    NotBounded,
+    build_lattice,
+    lattice_from_edges,
+)
 
 from families import boolean
 
@@ -77,18 +88,18 @@ def reference_build(names, order_pairs):
     return tuple(up), tuple(down), bottoms[0], tops[0], join_table, meet_table
 
 
-def assert_same_build(names, order_pairs):
-    """``build_lattice`` agrees with the reference; returns the verdict,
-    ``None`` for a lattice or the exception type."""
+def assert_same_build(names, order_pairs, build=build_lattice):
+    """``build`` (by default ``build_lattice``) agrees with the reference;
+    returns the verdict, ``None`` for a lattice or the exception type."""
     want = reference_build(names, order_pairs)
     if isinstance(want, Exception):
         with pytest.raises(type(want)) as info:
-            build_lattice(names, order_pairs)
+            build(names, order_pairs)
         assert type(info.value) is type(want)
         assert str(info.value) == str(want)
         return type(want)
     up, down, bottom, top, join_table, meet_table = want
-    lat = build_lattice(names, order_pairs)
+    lat = build(names, order_pairs)
     assert (lat.up, lat.down, lat.bottom, lat.top) == (up, down, bottom, top)
     for a in range(lat.n):
         assert [lat.join(a, b) for b in range(lat.n)] == join_table[a]
@@ -96,18 +107,38 @@ def assert_same_build(names, order_pairs):
     return None
 
 
+def _succ(names, order_pairs):
+    """The pairs as one mask of direct successors per element, reflexive
+    pairs left out."""
+    index = {name: i for i, name in enumerate(names)}
+    succ = [0] * len(names)
+    for lo, hi in order_pairs:
+        if lo != hi:
+            succ[index[lo]] |= 1 << index[hi]
+    return succ
+
+
+def _from_edges(names, order_pairs):
+    return lattice_from_edges(names, _succ(names, order_pairs))
+
+
 def test_every_generated_draw(monkeypatch):
     drawn = []
 
-    def recording_build(names, order_pairs):
-        drawn.append((names, list(order_pairs)))
-        return build_lattice(names, order_pairs)
+    def recording_core(names, succ):
+        drawn.append((names, list(succ)))
+        return lattice_from_edges(names, succ)
 
-    monkeypatch.setattr(gen, "build_lattice", recording_build)
+    monkeypatch.setattr(gen, "lattice_from_edges", recording_core)
     cfg = gen.GenConfig(seed=0, size_range=(2, 12))
     for seed in range(2000):
+        # an empty intern table, so that every draw reaches the core
+        gen._interned_lattice.cache_clear()
         gen._attempt_lattice(random.Random(seed), cfg)
-    verdicts = [assert_same_build(names, pairs) for names, pairs in drawn]
+    gen._interned_lattice.cache_clear()
+    pairs = [[(names[i], names[j]) for i in range(len(names)) for j in _bits(succ[i])]
+             for names, succ in drawn]
+    verdicts = [assert_same_build(names, p, build=_from_edges) for (names, _), p in zip(drawn, pairs)]
     assert len(drawn) == 2000
     # both branches are exercised: accepted draws and each kind of rejection seen
     assert verdicts.count(None) > 500
@@ -148,6 +179,45 @@ def _bounded(names, pairs, by_rank):
     return names, pairs + [(low, x) for x in names if x != low] + [
         (x, high) for x in names if x != high
     ]
+
+
+def assert_core_is_the_front_end(names, pairs):
+    """``lattice_from_edges`` on the resolved pairs raises what
+    ``build_lattice`` raises, type and text, or builds the same lattice."""
+    try:
+        want = build_lattice(names, pairs)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            _from_edges(names, pairs)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return type(exc)
+    got = _from_edges(names, pairs)
+    assert (got.names, got.up, got.down, got.bottom, got.top, got.upper_covers) == (
+        want.names, want.up, want.down, want.bottom, want.top, want.upper_covers)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_core_raises_what_the_front_end_raises(seed):
+    rng = random.Random(seed)
+    names, pairs, by_rank = _random_dag(rng, rng.randint(2, 64), rng.choice((0.03, 0.1, 0.3)))
+    verdicts = [assert_core_is_the_front_end(names, pairs)]
+    names, pairs = _bounded(names, pairs, by_rank)
+    verdicts.append(assert_core_is_the_front_end(names, pairs))
+    forward = [(lo, hi) for lo, hi in pairs if lo != hi]
+    lo, hi = rng.choice(forward)
+    verdicts.append(assert_core_is_the_front_end(names, pairs + [(hi, lo)]))
+    assert verdicts[2] is NotAPoset
+
+
+def test_core_rejects_masks_outside_the_carrier():
+    with pytest.raises(ValueError):
+        lattice_from_edges(("0", "1"), [0b10])
+    with pytest.raises(ValueError):
+        lattice_from_edges(("0", "1"), [0b110, 0])
+    with pytest.raises(ValueError):
+        lattice_from_edges(("0", "1"), [0b11, 0])  # its own bit: reflexivity is implied
 
 
 @pytest.mark.parametrize("seed", range(60))
