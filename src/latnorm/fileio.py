@@ -24,7 +24,7 @@ import io
 import json
 from pathlib import Path
 
-from .lattice import BoundedLattice, build_lattice, ids_of
+from .lattice import MAX_ELEMENTS, BoundedLattice, build_lattice, ids_of, lattice_from_edges
 from .optable import OpTable, OpTableError
 
 
@@ -79,6 +79,47 @@ def render_lattice(lat: BoundedLattice, name: str) -> str:
 
 def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
     doc, (name, elements) = _json_object(text, "lattice", ("name", "elements"))
+    succ = _resolve_pairs(doc, name, elements)
+    if succ is None:
+        return name, _checked_lattice(doc, name, elements)
+    return name, lattice_from_edges(elements, succ)
+
+
+def _resolve_pairs(doc: dict, name, elements):
+    """One mask of direct successors per element, resolved in one pass, for
+    a lattice file whose name, elements and one order key are well formed;
+    ``None`` when a key, a type, a name or the size is off.  Only strings
+    are keys of the name -> element map, so every name that resolves is
+    one."""
+    if ("covers" in doc) == ("le_pairs" in doc) or type(name) is not str:
+        return None
+    pairs = doc["covers"] if "covers" in doc else doc["le_pairs"]
+    if type(elements) is not list or type(pairs) is not list:
+        return None
+    n = len(elements)
+    if not 0 < n <= MAX_ELEMENTS or set(map(type, elements)) != {str}:
+        return None
+    index = dict(zip(elements, range(n)))
+    if len(index) != n or "" in index:
+        return None
+    succ = [0] * n
+    try:
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                return None
+            lo, hi = pair
+            i, j = index[lo], index[hi]
+            if i != j:
+                succ[i] |= 1 << j
+    except (KeyError, TypeError):  # an unknown name, or an unhashable one
+        return None
+    return succ
+
+
+def _checked_lattice(doc: dict, name, elements) -> BoundedLattice:
+    """The lattice of a file :func:`_resolve_pairs` turned down: the key,
+    type and name checks in order, then :func:`build_lattice`, so the
+    first fault is the one raised."""
     if "covers" in doc and "le_pairs" in doc:
         raise FileFormatError("lattice file has both 'covers' and 'le_pairs': give one")
     if "covers" in doc:
@@ -99,7 +140,7 @@ def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
     if unknown:
         raise FileFormatError(f"order pair references unknown element {min(unknown)!r}")
     try:
-        return name, build_lattice(elements, [tuple(p) for p in pairs])
+        return build_lattice(elements, [tuple(p) for p in pairs])
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
 
@@ -231,7 +272,10 @@ def read_table(table_path, lattice_path=None) -> tuple[str, BoundedLattice, OpTa
 
     The lattice is ``lattice_path`` when given, read before the table;
     otherwise the sibling ``<name>.lattice.json`` of the table's
-    ``"lattice"`` reference.  Returns (lattice name, lattice, table).
+    ``"lattice"`` reference.  The reference must equal the lattice's
+    ``"name"``; this is checked before the cells are resolved, so a table
+    read with another lattice is reported as such, whatever its cells
+    name.  Returns (lattice name, lattice, table).
     """
     table_path = Path(table_path)
     if lattice_path is not None:
@@ -249,10 +293,9 @@ def read_table(table_path, lattice_path=None) -> tuple[str, BoundedLattice, OpTa
                 "(pass --lattice)"
             )
         name, lat = parse_lattice(sibling.read_text())
-    table = _build_table(lat, carrier_names, rows)
     if reference != name:
         raise FileFormatError(f"table is written for lattice {reference!r}, not {name!r}")
-    return name, lat, table
+    return name, lat, _build_table(lat, carrier_names, rows)
 
 
 def write_instance(directory, stem: str, lattice: BoundedLattice, tables: dict) -> None:

@@ -11,15 +11,14 @@ join and meet for every pair.  There is one validation path.  Its core,
 :func:`lattice_from_edges`, takes the names and one mask of direct
 successors per element; :func:`build_lattice` is its name front-end, which
 checks the names and resolves (lower, upper) name pairs to those masks.
-The core closes the order in O(n + edges) and checks one meet per
-incomparable pair (a finite poset with a top in which every two elements
-have a meet is a lattice, so the joins need no check).  No join or meet
-table is stored: a join is one dict lookup of ``up[a] & up[b]``, a meet the
-same over ``down``.  The upper covers are taken from the edges at
-construction, since every cover is a generating edge.  Instances are
-immutable and safe to share across threads: the dual and the hypothesis
-frame reports are derived once, on first use, and kept; the
-:func:`case_regions` blocks are derived on every call, a few mask
+The core closes the order in O(n + edges), takes the upper covers from
+the edges (every cover is a generating edge), and checks one join per pair
+of upper covers of one element: a finite poset with a bottom in which
+those joins exist is a lattice.  No join or meet table is stored: a join
+is one dict lookup of ``up[a] & up[b]``, a meet the same over ``down``.
+Instances are immutable and safe to share across threads: the dual and
+the hypothesis frame reports are derived once, on first use, and kept;
+the :func:`case_regions` blocks are derived on every call, a few mask
 operations.
 """
 
@@ -336,7 +335,7 @@ def _cycle_error(names: tuple[str, ...], succ: list[int]) -> NotAPoset:
 def _unbounded_pair_error(names, up, down, by_up, by_down) -> NotALattice:
     """The first pair in id order, the join before the meet, whose common
     upper (or lower) bounds are no element's mask.  Called only when some
-    pair has no meet, so there is one."""
+    pair has no join, so there is one."""
     for a in range(len(names)):
         joins = [by_up.get(up[a] & mask) for mask in up]
         meets = [by_down.get(down[a] & mask) for mask in down]
@@ -403,19 +402,25 @@ def lattice_from_edges(names, succ) -> BoundedLattice:
     only then is Warshall's O(n^2) closure run, to name the pair that
     breaks antisymmetry.
 
-    A finite poset with a top in which every two elements have a meet is
-    a lattice (the join of a and b is the meet of their common upper
-    bounds, which include the top), so only the meets are checked, and
-    only for incomparable pairs: a meet of a and b exists iff ``down[a] &
-    down[b]`` is some element's down-mask, one dict lookup per pair.  Only
-    when a meet is missing does the full id-order scan run, to name the
-    first pair without a unique join or meet (the join before the meet)
-    in :class:`NotALattice`.  No join or meet table is stored: each join
-    is looked up on use (see :meth:`BoundedLattice.join`).
-
     Every cover is a generating edge, so the upper covers are taken from
     the edges in O(edges): an edge a -> b is a cover unless b lies
-    strictly above another edge of a.
+    strictly above another edge of a.  The lattice check reads only the
+    covers.  A finite poset with a bottom is a lattice iff any two
+    distinct upper covers of one element have a join.  Proof, by
+    downward induction on z, that any x, y >= z have a join (with x = z
+    or y = z it is the other): pick z < x1 <= x and z < y1 <= y with x1
+    and y1 covering z, and let w = x1 v y1 (when x1 = y1, induction at
+    x1 gives x v y).  Then u = x v w exists by induction at x1, v = y v u
+    by induction at y1, and every upper bound of x and y lies above w,
+    then u, then v, so v = x v y.  With every join, the meet of a and b
+    is the join of their common lower bounds, which include the bottom.
+    A join of two covers exists iff ``up[x1] & up[y1]`` is some element's
+    up-mask, one dict lookup per pair: 240 pairs on the Boolean lattice
+    2^6, against 1,351 incomparable pairs.  Only when a join is missing
+    does the full id-order scan run, to name the first pair without a
+    unique join or meet (the join before the meet) in
+    :class:`NotALattice`.  No join or meet table is stored: each join is
+    looked up on use (see :meth:`BoundedLattice.join`).
     """
     names = tuple(names)
     n = len(names)
@@ -460,26 +465,28 @@ def lattice_from_edges(names, succ) -> BoundedLattice:
 
     by_up = {mask: c for c, mask in enumerate(up)}
     by_down = {mask: c for c, mask in enumerate(down)}
-    for a in range(n):
-        down_a = down[a]
-        # the elements after a that are incomparable to it
-        rest = all_mask & ~(up[a] | down_a) & ~((2 << a) - 1)
-        while rest:
-            low = rest & -rest
-            if (down_a & down[low.bit_length() - 1]) not in by_down:
-                raise _unbounded_pair_error(names, up, down, by_up, by_down)
-            rest ^= low
-
-    # an edge a -> b is a cover unless b lies strictly above another edge of a
     covers = []
     for mask in succ:
+        # an edge a -> b is a cover unless b lies strictly above another edge of a
         beyond = 0
         rest = mask
         while rest:
             low = rest & -rest
             beyond |= up[low.bit_length() - 1] & ~low
             rest ^= low
-        covers.append(mask & ~beyond)
+        rest = mask & ~beyond
+        covers.append(rest)
+        # every two upper covers of a have a join
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            up_x = up[low.bit_length() - 1]
+            others = rest
+            while others:
+                low = others & -others
+                if (up_x & up[low.bit_length() - 1]) not in by_up:
+                    raise _unbounded_pair_error(names, up, down, by_up, by_down)
+                others ^= low
 
     return BoundedLattice(
         names=names,

@@ -13,7 +13,8 @@ column i, the neutral check row e and column e with the carrier,
 associativity all rows through ``bytes.translate``, and
 monotonicity is bit-sliced.  There each table line (a row, plus its column
 when both arguments are checked) is one int whose field c is the down-set
-mask of the cell, and the ints are ANDed down the covers of the carrier,
+mask of the cell (all lines at once: one ``bytes.translate`` of every cell
+per byte of the mask), and the ints are ANDed down the covers of the carrier,
 so one comparison per element decides it (O(lines * (n + carrier covers))
 big-int operations on ints of n * ceil(n / 8) bytes); the same ints name
 the witness, one AND per element above the failing one.  Only where a
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -274,12 +276,15 @@ def first_monotonicity_witness(
     down(x) is a subset of down(y), so each carrier element a gets one int
     ``D[a]`` whose field c is the down-set mask of U(a, c), w = ceil(n / 8)
     bytes per field, little-endian; with ``both_sides`` the fields of U(c, a)
-    follow.  From the top of the carrier down, ``N[a]`` is ``D[a]`` ANDed
-    with ``N[b]`` for every upper cover b of a in the order induced on the
-    carrier: a meet of down-sets is a down-set, so ``N[a]`` holds in field c
-    the down-set of the meet of U(b, c) over all b >= a, and it differs from
-    ``D[a]`` exactly when some b > a and some c have U(a, c) not <= U(b, c).
-    The first such ``a`` in carrier order is the witness's.  Its b is the
+    follow.  All lines are built at once: the cells, as bytes, go through
+    one ``bytes.translate`` per byte of w into every w-th byte of one
+    buffer, which each line reads a slice of.  From the top of the carrier
+    down, ``N[a]`` is ``D[a]`` ANDed with ``N[b]`` for every upper cover b
+    of a in the order induced on the carrier: a meet of down-sets is a
+    down-set, so ``N[a]`` holds in field c the down-set of the meet of
+    U(b, c) over all b >= a, and it differs from ``D[a]`` exactly when
+    some b > a and some c have U(a, c) not <= U(b, c).  The first such
+    ``a`` in carrier order is the witness's.  Its b is the
     first b > a in carrier order with ``drop = D[a] & ~D[b]`` non-zero: a
     set field c of the first half is U(a, c) not <= U(b, c), of the second
     U(c, a) not <= U(c, b).  The lowest set field of each half gives c, the
@@ -292,21 +297,33 @@ def first_monotonicity_witness(
     cm = t.carrier_mask
     covers = lat.upper_covers if cm == lat.all_mask else lat.upper_covers_within(cm)
     width = (lat.n + 7) // 8
-    down_bytes = [d.to_bytes(width, "little") for d in lat.down]
-    lines = t.values
+    cells = map(bytes, t.values)
     if both_sides:
-        lines = map(tuple.__add__, lines, zip(*lines))
+        cells = chain.from_iterable(zip(cells, map(bytes, zip(*t.values))))
+    cells = b"".join(cells)  # every line's cells, line after line
+    # byte j of field c is byte j of the cell's down-mask: one translation
+    # of all cells per byte of the width, written every width-th byte; the
+    # table of byte j is downs[j::width], zero past the carrier
+    downs = b"".join([d.to_bytes(width, "little") for d in lat.down]).ljust(256 * width, b"\0")
+    fields = bytearray(len(cells) * width)
+    for j in range(width):
+        fields[j::width] = cells.translate(downs[j::width])
+    fields = bytes(fields)  # slices of bytes cost less than of a bytearray
+    size = len(fields) // len(carrier)
     D = {
-        a: int.from_bytes(b"".join(map(down_bytes.__getitem__, line)), "little")
-        for a, line in zip(carrier, lines)
+        a: int.from_bytes(fields[start:start + size], "little")
+        for a, start in zip(carrier, range(0, len(fields), size))
     }
     N = {}
     up = lat.up
     # from the top down: anything above a has fewer elements above it than a
     for a in sorted(carrier, key=lambda x: up[x].bit_count()):
         meet = D[a]
-        for b in ids_of(covers[a]):
-            meet &= N[b]
+        rest = covers[a]
+        while rest:
+            low = rest & -rest
+            meet &= N[low.bit_length() - 1]
+            rest ^= low
         N[a] = meet
     a = next((a for a in carrier if N[a] != D[a]), None)
     if a is None:

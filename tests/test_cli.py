@@ -770,6 +770,28 @@ def test_table_written_for_another_lattice_exits_two(golden, tmp_path, capsys, c
     assert captured.err == "parse error: table is written for lattice 'L11', not 'other'\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "verify-sibling", "construct", "theorem"])
+def test_lattice_name_is_checked_before_the_cells(golden, tmp_path, capsys, command):
+    # the L11 tables name elements that L12 lacks; read with L12 they are
+    # reported as written for another lattice, not for their first unknown name
+    l12 = str(golden / "L12.lattice.json")
+    (tmp_path / "L11.lattice.json").write_text((golden / "L12.lattice.json").read_text())
+    sibling = tmp_path / "L11.U1.table.json"
+    shutil.copy(golden / "L11.U1.table.json", sibling)
+    ustar = str(golden / "L11.Ustar.table.json")
+    spec = ["--rho", "rho", "--e", "e", "--anchor", "q"]
+    argv = {
+        "verify": ["verify", str(golden / "L11.U1.table.json"), "--e", "e", "--lattice", l12],
+        "verify-sibling": ["verify", str(sibling), "--e", "e"],
+        "construct": ["construct", l12, ustar, "--eq", "1", *spec],
+        "theorem": ["theorem", "--which", "th31", l12, ustar, *spec],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: table is written for lattice 'L11', not 'L12'\n"
+
+
 def _covers_reversed(golden, tmp_path, entry_id):
     """Directory holding the entry's lattice with every cover pair flipped
     (its order dual, under the same name) and a copy of its inner table."""

@@ -5,7 +5,8 @@ mutated at the JSON level (values replaced, keys or items deleted, names
 swapped), and the subcommands that read it run on the result with flag
 values that may name unknown elements.  JSON nested too deep to decode, or
 holding an integer too long to convert, is one parse error, and a malformed
-table file is rejected with the message of its first failing check.  A
+table or lattice file is rejected with the message of its first failing
+check.  A
 malformed command line (a value that is not an integer or not one of the
 choices, a required flag left out, an unknown flag, no subcommand) is one
 ``latnorm <command>: error: ...`` line, and ``main`` returns 2.
@@ -22,10 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnorm import THEOREMS, corpus
+from latnorm import THEOREMS, corpus, fileio
 from latnorm.cli import main
-from latnorm.fileio import FileFormatError, parse_table, render_lattice, render_table
-from latnorm.lattice import build_lattice
+from latnorm.fileio import (
+    FileFormatError,
+    parse_lattice,
+    parse_table,
+    render_lattice,
+    render_table,
+)
+from latnorm.lattice import NotALattice, NotAPoset, NotBounded, build_lattice
 
 NAMES = ["0", "1", "e", "q", "rho", "m", "s", "", "nope"]
 
@@ -212,6 +219,145 @@ def test_malformed_table_names_its_first_fault(carrier, rows, message):
     with pytest.raises(FileFormatError) as info:
         parse_table(text, _CHAIN)
     assert str(info.value) == message
+
+
+# -- malformed lattice files: the first failing check names the fault ------
+
+_NOT_PAIRS = "order pairs must be two-element lists of strings"
+_SIXTY_FIVE = [f"x{i}" for i in range(65)]
+_CHAIN_65 = [[f"x{i}", f"x{i + 1}"] for i in range(64)]
+_BOWTIE = [["0", "a"], ["0", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"],
+           ["c", "1"], ["d", "1"]]
+_TWO_CYCLE = [["0", "a"], ["a", "b"], ["b", "a"], ["b", "1"]]
+
+
+def _doc(name="L", elements=("0", "a", "b", "1"), **order):
+    """A lattice file's object; ``order`` holds its order keys (``covers``
+    by default, the diamond's)."""
+    if not order:
+        order = {"covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+    elements = list(elements) if isinstance(elements, tuple) else elements
+    return {"name": name, "elements": elements, **order}
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({"elements": ["0"], "covers": []}, FileFormatError, "lattice file missing key 'name'"),
+        # the order keys are checked first, then the name, the elements and the pairs
+        (_doc(3, "01", covers=[], le_pairs=[]), FileFormatError,
+         "lattice file has both 'covers' and 'le_pairs': give one"),
+        ({"name": 3, "elements": "01"}, FileFormatError,
+         "lattice file needs a 'covers' or 'le_pairs' key"),
+        (_doc(3, "01", covers=[["0"]]), FileFormatError, "'name' must be a string"),
+        (_doc(["L"]), FileFormatError, "'name' must be a string"),
+        (_doc(None), FileFormatError, "'name' must be a string"),
+        (_doc("L", "0ab1", covers=[["0"]]), FileFormatError,
+         "'elements' must be a list of strings"),
+        (_doc("L", ["0", "a", 1]), FileFormatError, "'elements' must be a list of strings"),
+        (_doc("L", ["0", ["a"], "1"]), FileFormatError, "'elements' must be a list of strings"),
+        (_doc("L", {"0": "a"}), FileFormatError, "'elements' must be a list of strings"),
+        # a pair of another length, type or content; every pair before any name
+        (_doc(covers="0a"), FileFormatError, _NOT_PAIRS),
+        (_doc(covers=["0a"]), FileFormatError, _NOT_PAIRS),
+        (_doc(covers=[["0", "a", "1"]]), FileFormatError, _NOT_PAIRS),
+        (_doc(covers=[["0"]]), FileFormatError, _NOT_PAIRS),
+        (_doc(covers=[["0", 1]]), FileFormatError, _NOT_PAIRS),
+        (_doc(covers=[["0", ["a"]]]), FileFormatError, _NOT_PAIRS),
+        (_doc(covers=[{"0": "a", "b": "1"}]), FileFormatError, _NOT_PAIRS),
+        (_doc(le_pairs=[["zz", "a"], ["0", None]]), FileFormatError, _NOT_PAIRS),
+        # the least unknown name, before any check of the names themselves
+        (_doc(covers=[["zz", "a"], ["0", "yy"], ["b", "zz"]]), FileFormatError,
+         "order pair references unknown element 'yy'"),
+        (_doc(le_pairs=[["0", "zz"]]), FileFormatError,
+         "order pair references unknown element 'zz'"),
+        (_doc("L", [], covers=[["a", "b"]]), FileFormatError,
+         "order pair references unknown element 'a'"),
+        (_doc("L", ["0", "a", "a"], covers=[["0", "x"]]), FileFormatError,
+         "order pair references unknown element 'x'"),
+        # then the carrier: empty, too large, an empty or repeated name
+        (_doc("L", [], covers=[]), NotAPoset, "empty carrier"),
+        (_doc("L", _SIXTY_FIVE, covers=_CHAIN_65), FileFormatError,
+         "65 elements exceed the limit of 64"),
+        (_doc("L", _SIXTY_FIVE[:-2] + ["x0", ""], covers=_CHAIN_65[:62]), FileFormatError,
+         "65 elements exceed the limit of 64"),
+        (_doc("L", ["0", "", "1"], covers=[["0", ""], ["", "1"]]), FileFormatError,
+         "empty element name"),
+        (_doc("L", ["0", "a", "a", "1"], covers=[["0", "a"], ["a", "1"]]), FileFormatError,
+         "duplicate element name 'a'"),
+        (_doc("L", ["0", "a", "a", ""], covers=[]), FileFormatError,
+         "duplicate element name 'a'"),
+        (_doc("L", ["0", "", "a", "a"], covers=[]), FileFormatError, "empty element name"),
+        (_doc("L", ["0", "a", "a", "b", "1"], covers=_TWO_CYCLE), FileFormatError,
+         "duplicate element name 'a'"),
+        # then the order: a cycle, a missing bound, a missing join or meet
+        (_doc(covers=_TWO_CYCLE), NotAPoset, "antisymmetry violated: 'a' <= 'b' <= 'a'"),
+        (_doc("L", ["a", "b", "c"], le_pairs=[["a", "b"], ["b", "a"]]), NotAPoset,
+         "antisymmetry violated: 'a' <= 'b' <= 'a'"),
+        (_doc(covers=[["a", "1"], ["b", "1"]]), NotBounded,
+         "no bottom element; minimal elements include '0'"),
+        (_doc("L", ["0", "a", "b"], covers=[["0", "a"], ["0", "b"]]), NotBounded,
+         "no top element; maximal elements include 'a'"),
+        (_doc("L", ["0", "a", "b", "c", "d", "1", "x"], covers=_BOWTIE), NotBounded,
+         "no bottom element; minimal elements include '0'"),
+        (_doc("L", ["0", "a", "b", "c", "d", "1"], covers=_BOWTIE), NotALattice,
+         "no unique join for 'a' and 'b'"),
+        (_doc("L", ["0", "c", "d", "a", "b", "1"], covers=_BOWTIE), NotALattice,
+         "no unique meet for 'c' and 'd'"),
+    ],
+    ids=[
+        "missing-name-key", "both-order-keys", "no-order-key", "int-name", "list-name",
+        "null-name", "string-elements", "int-element", "list-element", "object-elements",
+        "string-pairs", "string-pair", "long-pair", "short-pair", "int-in-pair",
+        "list-in-pair", "object-pair", "null-in-le-pair", "least-unknown-named",
+        "unknown-in-le-pairs", "unknown-before-empty-carrier", "unknown-before-duplicate",
+        "empty-carrier", "65-elements", "65-elements-before-bad-names", "empty-name",
+        "duplicate-name", "duplicate-before-empty-name", "empty-before-duplicate-name",
+        "duplicate-before-cycle", "cycle", "cycle-before-missing-bound", "no-bottom",
+        "no-top", "missing-bound-before-missing-join", "missing-join", "missing-meet",
+    ],
+)
+def test_malformed_lattice_names_its_first_fault(doc, error, message):
+    with pytest.raises(Exception) as info:
+        parse_lattice(json.dumps(doc))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key", ["covers", "le_pairs"])
+def test_well_formed_lattice_resolves_every_pair(key):
+    # redundant, repeated and reflexive pairs are part of the order they give
+    pairs = [["a", "1"], ["0", "a"], ["0", "1"], ["b", "b"], ["0", "b"], ["b", "1"], ["0", "a"]]
+    name, lat = parse_lattice(json.dumps(_doc("diamond", **{key: pairs})))
+    assert name == "diamond"
+    want = build_lattice(("0", "a", "b", "1"), [tuple(p) for p in pairs])
+    assert (lat.names, lat.up, lat.down, lat.upper_covers) == (
+        want.names, want.up, want.down, want.upper_covers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_id=st.sampled_from(corpus.ENTRY_IDS), key=st.sampled_from(("covers", "le_pairs")),
+       data=st.data())
+def test_mutated_lattice_files_meet_the_ordered_checks(entry_id, key, data):
+    # the one-pass reader falls back to the ordered checks when anything is
+    # off, so it raises what they raise, type and text, or builds what they build
+    doc = json.loads(render_lattice(corpus.load(entry_id).lattice, entry_id))
+    doc[key] = doc.pop("covers")
+    doc = _mutate(data, doc)
+    name, elements = doc.get("name"), doc.get("elements")
+    try:
+        want = fileio._checked_lattice(doc, name, elements)
+    except Exception as exc:
+        if "name" not in doc or "elements" not in doc:
+            return
+        with pytest.raises(Exception) as info:
+            parse_lattice(json.dumps(doc))
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    got_name, got = parse_lattice(json.dumps(doc))
+    assert got_name == name
+    assert (got.names, got.up, got.down, got.upper_covers) == (
+        want.names, want.up, want.down, want.upper_covers)
 
 
 def test_well_formed_table_resolves_every_name():

@@ -1,22 +1,25 @@
 """Differential tests of ``build_lattice``.
 
 ``build_lattice`` closes the order in one pass each way along a topological
-order, checks only the meets of incomparable pairs, and stores no join or
-meet table.  It must build exactly what the build it replaced built, and
-reject exactly what that build rejected, with the same exception and
-message.  That build is kept here as the reference: Warshall's closure
-over bit rows, the ``down`` transpose, the antisymmetry and bound checks,
-and the full id-order scan of the join and meet tables.
+order, checks only the joins of pairs of upper covers of one element, and
+stores no join or meet table.  It must build exactly what the build it
+replaced built, and reject exactly what that build rejected, with the same
+exception and message.  That build is kept here as the reference:
+Warshall's closure over bit rows, the ``down`` transpose, the antisymmetry
+and bound checks, and the full id-order scan of the join and meet tables.
 
 ``build_lattice`` is the name front-end of ``lattice_from_edges``, which
 takes one mask of direct successors per element.  Inputs: the core's
 inputs from every ``gen._attempt_lattice`` draw for 2,000 seeds at sizes
 2..12, rejected draws included, each run through the core; random DAGs of
 up to 64 elements given as redundant, shuffled ``le_pairs``; cyclic
-inputs; inputs without a bottom or a top; and the posets whose first pair
-without a join or meet is named.  On the random DAGs, with and without
-bounds and with a cycle closed, the core raises exactly what the
-front-end raises.
+inputs; inputs without a bottom or a top; the posets whose first pair
+without a join or meet is named; and every poset made from a catalogue
+lattice by deleting one element other than the bounds or one cover edge,
+which stresses the cover-pair lattice check where it is closest to wrong
+(CI runs that check at n = 9 too, with :func:`check_derived_posets`).  On
+the random DAGs, with and without bounds and with a cycle closed, the core
+raises exactly what the front-end raises.
 """
 
 import random
@@ -25,6 +28,7 @@ import pytest
 
 import latnorm.gen as gen
 import latnorm.lattice as lattice
+from latnorm.catalogue import lattice_catalogue
 from latnorm.lattice import (
     NotALattice,
     NotAPoset,
@@ -322,3 +326,36 @@ def test_closure_and_full_scan_run_only_on_rejection(count_calls):
     with pytest.raises(NotALattice):
         build_lattice(("0", "a", "b", "c", "d", "1"), BOWTIE)
     assert calls == ["_closure", "_unbounded_pair_error"]
+
+
+def derived_posets(lat):
+    """(names, pairs) of every poset made from ``lat`` by deleting one
+    element other than the bounds (the order induced on the rest), or one
+    cover edge (the order the other covers generate)."""
+    for x in range(lat.n):
+        if x not in (lat.bottom, lat.top):
+            names = lat.names[:x] + lat.names[x + 1:]
+            yield names, [(lat.names[a], lat.names[b]) for a in range(lat.n) if a != x
+                          for b in _bits(lat.up[a] & ~(1 << a | 1 << x))]
+    covers = [(lat.names[a], lat.names[b])
+              for a in range(lat.n) for b in _bits(lat.upper_covers[a])]
+    for edge in covers:
+        yield lat.names, [pair for pair in covers if pair != edge]
+
+
+def check_derived_posets(n):
+    """Every derived poset of every catalogue lattice with ``n`` elements,
+    through the core and the reference; (posets, rejected)."""
+    verdicts = [assert_same_build(names, pairs, build=_from_edges)
+                for lat in lattice_catalogue(n) for names, pairs in derived_posets(lat)]
+    return len(verdicts), len(verdicts) - verdicts.count(None)
+
+
+# n -> (posets, rejected); n = 9, (19,506, 11,195), runs in CI
+DERIVED_POSETS = {2: (1, 1), 3: (3, 2), 4: (11, 7), 5: (40, 25), 6: (157, 96), 7: (688, 411),
+                  8: (3446, 2015)}
+
+
+@pytest.mark.parametrize("n", sorted(DERIVED_POSETS))
+def test_posets_derived_from_catalogue_lattices(n):
+    assert check_derived_posets(n) == DERIVED_POSETS[n]
