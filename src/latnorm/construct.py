@@ -275,7 +275,8 @@ def _join_form(spec: ConstructionSpec) -> OpTable:
     ``isolated`` columns when x is isolated, and top on the rest.  Each row
     is one ``bytes.translate``: a column index string shared by the rows of
     its kind, read through a table of the row's values (element ids stay
-    below ``MAX_ELEMENTS`` = 64), so no Python runs per cell."""
+    below ``MAX_ELEMENTS`` = 64), so no Python runs per cell.  The rows,
+    joined, are the table's buffer."""
     lat = spec.lattice
     n, top = lat.n, lat.top
     regions = case_regions(lat, spec.neutral, spec.threshold)
@@ -297,18 +298,18 @@ def _join_form(spec: ConstructionSpec) -> OpTable:
     outer_pad = bytes(254 - len(iso_ids))
     anchor = spec.anchor
 
-    def row(x: ElementId) -> tuple[ElementId, ...]:
+    def row(x: ElementId) -> bytes:
         if inner_mask >> x & 1:
-            values = bytes(inner.values[inner_pos[x]]) + (ids if low >> x & 1 else tops)
-            return tuple(inner_pick.translate(values + inner_pad))
+            values = inner.row(x) + (ids if low >> x & 1 else tops)
+            return inner_pick.translate(values + inner_pad)
         if iso >> x & 1:
             # (x v y) v anchor = (x v anchor) v y
             values = bytes(lat.joins(lat.join(x, anchor), iso_ids))
         else:
             values = not_isolated
-        return tuple(outer_pick.translate(bytes((top, x)) + values + outer_pad))
+        return outer_pick.translate(bytes((top, x)) + values + outer_pad)
 
-    return OpTable(lattice=lat, carrier=tuple(range(n)), values=tuple(map(row, range(n))))
+    return OpTable.from_cells(lat, range(n), b"".join(map(row, range(n))))
 
 
 def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:

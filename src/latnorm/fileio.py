@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .lattice import MAX_ELEMENTS, BoundedLattice, build_lattice, ids_of, lattice_from_edges
@@ -170,32 +172,32 @@ def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
     resolved = _resolve_names(lat._index, carrier_names, rows)
     if resolved is None:
         resolved = _checked_names(lat, carrier_names, rows)
-    carrier, values = resolved
+    carrier, cells = resolved
     try:
-        return OpTable(lattice=lat, carrier=carrier, values=values)
+        return OpTable.from_cells(lat, carrier, cells)
     except OpTableError as exc:
         raise FileFormatError(str(exc)) from None
 
 
 def _resolve_names(index: dict, carrier_names, rows):
-    """(carrier, values) as ids, one lookup per name, for a square table of
-    element names; ``None`` when a type, a name or the shape is off.  Only
-    strings are keys of ``index`` (the lattice's name -> element map), so
-    every name that resolves is one."""
+    """(carrier, cells) as ids, one lookup per name, for a square table of
+    element names: the cells are the table's row-major buffer.  ``None``
+    when a type, a name or the shape is off.  Only strings are keys of
+    ``index`` (the lattice's name -> element map), so every name that
+    resolves is one."""
     size = len(carrier_names) if type(carrier_names) is list else -1
     if type(rows) is not list or len(rows) != size:
         return None
-    get = index.__getitem__
+    for row in rows:
+        if type(row) is not list or len(row) != size:
+            return None
     try:
-        carrier = tuple(map(get, carrier_names))
-        values = []
-        for row in rows:
-            if type(row) is not list or len(row) != size:
-                return None
-            values.append(tuple(map(get, row)))
+        # every name in one C loop; two or more keys give a tuple, and no
+        # key (an empty table) is a TypeError, left to the checked path
+        ids = bytes(itemgetter(*carrier_names, *chain.from_iterable(rows))(index))
     except (KeyError, TypeError):  # an unknown name, or an unhashable cell
         return None
-    return carrier, tuple(values)
+    return tuple(ids[:size]), ids[size:]
 
 
 def _checked_names(lat: BoundedLattice, carrier_names, rows):
@@ -206,12 +208,12 @@ def _checked_names(lat: BoundedLattice, carrier_names, rows):
         raise FileFormatError("'rows' must be a list of lists of strings")
     try:
         carrier = tuple(lat.index(name) for name in carrier_names)
-        values = tuple(tuple(lat.index(cell) for cell in row) for row in rows)
+        cells = [lat.index(cell) for row in rows for cell in row]
     except KeyError as exc:
         raise FileFormatError(str(exc)) from None
     if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
         raise FileFormatError("table is not square over its carrier")
-    return carrier, values
+    return carrier, cells
 
 
 def render_table_text(table: OpTable) -> str:

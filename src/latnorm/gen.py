@@ -231,11 +231,10 @@ def _mutate(t: OpTable, e: ElementId, rng: random.Random) -> Optional[OpTable]:
     v = rng.choice(carrier)
     if v == t.value(a, b):
         return None
-    pos = t.pos
-    rows = [list(row) for row in t.values]
-    rows[pos[a]][pos[b]] = v
-    rows[pos[b]][pos[a]] = v
-    mutated = OpTable(lattice=t.lattice, carrier=carrier, values=tuple(tuple(r) for r in rows))
+    pos, k = t.pos, len(carrier)
+    cells = bytearray(t.buf)
+    cells[pos[a] * k + pos[b]] = cells[pos[b] * k + pos[a]] = v
+    mutated = OpTable.from_cells(t.lattice, carrier, cells, pos)
     return mutated if is_uninorm(mutated, e).ok else None
 
 

@@ -1,35 +1,74 @@
-"""Differential tests of the associativity, monotonicity and neutral scans.
+"""Differential tests of the axiom scans and the ``ub`` class scan.
 
+The scans read the table's row-major byte buffer.
+``first_commutativity_witness`` compares it whole with its transpose,
+``first_closure_witness`` deletes the carrier's ids from it,
 ``first_associativity_witness`` compares whole rows,
 ``first_monotonicity_witness`` localizes the failing element with bit
-masks and ``first_neutral_witness`` compares row e and column e whole with
-the carrier, at every e.  Each must return exactly what the per-cell loop
-it replaced returned, ``None`` included.  Those loops are the reference.
-They run on the join-form construction of every catalogue frame with
-n <= 6; on seeded tables over generated lattices of 2..10 elements (the
-carrier in id order, shuffled, or a sub-carrier that is not an interval;
-meet and join tables, random cells, one mutated cell); and on the
-64-element chain, Boolean lattice and 8x8 grid, whole, on a sub-carrier
-that is not convex, and with planted cells that pin how the monotonicity
-witness is named.
+masks, ``first_neutral_witness`` compares row e and column e whole with
+the carrier, at every e, and ``in_class_ub`` marks the cells landing in
+[bottom, e] with one translate, at every e of a carrier with a least and
+a greatest element.  Each must return exactly what the per-cell loop it
+replaced returned, ``None`` included.  Those loops are the reference, and
+read the cells through the ``values`` view.  They run on both construction
+forms of every catalogue frame with n <= 6 (CI runs n = 7); on seeded
+tables over generated lattices of 2..10 elements (the carrier in id
+order, shuffled, or a sub-carrier that is not an interval; meet and join
+tables, random cells, one mutated cell); and on the 64-element chain,
+Boolean lattice and 8x8 grid, whole, on a sub-carrier that is not convex,
+and with planted cells that pin how the monotonicity witness is named.
 """
 
 import random
 
 import pytest
 
-from latnorm.construct import construct_eq1
+from latnorm.construct import construct_eq1, construct_eq2, dual_spec
 from latnorm.gen import GenConfig, gen_lattice
 from latnorm.lattice import mask_of
 from latnorm.optable import (
     OpTable,
     first_associativity_witness,
+    first_closure_witness,
+    first_commutativity_witness,
     first_monotonicity_witness,
     first_neutral_witness,
+    in_class_ub,
     meet_table,
 )
 
 from families import boolean, catalogue_specs, chain, grid
+
+
+def reference_commutativity(t):
+    carrier, values = t.carrier, t.values
+    for i, a in enumerate(carrier):
+        for j, b in enumerate(carrier):
+            if values[i][j] != values[j][i]:
+                return (a, b, values[i][j], values[j][i])
+    return None
+
+
+def reference_closure(t):
+    in_carrier = set(t.carrier)
+    for a, row in zip(t.carrier, t.values):
+        for b, v in zip(t.carrier, row):
+            if v not in in_carrier:
+                return (a, b, v)
+    return None
+
+
+def reference_ub(t, e):
+    """Whether every cell landing in [bottom, e] has both arguments there,
+    bottom being the least element of the carrier."""
+    lat = t.lattice
+    bottom = lat.extremes(mask_of(t.carrier))[0]
+    below = {x for x in t.carrier if lat.leq(bottom, x) and lat.leq(x, e)}
+    for a, row in zip(t.carrier, t.values):
+        for b, v in zip(t.carrier, row):
+            if v in below and not (a in below and b in below):
+                return False
+    return True
 
 
 def reference_associativity(t):
@@ -88,12 +127,30 @@ def reference_neutral(t, e):
 
 
 def assert_same_witnesses(t):
+    assert first_commutativity_witness(t) == reference_commutativity(t)
+    assert first_closure_witness(t) == reference_closure(t)
     assert first_associativity_witness(t) == reference_associativity(t)
     for both_sides in (False, True):
         got = first_monotonicity_witness(t, both_sides=both_sides)
         assert got == reference_monotonicity(t, both_sides)
     for e in t.carrier:
         assert first_neutral_witness(t, e) == reference_neutral(t, e)
+    if t.lattice.extremes(mask_of(t.carrier)) is not None:
+        for e in t.carrier:
+            assert in_class_ub(t, e) == reference_ub(t, e)
+
+
+def check_catalogue_constructions(max_n):
+    """:func:`assert_same_witnesses` on the join-form construction of every
+    catalogue frame with at most ``max_n`` elements and on the meet-form
+    construction of its dual spec, which reads the same cells in the dual
+    lattice; returns the number of frames."""
+    count = 0
+    for spec in catalogue_specs(max_n):
+        assert_same_witnesses(construct_eq1(spec, check_inner=False))
+        assert_same_witnesses(construct_eq2(dual_spec(spec), check_inner=False))
+        count += 1
+    return count
 
 
 def _carrier(lat, rng, layout):
@@ -149,8 +206,7 @@ IDS_64 = ["chain64", "bool2^6", "grid8x8"]
 
 
 def test_catalogue_constructions_match_the_per_cell_loops():
-    for spec in catalogue_specs(6):
-        assert_same_witnesses(construct_eq1(spec, check_inner=False))
+    assert check_catalogue_constructions(6) == 1240
 
 
 @pytest.mark.parametrize("lat", LATTICES_64, ids=IDS_64)

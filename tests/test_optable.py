@@ -4,6 +4,7 @@ from latnorm.gen import GenConfig, gen_lattice, gen_uninorm
 from latnorm.optable import (
     NeutralOutsideCarrier,
     OpTable,
+    OpTableError,
     SubNotContained,
     in_class_ub,
     in_class_umax,
@@ -225,3 +226,63 @@ def test_closure_witness():
     t = table_from_function(lat, (0, 1, 2), lambda a, b: 3 if (a, b) == (2, 2) else lat.meet(a, b))
     report = is_uninorm(t, 2)
     assert report.closed == (2, 2, 3)
+
+
+# -- ids outside the lattice ------------------------------------------------
+
+
+def _identity_cells(bad):
+    """The min on the 3-chain with its last cell replaced by ``bad``."""
+    return ((0, 0, 0), (0, 1, 1), (0, 1, bad))
+
+
+@pytest.mark.parametrize("bad", [-1, 300])
+def test_a_cell_that_is_no_byte_is_refused(bad):
+    # once a bare ValueError from the battery, and for -1 from in_class_ub
+    # (a negative shift count); 300 was judged in class ub
+    with pytest.raises(OpTableError, match=f"^cell value {bad} is no element of the 3-element lattice$"):
+        OpTable(chain(3), (0, 1, 2), _identity_cells(bad))
+
+
+def test_a_cell_past_the_lattice_is_refused():
+    # once scanned as an element: monotonicity witness (0, 1, 1, 0, 3, "left")
+    lat = chain(3)
+    message = "^cell value 3 is no element of the 3-element lattice$"
+    with pytest.raises(OpTableError, match=message):
+        OpTable(lat, (0, 1, 2), _identity_cells(3))
+    with pytest.raises(OpTableError, match=message):
+        OpTable.from_cells(lat, (0, 1, 2), bytes([0, 0, 0, 0, 1, 1, 0, 1, 3]))
+    with pytest.raises(OpTableError, match=message):
+        table_from_function(lat, (0, 1, 2), lambda a, b: 3 if a == b == 2 else min(a, b))
+
+
+def test_a_carrier_element_past_the_lattice_is_refused():
+    # once built, and then the battery raised IndexError
+    lat = chain(3)
+    message = "^carrier element 5 is no element of the 3-element lattice$"
+    with pytest.raises(OpTableError, match=message):
+        OpTable(lat, (0, 1, 5), _identity_cells(0))
+    with pytest.raises(OpTableError, match=message):
+        table_from_function(lat, (0, 1, 5), lambda a, b: 0)
+    with pytest.raises(OpTableError, match="^carrier element -1 "):
+        OpTable(lat, (0, -1), ((0, 0), (0, 0)))
+
+
+def test_the_first_bad_id_is_named():
+    # in row-major order, whether or not a later one fits in a byte
+    lat = chain(3)
+    with pytest.raises(OpTableError, match="^cell value 7 "):
+        OpTable(lat, (0, 1), ((0, 7), (300, -1)))
+    with pytest.raises(OpTableError, match="^cell value 7 "):
+        OpTable.from_cells(lat, (0, 1), bytes([0, 7, 9, 1]))
+    with pytest.raises(OpTableError, match="^cell value 'x' "):
+        OpTable(lat, (0, 1), ((0, "x"), (300, 1)))
+
+
+def test_tables_are_immutable():
+    t = meet_table(chain(3))
+    with pytest.raises(AttributeError):
+        t.buf = bytes(9)
+    with pytest.raises(AttributeError):
+        del t.carrier
+    assert t.buf == bytes([0, 0, 0, 0, 1, 1, 0, 1, 2])
