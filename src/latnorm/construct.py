@@ -43,11 +43,11 @@ license are exactly the equivalences the verification module fuzzes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
-from .optable import OpTable, in_class_ub, is_uninorm, rewrap, table_from_function
+from .optable import OpTable, in_class_ub, is_uninorm, rewrap
 
 
 class SpecInvalid(Exception):
@@ -336,19 +336,27 @@ def pinch_tnorm(
     """Pinch-point t-norm on [lo, hi] around a t-norm ``upper`` on [pivot, hi].
 
     Cells keep the inner value on [pivot, hi], take meets when ``hi``
-    participates, and collapse to ``lo`` otherwise.
+    participates, and collapse to ``lo`` otherwise.  Each row is one
+    ``bytes.translate`` of a column index string, as in :func:`_join_form`.
     """
+    carrier = lat.interval(lo, hi)
     upper_mask = lat.interval_mask(pivot, hi)
-    meet = lat.meet
+    size = len(upper.carrier)
+    # a row in [pivot, hi] reads its upper row, then the carrier ids or `los`
+    upper_pick = bytes([upper.pos[y] if upper_mask >> y & 1 else size + j
+                        for j, y in enumerate(carrier)])
+    ids, los = bytes(carrier), bytes([lo]) * len(carrier)
+    upper_pad = bytes(256 - size - len(carrier))
+    # any other row reads lo, then x on column hi
+    outer_pick = bytes([y == hi for y in carrier])
+    outer_pad = bytes(254)
 
-    def cell(x: ElementId, y: ElementId) -> ElementId:
-        if upper_mask >> x & 1 and upper_mask >> y & 1:
-            return upper.value(x, y)
-        if x == hi or y == hi:
-            return meet(x, y)
-        return lo
+    def row(x: ElementId) -> bytes:
+        if upper_mask >> x & 1:
+            return upper_pick.translate(upper.row(x) + (ids if x == hi else los) + upper_pad)
+        return outer_pick.translate(bytes((lo, x)) + outer_pad)
 
-    return table_from_function(lat, lat.interval(lo, hi), cell)
+    return OpTable.from_cells(lat, carrier, b"".join(map(row, carrier)))
 
 
 _PINCH_SIDES = {"upper": ("[pivot, top]", "t-norm"), "lower": ("[bottom, pivot]", "t-conorm")}
@@ -388,7 +396,15 @@ def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
         raise SpecInvalid("theorem checkers require an interior threshold")
     join_spec = validate_spec(spec, profile.orientation)
     frame = frame_report(join_spec.lattice, spec.threshold, spec.neutral, spec.anchor, theorem)
-    return replace(frame, inner_in_ub=in_class_ub(join_spec.inner, spec.neutral))
+    return HypothesisReport(
+        theorem=frame.theorem,
+        anchor_class=frame.anchor_class,
+        join_pairs_ok=frame.join_pairs_ok,
+        join_anchor_ok=frame.join_anchor_ok,
+        parallel_condition_ok=frame.parallel_condition_ok,
+        inner_in_ub=in_class_ub(join_spec.inner, spec.neutral),
+        nonempty_guard=frame.nonempty_guard,
+    )
 
 
 def frame_report(
@@ -406,10 +422,7 @@ def frame_report(
     key = ("frame", theorem, threshold, neutral, anchor)
     report = lat.kept.get(key)
     if report is None:
-        profile = theorem_profile(theorem)
-        report = _join_frame(lat, threshold, neutral, anchor, profile)
-        if profile.orientation == "meet":
-            report = replace(report, anchor_class=dual_class(report.anchor_class))
+        report = _join_frame(lat, threshold, neutral, anchor, theorem_profile(theorem))
         report = lat.kept.setdefault(key, report)
     return report
 
@@ -432,7 +445,7 @@ def _join_frame(
 ) -> HypothesisReport:
     """Each frame clause's first witness, in id order, read off the frame's
     masks: the anchor classes, the ``case_regions`` blocks and the anchor's
-    incomparables."""
+    incomparables.  The anchor class is named as ``profile`` names it."""
     top = lat.top
     join = lat.join
     regions = case_regions(lat, neutral, threshold)
@@ -452,10 +465,13 @@ def _join_frame(
     )
     # some element other than top lies outside [bottom, threshold]
     outside = (regions.side_outer | iso | regions.high) & ~(1 << top)
+    anchor_class = join_anchor_class(lat, threshold, neutral, q)
+    if profile.orientation == "meet":
+        anchor_class = dual_class(anchor_class)
 
     return HypothesisReport(
         theorem=profile.id,
-        anchor_class=join_anchor_class(lat, threshold, neutral, q),
+        anchor_class=anchor_class,
         join_pairs_ok=pairs,
         join_anchor_ok=anchor_clause,
         parallel_condition_ok=parallel_clause,

@@ -69,29 +69,28 @@ class CorpusEntry:
 
 def _parse_grid(lat: BoundedLattice, carrier_names, text: str) -> OpTable:
     carrier = tuple(lat.index(name) for name in carrier_names)
-    values = []
+    cells = []
     lines = [line.split() for line in text.strip().splitlines()]
     assert len(lines) == len(carrier), "grid has wrong row count"
     for row_name, line in zip(carrier_names, lines):
         assert line[0] == row_name, f"row label {line[0]} != {row_name}"
-        cells = line[1:]
-        assert len(cells) == len(carrier), f"row {row_name} has wrong width"
-        values.append(tuple(lat.index(cell) for cell in cells))
-    return OpTable(lattice=lat, carrier=carrier, values=tuple(values))
+        assert len(line) == len(carrier) + 1, f"row {row_name} has wrong width"
+        cells += map(lat.index, line[1:])
+    return OpTable.from_cells(lat, carrier, cells)
 
 
 def _apply_errata(printed: OpTable, errata) -> OpTable:
     lat = printed.lattice
     pos = printed.pos
-    rows = [list(row) for row in printed.values]
+    k = len(printed.carrier)
+    cells = bytearray(printed.buf)
     for erratum in errata:
         if not erratum.repaired:
             continue
-        r = pos[lat.index(erratum.row)]
-        c = pos[lat.index(erratum.col)]
-        assert rows[r][c] == lat.index(erratum.printed)
-        rows[r][c] = lat.index(erratum.formula)
-    return OpTable(lattice=lat, carrier=printed.carrier, values=tuple(tuple(r) for r in rows))
+        cell = pos[lat.index(erratum.row)] * k + pos[lat.index(erratum.col)]
+        assert cells[cell] == lat.index(erratum.printed)
+        cells[cell] = lat.index(erratum.formula)
+    return OpTable.from_cells(lat, printed.carrier, cells, pos)
 
 
 def _entry(

@@ -9,10 +9,12 @@ that can be re-evaluated against the table.
 A table stores its cells as one row-major ``bytes`` buffer of element
 ids (:attr:`OpTable.buf`; ids stay below ``MAX_ELEMENTS`` = 64, so each
 fits in a byte), built once per table.  The file reader, the join-form
-construction, :func:`table_from_function` (so :func:`meet_table`, the
-pinch t-norms and the generator's skeletons) and the generator's
-mutations hand the buffer over; :func:`rewrap` shares it.  ``values``,
-the rows as tuples, is a view derived from it on first use.
+construction, the pinch t-norms and the generator's skeletons build it a
+row at a time, :func:`meet_table` and :func:`join_table` in one
+comprehension; mutations and errata copy another table's and set cells;
+:func:`rewrap` shares it.  :func:`table_from_function` builds it cell by
+cell.  ``values``, the rows as tuples, is a view derived from it on first
+use.
 
 Witnesses are the lexicographically first in carrier presentation order,
 so reports are reproducible run to run.  The scans read the buffer whole,
@@ -35,7 +37,8 @@ per-cell scan of every cell would return; the per-cell loops are kept as
 the reference in ``tests/test_battery_oracle.py``, with those of the
 ``ub`` class scan, which marks the cells landing in [bottom, e] with one
 ``bytes.translate`` and compares them, as an int, with the block where
-both arguments lie in [bottom, e].
+both arguments lie in [bottom, e], and of the ``umax`` scan and
+:meth:`OpTable.diff`, which compare row and column slices.
 
 On the n = 64 tables of the ``verify-large`` benchmark (seed 7), the
 battery of a passing table takes 0.57-0.65 ms: associativity 0.41-0.44 ms,
@@ -192,12 +195,19 @@ class OpTable:
         """Cells (row, col) where the two tables disagree; carriers must match."""
         if set(self.carrier) != set(other.carrier):
             raise OpTableError("cannot diff tables over different carriers")
-        cells = []
-        for a in self.carrier:
-            for b in self.carrier:
-                if self.value(a, b) != other.value(a, b):
-                    cells.append((a, b))
-        return tuple(cells)
+        carrier, k = self.carrier, len(self.carrier)
+        # the other's rows, each gathered into this carrier's order
+        cols, pad = bytes(map(other.pos.__getitem__, carrier)), bytes(256 - k)
+        theirs = b"".join([cols.translate(other.row(a) + pad) for a in carrier])
+        if theirs == self.buf:
+            return ()
+        return tuple(
+            (a, b)
+            for a, mine, yours in zip(carrier, _rows(self.buf, k), _rows(theirs, k))
+            if mine != yours
+            for b, x, y in zip(carrier, mine, yours)
+            if x != y
+        )
 
 
 def _rows(buf: bytes, k: int) -> list[bytes]:
@@ -226,12 +236,12 @@ def rewrap(t: OpTable, lattice: BoundedLattice) -> OpTable:
 
 def meet_table(lattice: BoundedLattice, carrier=None) -> OpTable:
     carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
-    return table_from_function(lattice, carrier, lattice.meet)
+    return OpTable.from_cells(lattice, carrier, lattice.dual().join_cells(carrier))
 
 
 def join_table(lattice: BoundedLattice, carrier=None) -> OpTable:
     carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
-    return table_from_function(lattice, carrier, lattice.join)
+    return OpTable.from_cells(lattice, carrier, lattice.join_cells(carrier))
 
 
 # -- axiom verification ----------------------------------------------------
@@ -536,13 +546,18 @@ def in_class_umax(t: OpTable, e: ElementId) -> bool:
     The commuted rectangle is checked as well so the predicate is
     meaningful on raw candidate tables.
     """
-    below, cm = _carrier_interval_masks(t, e)
-    strict_below = below & ~(1 << e)
-    outside = cm & ~below
-    for a in ids_of(strict_below):
-        for b in ids_of(outside):
-            if t.value(a, b) != b or t.value(b, a) != b:
-                return False
+    below, _ = _carrier_interval_masks(t, e)
+    buf, k = t.buf, len(t.carrier)
+    # the carrier positions of the elements outside [bottom, e]; gathered
+    # from a row (or a column) they must give those elements themselves
+    outside = bytes([i for i, b in enumerate(t.carrier) if not below >> b & 1])
+    pad = bytes(256 - k)
+    want = outside.translate(t.carrier_ids + pad)
+    for a in ids_of(below & ~(1 << e)):
+        i = t.pos[a]
+        if (outside.translate(buf[i * k:i * k + k] + pad) != want
+                or outside.translate(buf[i::k] + pad) != want):
+            return False
     return True
 
 

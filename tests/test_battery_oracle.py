@@ -1,16 +1,20 @@
-"""Differential tests of the axiom scans and the ``ub`` class scan.
+"""Differential tests of the axiom scans, the ``ub`` and ``umax`` class
+scans and ``OpTable.diff``.
 
 The scans read the table's row-major byte buffer.
 ``first_commutativity_witness`` compares it whole with its transpose,
 ``first_closure_witness`` deletes the carrier's ids from it,
 ``first_associativity_witness`` compares whole rows,
 ``first_monotonicity_witness`` localizes the failing element with bit
-masks, ``first_neutral_witness`` compares row e and column e whole with
-the carrier, at every e, and ``in_class_ub`` marks the cells landing in
-[bottom, e] with one translate, at every e of a carrier with a least and
-a greatest element.  Each must return exactly what the per-cell loop it
-replaced returned, ``None`` included.  Those loops are the reference, and
-read the cells through the ``values`` view.  They run on both construction
+masks and ``first_neutral_witness`` compares row e and column e whole with
+the carrier, at every e.  At every e of a carrier with a least and a
+greatest element, ``in_class_ub`` marks the cells landing in [bottom, e]
+with one translate and ``in_class_umax`` compares gathered row and column
+slices with the carrier.  ``OpTable.diff`` compares whole rows, against
+the meet table on the same carrier in its order and reversed.  Each must
+return exactly what the per-cell loop it replaced returned, ``None``
+included.  Those loops are the reference, and read the cells through the
+``values`` view or ``value``.  They run on both construction
 forms of every catalogue frame with n <= 6 (CI runs n = 7); on seeded
 tables over generated lattices of 2..10 elements (the carrier in id
 order, shuffled, or a sub-carrier that is not an interval; meet and join
@@ -34,6 +38,7 @@ from latnorm.optable import (
     first_monotonicity_witness,
     first_neutral_witness,
     in_class_ub,
+    in_class_umax,
     meet_table,
 )
 
@@ -69,6 +74,26 @@ def reference_ub(t, e):
             if v in below and not (a in below and b in below):
                 return False
     return True
+
+
+def reference_umax(t, e):
+    """Whether U(a, b) = U(b, a) = b for every a in [bottom, e) and every b
+    of the carrier outside [bottom, e], bottom being the least element of
+    the carrier."""
+    lat = t.lattice
+    bottom = lat.extremes(mask_of(t.carrier))[0]
+    below = {x for x in t.carrier if lat.leq(bottom, x) and lat.leq(x, e)}
+    for a in sorted(below - {e}):
+        for b in t.carrier:
+            if b not in below and (t.value(a, b) != b or t.value(b, a) != b):
+                return False
+    return True
+
+
+def reference_diff(t, other):
+    """The cells (a, b), row-major in ``t``'s carrier order, where the two
+    tables disagree."""
+    return tuple((a, b) for a in t.carrier for b in t.carrier if t.value(a, b) != other.value(a, b))
 
 
 def reference_associativity(t):
@@ -138,6 +163,12 @@ def assert_same_witnesses(t):
     if t.lattice.extremes(mask_of(t.carrier)) is not None:
         for e in t.carrier:
             assert in_class_ub(t, e) == reference_ub(t, e)
+            assert in_class_umax(t, e) == reference_umax(t, e)
+    # against the meet on the same carrier, in its order and reversed
+    for carrier in (t.carrier, t.carrier[::-1]):
+        meet = meet_table(t.lattice, carrier)
+        assert t.diff(meet) == reference_diff(t, meet)
+        assert meet.diff(t) == reference_diff(meet, t)
 
 
 def check_catalogue_constructions(max_n):

@@ -1,15 +1,21 @@
 """Every producer of tables hands over the buffer the tuple constructor builds.
 
 A table's cells are one row-major ``bytes`` buffer.  The file reader, the
-two constructions, ``rewrap``, ``meet_table``, ``pinch_tnorm``,
-``gen_uninorm`` (skeletons and kept mutations), ``restrict`` and
-``table_from_function`` build that buffer without going through
-``values`` tuples; each table they return must be the table
+two constructions, ``rewrap``, ``meet_table``, ``join_table``,
+``pinch_tnorm``, ``gen_uninorm`` (skeletons and kept mutations),
+``restrict`` and ``table_from_function`` build that buffer without going
+through ``values`` tuples; each table they return must be the table
 ``OpTable(lattice, carrier, values)`` builds from its own ``values`` view:
 the same bytes, an immutable ``bytes`` object, the carrier's position map,
 equal and equally hashed, with the same battery report at every neutral.
+
+The lattice operations, the pinch t-norms and the generator's skeletons
+are built a row at a time; each must also be the table that
+``table_from_function``, the per-cell builder, makes from its cell rule,
+kept here as the reference, on shuffled carriers and sub-carriers too.
 """
 
+import random
 from itertools import chain
 
 from latnorm import gen as gen_module
@@ -115,3 +121,67 @@ def test_the_file_reader(entries, tmp_path):
             _, _, read = read_table(tmp_path / f"{entry.id}.{key}.table.json")
             assert read.carrier == table.carrier and read.buf == table.buf
             assert_well_formed(read)
+
+
+def reference_pinch(lat, lo, hi, pivot, upper):
+    """The pinch t-norm, cell by cell."""
+    upper_mask = lat.interval_mask(pivot, hi)
+
+    def cell(x, y):
+        if upper_mask >> x & 1 and upper_mask >> y & 1:
+            return upper.value(x, y)
+        if x == hi or y == hi:
+            return lat.meet(x, y)
+        return lo
+
+    return table_from_function(lat, lat.interval(lo, hi), cell)
+
+
+def reference_meet_core(lat, carrier, e, lo, hi, core):
+    """The meet-core skeleton around the t-norm ``core`` on [lo, e], cell by cell."""
+    core_mask = lat.interval_mask(lo, e)
+
+    def cell(x, y):
+        x_in, y_in = core_mask >> x & 1, core_mask >> y & 1
+        if x_in and y_in:
+            return core.value(x, y)
+        if y_in:
+            return x
+        if x_in:
+            return y
+        return hi
+
+    return table_from_function(lat, carrier, cell)
+
+
+def test_row_built_tables_match_their_per_cell_rules():
+    skeletons = 0
+    for seed in range(30):
+        lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 8)))
+        rng = random.Random(seed)
+        shuffled = list(range(lat.n))
+        rng.shuffle(shuffled)
+        for carrier in (range(lat.n), shuffled, shuffled[:rng.randint(1, lat.n)]):
+            assert meet_table(lat, carrier) == table_from_function(lat, carrier, lat.meet)
+            assert join_table(lat, carrier) == table_from_function(lat, carrier, lat.join)
+        for lo in range(lat.n):
+            for hi in lat.interval(lo, lat.top):
+                # every pivot below hi, those outside [lo, hi] included
+                for pivot in lat.interval(lat.bottom, hi):
+                    upper = meet_table(lat, lat.interval(pivot, hi))
+                    got = pinch_tnorm(lat, lo, hi, pivot, upper)
+                    assert got == reference_pinch(lat, lo, hi, pivot, upper)
+                    assert_well_formed(got)
+                # the skeletons on [lo, hi] in shuffled order, in both
+                # families, around a random t-norm core
+                carrier = list(lat.interval(lo, hi))
+                rng.shuffle(carrier)
+                for e in carrier:
+                    for side, lo_, hi_ in ((lat, lo, hi), (lat.dual(), hi, lo)):
+                        got = gen_module._meet_core_uninorm(side, carrier, e, lo_, hi_,
+                                                            random.Random(seed))
+                        core = gen_module._rand_tnorm(side, lo_, e, random.Random(seed))
+                        assert got == reference_meet_core(side, carrier, e, lo_, hi_, core)
+                        assert_well_formed(got)
+                        skeletons += 1
+    assert skeletons > 1000
