@@ -34,7 +34,6 @@ from .optable import (
     in_class_ut,
     is_uninorm,
     restrict,
-    table_from_function,
 )
 from .gen import ExhaustedRejection, GenConfig, gen_lattice, gen_spec, gen_uninorm
 from .verify import (

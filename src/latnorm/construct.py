@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
-from .optable import OpTable, in_class_ub, is_uninorm, rewrap
+from .optable import OpTable, _gather, in_class_ub, is_uninorm, rewrap
 
 
 class SpecInvalid(Exception):
@@ -273,10 +273,10 @@ def _join_form(spec: ConstructionSpec) -> OpTable:
     on the I columns and, on the others, y when x is in ``low``, else top;
     a row x outside I is x on the ``low`` columns, x v y v anchor on the
     ``isolated`` columns when x is isolated, and top on the rest.  Each row
-    is one ``bytes.translate``: a column index string shared by the rows of
-    its kind, read through a table of the row's values (element ids stay
-    below ``MAX_ELEMENTS`` = 64), so no Python runs per cell.  The rows,
-    joined, are the table's buffer."""
+    is one gather (one ``bytes.translate``): a column index string shared
+    by the rows of its kind, read through the row's values (element ids
+    stay below ``MAX_ELEMENTS`` = 64), so no Python runs per cell.  The
+    rows, joined, are the table's buffer."""
     lat = spec.lattice
     n, top = lat.n, lat.top
     regions = case_regions(lat, spec.neutral, spec.threshold)
@@ -289,27 +289,24 @@ def _join_form(spec: ConstructionSpec) -> OpTable:
     # a row in I reads its inner row, then `ids` (x in low) or `tops`
     inner_pick = bytes([inner_pos[y] if inner_mask >> y & 1 else size + y for y in range(n)])
     ids, tops = bytes(range(n)), bytes([top]) * n
-    inner_pad = bytes(256 - size - n)
     # a row outside I reads top, x, then its values on the isolated columns
     outer_pick = bytearray(1 if low >> y & 1 else 0 for y in range(n))
     for j, y in enumerate(iso_ids, 2):
         outer_pick[y] = j
     not_isolated = bytes([top]) * len(iso_ids)
-    outer_pad = bytes(254 - len(iso_ids))
     anchor = spec.anchor
 
     def row(x: ElementId) -> bytes:
         if inner_mask >> x & 1:
-            values = inner.row(x) + (ids if low >> x & 1 else tops)
-            return inner_pick.translate(values + inner_pad)
+            return _gather(inner_pick, inner.row(x) + (ids if low >> x & 1 else tops))
         if iso >> x & 1:
             # (x v y) v anchor = (x v anchor) v y
             values = bytes(lat.joins(lat.join(x, anchor), iso_ids))
         else:
             values = not_isolated
-        return outer_pick.translate(bytes((top, x)) + values + outer_pad)
+        return _gather(outer_pick, bytes((top, x)) + values)
 
-    return OpTable.from_cells(lat, range(n), b"".join(map(row, range(n))))
+    return OpTable(lat, range(n), b"".join(map(row, range(n))))
 
 
 def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:
@@ -336,8 +333,8 @@ def pinch_tnorm(
     """Pinch-point t-norm on [lo, hi] around a t-norm ``upper`` on [pivot, hi].
 
     Cells keep the inner value on [pivot, hi], take meets when ``hi``
-    participates, and collapse to ``lo`` otherwise.  Each row is one
-    ``bytes.translate`` of a column index string, as in :func:`_join_form`.
+    participates, and collapse to ``lo`` otherwise.  Each row is one gather
+    of a column index string, as in :func:`_join_form`.
     """
     carrier = lat.interval(lo, hi)
     upper_mask = lat.interval_mask(pivot, hi)
@@ -346,17 +343,15 @@ def pinch_tnorm(
     upper_pick = bytes([upper.pos[y] if upper_mask >> y & 1 else size + j
                         for j, y in enumerate(carrier)])
     ids, los = bytes(carrier), bytes([lo]) * len(carrier)
-    upper_pad = bytes(256 - size - len(carrier))
     # any other row reads lo, then x on column hi
     outer_pick = bytes([y == hi for y in carrier])
-    outer_pad = bytes(254)
 
     def row(x: ElementId) -> bytes:
         if upper_mask >> x & 1:
-            return upper_pick.translate(upper.row(x) + (ids if x == hi else los) + upper_pad)
-        return outer_pick.translate(bytes((lo, x)) + outer_pad)
+            return _gather(upper_pick, upper.row(x) + (ids if x == hi else los))
+        return _gather(outer_pick, bytes((lo, x)))
 
-    return OpTable.from_cells(lat, carrier, b"".join(map(row, carrier)))
+    return OpTable(lat, carrier, b"".join(map(row, carrier)))
 
 
 _PINCH_SIDES = {"upper": ("[pivot, top]", "t-norm"), "lower": ("[bottom, pivot]", "t-conorm")}

@@ -76,7 +76,7 @@ def _parse_grid(lat: BoundedLattice, carrier_names, text: str) -> OpTable:
         assert line[0] == row_name, f"row label {line[0]} != {row_name}"
         assert len(line) == len(carrier) + 1, f"row {row_name} has wrong width"
         cells += map(lat.index, line[1:])
-    return OpTable.from_cells(lat, carrier, cells)
+    return OpTable(lat, carrier, cells)
 
 
 def _apply_errata(printed: OpTable, errata) -> OpTable:
@@ -90,7 +90,7 @@ def _apply_errata(printed: OpTable, errata) -> OpTable:
         cell = pos[lat.index(erratum.row)] * k + pos[lat.index(erratum.col)]
         assert cells[cell] == lat.index(erratum.printed)
         cells[cell] = lat.index(erratum.formula)
-    return OpTable.from_cells(lat, printed.carrier, cells, pos)
+    return OpTable(lat, printed.carrier, cells, pos)
 
 
 def _entry(

@@ -174,7 +174,7 @@ def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
         resolved = _checked_names(lat, carrier_names, rows)
     carrier, cells = resolved
     try:
-        return OpTable.from_cells(lat, carrier, cells)
+        return OpTable(lat, carrier, cells)
     except OpTableError as exc:
         raise FileFormatError(str(exc)) from None
 
@@ -250,20 +250,6 @@ def render_table(table: OpTable, fmt: str, lattice_name: str = "") -> str:
     if fmt == "csv":
         return render_table_csv(table)
     raise ValueError(f"unknown table format {fmt!r}")
-
-
-def table_cells_from_text(text: str) -> list[list[str]]:
-    """Re-extract cell names from the text rendering (cross-format checks)."""
-    lines = [line for line in text.splitlines() if line and "+" not in line]
-    out = []
-    for line in lines[1:]:
-        _, _, cells = line.partition("|")
-        out.append(cells.split())
-    return out
-
-
-def table_cells_from_csv(text: str) -> list[list[str]]:
-    return [row[1:] for row in list(csv.reader(io.StringIO(text)))[1:]]
 
 
 # -- file layout -------------------------------------------------------------

@@ -79,6 +79,7 @@ from .lattice import (
 )
 from .optable import (
     OpTable,
+    _gather,
     in_class_ub,
     in_class_umax,
     in_class_umin,
@@ -218,25 +219,24 @@ def _meet_core_uninorm(
     lat: BoundedLattice, carrier, e: ElementId, lo: ElementId, hi: ElementId, rng: random.Random
 ) -> OpTable:
     """A random t-norm core on [lo, e]; outside it the other argument wins,
-    and two outside arguments give ``hi``.  One ``bytes.translate`` of a
-    column index string per row, as in :func:`~latnorm.construct.pinch_tnorm`."""
+    and two outside arguments give ``hi``.  One gather of a column index
+    string per row, as in :func:`~latnorm.construct.pinch_tnorm`."""
     core = _rand_tnorm(lat, lo, e, rng)
     core_mask = lat.interval_mask(lo, e)
-    size, k = len(core.carrier), len(carrier)
+    size = len(core.carrier)
     # a core row reads its core row, then the carrier ids
     core_pick = bytes([core.pos[y] if core_mask >> y & 1 else size + j
                        for j, y in enumerate(carrier)])
-    ids, core_pad = bytes(carrier), bytes(256 - size - k)
+    ids = bytes(carrier)
     # any other row reads x, then hi
     outer_pick = bytes([not core_mask >> y & 1 for y in carrier])
-    outer_pad = bytes(254)
 
     def row(x: ElementId) -> bytes:
         if core_mask >> x & 1:
-            return core_pick.translate(core.row(x) + ids + core_pad)
-        return outer_pick.translate(bytes((x, hi)) + outer_pad)
+            return _gather(core_pick, core.row(x) + ids)
+        return _gather(outer_pick, bytes((x, hi)))
 
-    return OpTable.from_cells(lat, carrier, b"".join(map(row, carrier)))
+    return OpTable(lat, carrier, b"".join(map(row, carrier)))
 
 
 def _mutate(t: OpTable, e: ElementId, rng: random.Random) -> Optional[OpTable]:
@@ -258,7 +258,7 @@ def _mutate(t: OpTable, e: ElementId, rng: random.Random) -> Optional[OpTable]:
     if (_column_drop(lat, carrier, cells[pos[b]::k], a, v)
             or _column_drop(lat, carrier, cells[pos[a]::k], b, v)):
         return None
-    mutated = OpTable.from_cells(lat, carrier, cells, pos)
+    mutated = OpTable(lat, carrier, cells, pos)
     return mutated if is_uninorm(mutated, e).ok else None
 
 
@@ -312,40 +312,6 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
     if cf is not None and not _CLASS_CHECKS[cf](table, e):
         raise AssertionError(f"generated {family} table is not in class {cf!r}")
     return table
-
-
-def enumerate_uninorms(lat: BoundedLattice, carrier, e: ElementId) -> list[OpTable]:
-    """All uninorms on a small carrier, by backtracking over symmetric cells.
-
-    Exponential in the carrier size; intended as the generator oracle for
-    carriers of at most four elements.
-    """
-    carrier = tuple(carrier)
-    free = [x for x in carrier if x != e]
-    k = len(carrier)
-    pos = {x: i for i, x in enumerate(carrier)}
-    # the offsets of each symmetric non-neutral cell and of its mirror
-    cells = [(pos[a] * k + pos[b], pos[b] * k + pos[a])
-             for i, a in enumerate(free) for b in free[i:]]
-    buf = bytearray(k * k)
-    for x in carrier:
-        buf[pos[e] * k + pos[x]] = buf[pos[x] * k + pos[e]] = x
-
-    found = []
-
-    def fill(i: int):
-        if i == len(cells):
-            table = OpTable.from_cells(lat, carrier, bytes(buf))
-            if is_uninorm(table, e).ok:
-                found.append(table)
-            return
-        ab, ba = cells[i]
-        for v in carrier:
-            buf[ab] = buf[ba] = v
-            fill(i + 1)
-
-    fill(0)
-    return found
 
 
 # -- construction specs ------------------------------------------------------

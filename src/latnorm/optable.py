@@ -8,13 +8,15 @@ that can be re-evaluated against the table.
 
 A table stores its cells as one row-major ``bytes`` buffer of element
 ids (:attr:`OpTable.buf`; ids stay below ``MAX_ELEMENTS`` = 64, so each
-fits in a byte), built once per table.  The file reader, the join-form
-construction, the pinch t-norms and the generator's skeletons build it a
-row at a time, :func:`meet_table` and :func:`join_table` in one
-comprehension; mutations and errata copy another table's and set cells;
-:func:`rewrap` shares it.  :func:`table_from_function` builds it cell by
-cell.  ``values``, the rows as tuples, is a view derived from it on first
-use.
+fits in a byte), built once per table and handed to the one constructor,
+``OpTable(lattice, carrier, cells)``.  The join-form construction, the
+pinch t-norms, the generator's skeletons and :func:`restrict` build it a
+row at a time, each row one gather (:func:`_gather`, a ``bytes.translate``
+through the row's values); the file reader builds it a row at a time from
+the names, :func:`meet_table` and :func:`join_table` in one comprehension;
+mutations and errata copy another table's and set cells; :func:`rewrap`
+shares it.  ``values``, the rows as tuples, is a view derived from it on
+first use.
 
 Witnesses are the lexicographically first in carrier presentation order,
 so reports are reproducible run to run.  The scans read the buffer whole,
@@ -82,14 +84,21 @@ class SubNotContained(OpTableError):
 _IDS = bytes(range(256))  # _IDS[:n]: every element id of an n-element lattice
 
 
-def _refuse_ids(carrier, cells, n: int) -> None:
-    """Raise :class:`OpTableError` naming the first carrier element, else
-    the first cell in row-major order, that is no element id of an
-    ``n``-element lattice."""
-    for what, items in (("carrier element", carrier), ("cell value", cells)):
+def _gather(index: bytes, values: bytes) -> bytes:
+    """Byte i is ``values[index[i]]``: one ``bytes.translate`` of ``index``
+    through ``values`` padded to a translation table (``values`` holds at
+    most 256 bytes; an index past it reads 0)."""
+    return index.translate(values.ljust(256, b"\0"))
+
+
+def _refuse_ids(n: int, error: type, *named) -> None:
+    """Raise ``error`` naming the first id, over the ``(what, ids)`` pairs
+    of ``named`` in order, that is no element id of an ``n``-element
+    lattice."""
+    for what, items in named:
         for x in items:
             if not (isinstance(x, int) and 0 <= x < n):
-                raise OpTableError(f"{what} {x!r} is no element of the {n}-element lattice")
+                raise error(f"{what} {x!r} is no element of the {n}-element lattice")
 
 
 class OpTable:
@@ -103,31 +112,17 @@ class OpTable:
     nothing else.  ``values[i][j]`` is the same cell, in a tuple-of-tuples
     view of the buffer derived on first use.
 
-    ``OpTable(lattice, carrier, values)`` builds the buffer from the rows
-    of ``values``; :meth:`from_cells` takes the buffer itself.  Both raise
-    :class:`OpTableError` when the table is not square, the carrier repeats
-    an element, or an id is no element of ``lattice``.  Tables are
+    ``OpTable(lattice, carrier, cells)`` takes the row-major cells:
+    ``bytes``, which the table keeps as its buffer, or any sequence of ids.
+    ``pos`` is the position map of ``carrier`` when the caller holds one
+    (another table's, on the same carrier), shared rather than rebuilt.  It
+    raises :class:`OpTableError` when the table is not square, the carrier
+    repeats an element, or an id is no element of ``lattice``.  Tables are
     immutable.
     """
 
-    def __init__(self, lattice: BoundedLattice, carrier, values):
+    def __init__(self, lattice: BoundedLattice, carrier, cells, pos=None):
         carrier = tuple(carrier)
-        k = len(carrier)
-        if len(values) != k or any(len(row) != k for row in values):
-            raise OpTableError("values table is not square over the carrier")
-        self._fill(lattice, carrier, list(chain.from_iterable(values)), None)
-
-    @classmethod
-    def from_cells(cls, lattice: BoundedLattice, carrier, cells, pos=None) -> "OpTable":
-        """The table whose row-major cells are ``cells``: ``bytes``, which
-        the table keeps as its buffer, or any sequence of ids.  ``pos`` is
-        the position map of ``carrier`` when the caller holds one (another
-        table's, on the same carrier), shared rather than rebuilt."""
-        table = cls.__new__(cls)
-        table._fill(lattice, tuple(carrier), cells, pos)
-        return table
-
-    def _fill(self, lattice: BoundedLattice, carrier: tuple, cells, pos) -> None:
         k = len(carrier)
         if len(cells) != k * k:
             raise OpTableError("values table is not square over the carrier")
@@ -142,7 +137,8 @@ class OpTable:
         # deleting every id of the lattice leaves the ids that are none
         ids = _IDS[:lattice.n]
         if carrier_ids.translate(None, ids) or buf.translate(None, ids):
-            _refuse_ids(carrier, cells, lattice.n)
+            _refuse_ids(lattice.n, OpTableError,
+                        ("carrier element", carrier), ("cell value", cells))
         attrs = self.__dict__
         attrs["lattice"], attrs["carrier"], attrs["pos"] = lattice, carrier, pos
         attrs["carrier_ids"], attrs["buf"] = carrier_ids, buf
@@ -196,9 +192,7 @@ class OpTable:
         if set(self.carrier) != set(other.carrier):
             raise OpTableError("cannot diff tables over different carriers")
         carrier, k = self.carrier, len(self.carrier)
-        # the other's rows, each gathered into this carrier's order
-        cols, pad = bytes(map(other.pos.__getitem__, carrier)), bytes(256 - k)
-        theirs = b"".join([cols.translate(other.row(a) + pad) for a in carrier])
+        theirs = restrict(other, carrier).buf  # in this carrier's order
         if theirs == self.buf:
             return ()
         return tuple(
@@ -215,15 +209,6 @@ def _rows(buf: bytes, k: int) -> list[bytes]:
     return [buf[start:start + k] for start in range(0, len(buf), k or 1)]
 
 
-def table_from_function(
-    lattice: BoundedLattice,
-    carrier,
-    fn: Callable[[ElementId, ElementId], ElementId],
-) -> OpTable:
-    carrier = tuple(carrier)
-    return OpTable.from_cells(lattice, carrier, [fn(a, b) for a in carrier for b in carrier])
-
-
 def rewrap(t: OpTable, lattice: BoundedLattice) -> OpTable:
     """The same cells on the same carrier, read in ``lattice``; the buffer
     and the position map are shared.
@@ -231,17 +216,17 @@ def rewrap(t: OpTable, lattice: BoundedLattice) -> OpTable:
     With ``lattice = t.lattice.dual()`` this transports a table across
     duality; a second call with the original lattice brings it back.
     """
-    return OpTable.from_cells(lattice, t.carrier, t.buf, t.pos)
+    return OpTable(lattice, t.carrier, t.buf, t.pos)
 
 
 def meet_table(lattice: BoundedLattice, carrier=None) -> OpTable:
     carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
-    return OpTable.from_cells(lattice, carrier, lattice.dual().join_cells(carrier))
+    return OpTable(lattice, carrier, lattice.dual().join_cells(carrier))
 
 
 def join_table(lattice: BoundedLattice, carrier=None) -> OpTable:
     carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
-    return OpTable.from_cells(lattice, carrier, lattice.join_cells(carrier))
+    return OpTable(lattice, carrier, lattice.join_cells(carrier))
 
 
 # -- axiom verification ----------------------------------------------------
@@ -340,13 +325,11 @@ def first_associativity_witness(t: OpTable) -> Optional[AssociativityWitness]:
     # byte x of the table of row a is U(a, x), or 0xFF, which no element id
     # reaches, where x is outside the carrier; no cell holds an id past the
     # lattice, so the rest of the 256 bytes is padding.  `gather` holds the
-    # carrier position of each x (k outside it), so translating it through
-    # row a's bytes, then 0xFF, then filler, is that table.
+    # carrier position of each x (k outside it), so gathering row a's
+    # bytes, then 0xFF, through it, padded, is that table.
     gather = bytes([pos.get(x, k) for x in range(n)])
-    tail = b"\xff" + bytes(255 - k)
-    pad = bytes(256 - n)
     for a, row_a in zip(carrier, rows):
-        u_a = gather.translate(row_a + tail) + pad
+        u_a = _gather(gather, row_a + b"\xff").ljust(256, b"\0")
         inside = closed or not row_a.translate(None, carrier_ids)
         if inside and buf.translate(u_a) == b"".join(map(row_of.__getitem__, row_a)):
             continue
@@ -500,6 +483,7 @@ def is_uninorm(t: OpTable, e: ElementId) -> AxiomReport:
     """Run all five uninorm checks exhaustively with the given neutral.
     Computed once per table and neutral and kept on the table."""
     if e not in t.pos:
+        _refuse_ids(t.lattice.n, NeutralOutsideCarrier, ("neutral", (e,)))
         raise NeutralOutsideCarrier(
             f"neutral {t.lattice.name(e)!r} is outside the table carrier"
         )
@@ -519,25 +503,33 @@ def _axiom_battery(t: OpTable, e: ElementId) -> AxiomReport:
 
 
 def restrict(t: OpTable, sub) -> OpTable:
-    """Restrict the table to sub x sub, keeping the sub order given."""
+    """Restrict the table to sub x sub, keeping the sub order given: each
+    row of ``sub`` gathered through the carrier positions of ``sub``."""
     sub = tuple(sub)
-    missing = set(sub) - set(t.carrier)
+    pos = t.pos
+    missing = set(sub) - pos.keys()
     if missing:
+        _refuse_ids(t.lattice.n, SubNotContained, ("sub-carrier element", sub))
         name = t.lattice.name(sorted(missing)[0])
         raise SubNotContained(f"element {name!r} is not in the table carrier")
-    return table_from_function(t.lattice, sub, t.value)
+    cols, k, buf = bytes(map(pos.__getitem__, sub)), len(t.carrier), t.buf
+    cells = b"".join([_gather(cols, buf[i * k:i * k + k]) for i in cols])
+    return OpTable(t.lattice, sub, cells)
 
 
 # -- class predicates ------------------------------------------------------
 
 
-def _carrier_interval_masks(t: OpTable, e: ElementId) -> tuple[int, int]:
-    """(below-e, full) masks within the carrier interval."""
+def _below_in_carrier(t: OpTable, e: ElementId) -> int:
+    """The mask of the carrier's elements in [bottom, e], bottom the
+    carrier's own; the carrier must be an interval."""
+    if e not in t.pos:
+        _refuse_ids(t.lattice.n, NeutralOutsideCarrier, ("neutral", (e,)))
     cm = t.carrier_mask
     bounds = t.lattice.extremes(cm)
     if bounds is None:
         raise OpTableError("carrier has no extreme element; not an interval")
-    return t.lattice.interval_mask(bounds[0], e) & cm, cm
+    return t.lattice.interval_mask(bounds[0], e) & cm
 
 
 def in_class_umax(t: OpTable, e: ElementId) -> bool:
@@ -546,17 +538,16 @@ def in_class_umax(t: OpTable, e: ElementId) -> bool:
     The commuted rectangle is checked as well so the predicate is
     meaningful on raw candidate tables.
     """
-    below, _ = _carrier_interval_masks(t, e)
+    below = _below_in_carrier(t, e)
     buf, k = t.buf, len(t.carrier)
     # the carrier positions of the elements outside [bottom, e]; gathered
     # from a row (or a column) they must give those elements themselves
     outside = bytes([i for i, b in enumerate(t.carrier) if not below >> b & 1])
-    pad = bytes(256 - k)
-    want = outside.translate(t.carrier_ids + pad)
+    want = _gather(outside, t.carrier_ids)
     for a in ids_of(below & ~(1 << e)):
         i = t.pos[a]
-        if (outside.translate(buf[i * k:i * k + k] + pad) != want
-                or outside.translate(buf[i::k] + pad) != want):
+        if (_gather(outside, buf[i * k:i * k + k]) != want
+                or _gather(outside, buf[i::k]) != want):
             return False
     return True
 
@@ -571,7 +562,7 @@ def _scan_ub(t: OpTable, e: ElementId) -> bool:
     """One translate of the buffer marks the cells whose value lands in
     [bottom, e] with a 1 byte; as an int, it must lie inside the mask of
     the cells whose arguments are both in [bottom, e]."""
-    below, _ = _carrier_interval_masks(t, e)
+    below = _below_in_carrier(t, e)
     lands = bytearray(256)
     for v in ids_of(below):
         lands[v] = 1

@@ -20,7 +20,6 @@ from latnorm.construct import (
 from latnorm.fileio import parse_lattice, parse_table, render_lattice, render_table
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
 from latnorm.optable import (
-    OpTable,
     first_associativity_witness,
     in_class_ub,
     in_class_umax,
@@ -30,6 +29,8 @@ from latnorm.optable import (
     restrict,
 )
 from latnorm.verify import Partition, assoc_partitioned, verify_equivalence
+
+from families import rows_table
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -243,8 +244,7 @@ def test_criterion_07_partitioned_associativity_oracle():
             for b in range(a, n):
                 v = rng.randrange(n)
                 vals[a][b] = vals[b][a] = v
-        t = OpTable(lattice=lat, carrier=tuple(range(n)),
-                    values=tuple(tuple(r) for r in vals))
+        t = rows_table(lat, range(n), vals)
         k = rng.randint(1, n)
         labels = [rng.randrange(k) for _ in range(n)]
         classes = tuple(

@@ -31,7 +31,6 @@ from latnorm.construct import construct_eq1, construct_eq2, dual_spec
 from latnorm.gen import GenConfig, gen_lattice
 from latnorm.lattice import mask_of
 from latnorm.optable import (
-    OpTable,
     first_associativity_witness,
     first_closure_witness,
     first_commutativity_witness,
@@ -42,7 +41,7 @@ from latnorm.optable import (
     meet_table,
 )
 
-from families import boolean, catalogue_specs, chain, grid
+from families import boolean, catalogue_specs, chain, grid, rows_table
 
 
 def reference_commutativity(t):
@@ -226,7 +225,7 @@ def test_small_tables_match_the_per_cell_loops(layout, fill):
         if carrier is None:
             continue
         cells = _cells(lat, carrier, rng, fill)
-        t = OpTable(lat, tuple(carrier), tuple(tuple(row) for row in cells))
+        t = rows_table(lat, tuple(carrier), cells)
         assert_same_witnesses(t)
         checked += 1
     assert checked >= 100
@@ -249,13 +248,13 @@ def test_64_element_tables_match_the_per_cell_loops(lat):
     cells = [list(row) for row in meet.values]
     x, y = rng.randrange(56, 63), rng.randrange(56, 63)
     cells[x][y] = cells[y][x] = lat.top
-    assert_same_witnesses(OpTable(lat, meet.carrier, tuple(map(tuple, cells))))
+    assert_same_witnesses(rows_table(lat, meet.carrier, cells))
     # the meet on a shuffled carrier, one cell mutated
     carrier = list(range(lat.n))
     rng.shuffle(carrier)
     cells = [[lat.meet(a, b) for b in carrier] for a in carrier]
     cells[rng.randrange(64)][rng.randrange(64)] = rng.randrange(64)
-    assert_same_witnesses(OpTable(lat, tuple(carrier), tuple(map(tuple, cells))))
+    assert_same_witnesses(rows_table(lat, tuple(carrier), cells))
 
 
 @pytest.mark.parametrize("lat", LATTICES_64, ids=IDS_64)
@@ -269,9 +268,9 @@ def test_64_element_sub_carriers_match_the_per_cell_loops(lat):
         restricted = [lat.upper_covers[a] & mask for a in range(lat.n)]
         assert list(lat.upper_covers_within(mask)) != restricted
         meet = [[lat.meet(a, b) for b in carrier] for a in carrier]
-        assert_same_witnesses(OpTable(lat, tuple(carrier), tuple(map(tuple, meet))))
+        assert_same_witnesses(rows_table(lat, tuple(carrier), meet))
         meet[rng.randrange(40)][rng.randrange(40)] = rng.randrange(lat.n)
-        assert_same_witnesses(OpTable(lat, tuple(carrier), tuple(map(tuple, meet))))
+        assert_same_witnesses(rows_table(lat, tuple(carrier), meet))
 
 
 def test_a_drop_on_the_right_side_only():
@@ -282,7 +281,7 @@ def test_a_drop_on_the_right_side_only():
     meet = meet_table(lat)
     cells = [list(row) for row in meet.values]
     cells[0][62] = 1
-    t = OpTable(lat, meet.carrier, tuple(map(tuple, cells)))
+    t = rows_table(lat, meet.carrier, cells)
     assert first_monotonicity_witness(t, both_sides=False) is None
     assert first_monotonicity_witness(t, both_sides=True) == (62, 63, 0, 1, 0, "right")
     assert_same_witnesses(t)
@@ -295,7 +294,7 @@ def _planted(lat, carrier, cells):
     values = [[lat.meet(a, b) for b in carrier] for a in carrier]
     for (x, y), v in cells.items():
         values[pos[x]][pos[y]] = v
-    return OpTable(lat, tuple(carrier), tuple(map(tuple, values)))
+    return rows_table(lat, tuple(carrier), values)
 
 
 def test_a_right_drop_at_an_earlier_c_is_named_first():

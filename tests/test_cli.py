@@ -11,12 +11,12 @@ from latnorm.fileio import (
     parse_table,
     render_lattice,
     render_table,
-    table_cells_from_csv,
-    table_cells_from_text,
 )
 from latnorm.lattice import build_lattice
-from latnorm.optable import AxiomReport, OpTable
+from latnorm.optable import AxiomReport
 from latnorm.verify import EquivalenceVerdict
+
+from families import rows_table, table_cells_from_csv, table_cells_from_text
 
 
 @pytest.fixture()
@@ -348,7 +348,7 @@ def test_empty_lists_render_on_two_lines_and_parse_back():
     text = render_lattice(lat, "one")
     assert text == '{\n  "name": "one",\n  "elements": ["x"],\n  "covers": [\n  ]\n}\n'
     assert parse_lattice(text) == ("one", lat)
-    table = OpTable(lattice=lat, carrier=(), values=())
+    table = rows_table(lat, (), ())
     text = render_table(table, "json", lattice_name="one")
     assert text == '{\n  "lattice": "one",\n  "carrier": [],\n  "rows": [\n  ]\n}\n'
     assert parse_table(text, lat) == ("one", table)
@@ -378,8 +378,7 @@ def test_formats_render_same_content():
 def test_csv_quotes_names_with_commas_and_quotes():
     odd = ("0", "a,b", 'say "hi"', "1")
     lat = build_lattice(odd, [("0", "a,b"), ("0", 'say "hi"'), ("a,b", "1"), ('say "hi"', "1")])
-    table = OpTable(lattice=lat, carrier=tuple(range(4)),
-                    values=tuple(tuple(lat.join(x, y) for y in range(4)) for x in range(4)))
+    table = rows_table(lat, range(4), [[lat.join(x, y) for y in range(4)] for x in range(4)])
     text = render_table(table, "csv")
     assert text.splitlines()[0] == 'U,0,"a,b","say ""hi""",1'
     json_doc = json.loads(render_table(table, "json", lattice_name="odd"))

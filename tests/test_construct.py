@@ -19,10 +19,10 @@ from latnorm.construct import (
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import case_regions
-from latnorm.optable import OpTable, is_uninorm, join_table, rewrap, table_from_function
+from latnorm.optable import is_uninorm, join_table, rewrap
 from latnorm.verify import verify_equivalence
 
-from families import chain
+from families import chain, rows_table, table_from_function
 
 
 def random_specs(count, **cfg_kwargs):
@@ -108,7 +108,7 @@ def _broken_inner(spec):
     lat = spec.lattice
     rows = [list(row) for row in spec.inner.values]
     rows[1][3] = rows[3][1] = lat.index("c")
-    inner = OpTable(lattice=lat, carrier=spec.inner.carrier, values=tuple(map(tuple, rows)))
+    inner = rows_table(lat, spec.inner.carrier, rows)
     return replace(spec, inner=inner)
 
 
@@ -312,7 +312,7 @@ def test_each_spec_runs_the_inner_battery_once(l11, monkeypatch, theorem):
     # l11.spec's); th34 runs on the spec transported to the dual lattice
     # (meet form), whose join form holds that table
     lat = l11.lattice
-    table = OpTable(lat, l11.spec.inner.carrier, l11.spec.inner.values)
+    table = rows_table(lat, l11.spec.inner.carrier, l11.spec.inner.values)
     join = replace(l11.spec, inner=table)
     form = (lambda s: s) if theorem == "th31" else dual_spec
     spec = form(join)
@@ -374,7 +374,7 @@ def test_kept_state_is_one_object_across_threads(l11):
             assert dual_spec(dual_spec(spec)) is spec
             assert all(report == check_for(dual_spec(spec), "th34") for _, report in seen)
 
-            table = OpTable(l11.lattice, l11.spec.inner.carrier, l11.spec.inner.values)
+            table = rows_table(l11.lattice, l11.spec.inner.carrier, l11.spec.inner.values)
             reports = _at_once(lambda: is_uninorm(table, l11.spec.neutral))
             assert all(report == is_uninorm(table, l11.spec.neutral) for report in reports)
             assert reports[0].ok

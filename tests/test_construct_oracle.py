@@ -24,9 +24,9 @@ from latnorm.construct import (
 )
 from latnorm.gen import GenConfig, gen_spec
 from latnorm.lattice import ElementId, case_regions
-from latnorm.optable import OpTable, is_uninorm, rewrap, table_from_function
+from latnorm.optable import OpTable, is_uninorm, rewrap
 
-from families import FUZZ_PAIRS, boolean, catalogue_specs, grid, meet_core
+from families import FUZZ_PAIRS, boolean, catalogue_specs, grid, meet_core, table_from_function
 
 
 def reference_join_form(spec: ConstructionSpec) -> OpTable:

@@ -23,7 +23,9 @@ from latnorm.construct import (
     construct_pinched_tconorm,
 )
 from latnorm.gen import GenConfig, gen_lattice, gen_spec_candidates, gen_uninorm
-from latnorm.optable import OpTable, in_class_umin, in_class_ut
+from latnorm.optable import in_class_umin, in_class_ut
+
+from families import rows_table
 
 DIGESTS = {
     "construct_eq2": "921cd97f12612f5d2b4b288cff3fba76abe4f4b1f88c2e5337fc7ccb9da2b2cc",
@@ -111,7 +113,7 @@ def _class_verdicts():
             tables = [gen_uninorm(lat, carrier, e, GenConfig(seed=seed)) for e in carrier[:2]]
             for _ in range(4):
                 values = tuple(tuple(rng.choice(carrier) for _ in carrier) for _ in carrier)
-                tables.append(OpTable(lattice=lat, carrier=carrier, values=values))
+                tables.append(rows_table(lat, carrier, values))
             for t in tables:
                 for e in carrier:
                     yield seed, e, in_class_ut(t, e), in_class_umin(t, e)

@@ -20,7 +20,6 @@ from latnorm.gen import (
     ExhaustedRejection,
     GenConfig,
     dual_spec,
-    enumerate_uninorms,
     gen_lattice,
     gen_spec,
     gen_spec_candidates,
@@ -28,13 +27,14 @@ from latnorm.gen import (
 )
 from latnorm.lattice import LatticeError, build_lattice, case_regions, ids_of, mask_of
 from latnorm.optable import (
-    OpTable,
     in_class_ub,
     in_class_umax,
     in_class_umin,
     in_class_ut,
     is_uninorm,
 )
+
+from families import enumerate_uninorms, rows_table
 
 
 def test_config_validation():
@@ -263,7 +263,7 @@ def check_mutation_prefilter(seeds, size_range):
         counts["proposals"] += 1
         values = [list(row) for row in t.values]
         values[t.pos[a]][t.pos[b]] = values[t.pos[b]][t.pos[a]] = v
-        passes = is_uninorm(OpTable(t.lattice, t.carrier, values), e).ok
+        passes = is_uninorm(rows_table(t.lattice, t.carrier, values), e).ok
         if any(drops):
             counts["refused"] += 1
             assert not passes, (a, b, v)
@@ -323,10 +323,9 @@ def test_enumeration_matches_brute_force_on_three_chain():
     enum = {t.values for t in enumerate_uninorms(lat, (0, 1, 2), 1)}
     brute = set()
     for combo in itertools.product(range(3), repeat=9):
-        values = (combo[0:3], combo[3:6], combo[6:9])
-        t = OpTable(lattice=lat, carrier=(0, 1, 2), values=values)
+        t = OpTable(lat, (0, 1, 2), combo)
         if is_uninorm(t, 1).ok:
-            brute.add(values)
+            brute.add(t.values)
     assert enum == brute
 
 

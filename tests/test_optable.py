@@ -14,10 +14,9 @@ from latnorm.optable import (
     join_table,
     meet_table,
     restrict,
-    table_from_function,
 )
 
-from families import catalogue_specs, chain
+from families import catalogue_specs, chain, rows_table, table_from_function
 
 
 def test_meet_is_t_norm():
@@ -62,8 +61,17 @@ def test_l13_stored_monotone_witness(l13):
 def test_neutral_outside_carrier():
     lat = chain(4)
     t = meet_table(lat, (0, 1, 2))
-    with pytest.raises(NeutralOutsideCarrier):
+    with pytest.raises(NeutralOutsideCarrier, match="^neutral '3' is outside the table carrier$"):
         is_uninorm(t, 3)
+    # an id that is no element is named itself: 99 once raised a bare
+    # IndexError, is_uninorm named -1 by names[-1] ('3'), and in_class_ub
+    # read -1 as the top
+    for check in (is_uninorm, in_class_ub, in_class_umax, in_class_ut, in_class_umin):
+        for bad in (99, -1):
+            message = f"^neutral {bad} is no element of the 4-element lattice$"
+            with pytest.raises(NeutralOutsideCarrier, match=message):
+                check(t, bad)
+    assert not t.kept
 
 
 def test_restrict_identity_and_errors(l11):
@@ -71,6 +79,12 @@ def test_restrict_identity_and_errors(l11):
     assert restrict(inner, inner.carrier) == inner
     with pytest.raises(SubNotContained):
         restrict(inner, (l11.lattice.index("d"),))
+    # 99 once raised a bare IndexError, and -1 was named as the top
+    n = l11.lattice.n
+    for bad in (99, -1):
+        message = f"^sub-carrier element {bad} is no element of the {n}-element lattice$"
+        with pytest.raises(SubNotContained, match=message):
+            restrict(inner, (inner.carrier[0], bad))
 
 
 def test_restrict_table1_to_low_interval_is_t_norm(l11):
@@ -112,7 +126,7 @@ def test_kept_verdicts_are_the_fresh_ones():
         assert ("uninorm", e) in t.kept
         kept = is_uninorm(t, e), in_class_ub(t, e)
         assert t.kept[("uninorm", e)] is kept[0] and t.kept[("ub", e)] is kept[1]
-        fresh = OpTable(t.lattice, t.carrier, t.values)
+        fresh = rows_table(t.lattice, t.carrier, t.values)
         assert not fresh.kept
         assert kept == (is_uninorm(fresh, e), in_class_ub(fresh, e))
 
@@ -188,7 +202,7 @@ def test_witnesses_recheck_on_corrupted_tables():
         a = seed % lat.n
         b = (seed * 5 + 2) % lat.n
         rows[a][b] = (rows[a][b] + 1) % lat.n
-        bad = OpTable(lattice=lat, carrier=carrier, values=tuple(tuple(r) for r in rows))
+        bad = rows_table(lat, carrier, rows)
         report = is_uninorm(bad, e)
         if report.commutative is not None:
             x, y, xy, yx = report.commutative
@@ -215,7 +229,7 @@ def test_witnesses_recheck_on_corrupted_tables():
 def test_non_commutative_candidate_representable():
     lat = chain(3)
     values = ((0, 0, 2), (0, 1, 2), (1, 2, 2))  # (2,0) != (0,2)
-    t = OpTable(lattice=lat, carrier=(0, 1, 2), values=values)
+    t = rows_table(lat, (0, 1, 2), values)
     report = is_uninorm(t, 1)
     assert report.commutative is not None
     assert report.second_side_checked
@@ -232,8 +246,8 @@ def test_closure_witness():
 
 
 def _identity_cells(bad):
-    """The min on the 3-chain with its last cell replaced by ``bad``."""
-    return ((0, 0, 0), (0, 1, 1), (0, 1, bad))
+    """The min on the 3-chain, row-major, with its last cell replaced by ``bad``."""
+    return (0, 0, 0, 0, 1, 1, 0, 1, bad)
 
 
 @pytest.mark.parametrize("bad", [-1, 300])
@@ -251,7 +265,7 @@ def test_a_cell_past_the_lattice_is_refused():
     with pytest.raises(OpTableError, match=message):
         OpTable(lat, (0, 1, 2), _identity_cells(3))
     with pytest.raises(OpTableError, match=message):
-        OpTable.from_cells(lat, (0, 1, 2), bytes([0, 0, 0, 0, 1, 1, 0, 1, 3]))
+        OpTable(lat, (0, 1, 2), bytes(_identity_cells(3)))
     with pytest.raises(OpTableError, match=message):
         table_from_function(lat, (0, 1, 2), lambda a, b: 3 if a == b == 2 else min(a, b))
 
@@ -265,18 +279,18 @@ def test_a_carrier_element_past_the_lattice_is_refused():
     with pytest.raises(OpTableError, match=message):
         table_from_function(lat, (0, 1, 5), lambda a, b: 0)
     with pytest.raises(OpTableError, match="^carrier element -1 "):
-        OpTable(lat, (0, -1), ((0, 0), (0, 0)))
+        OpTable(lat, (0, -1), (0, 0, 0, 0))
 
 
 def test_the_first_bad_id_is_named():
     # in row-major order, whether or not a later one fits in a byte
     lat = chain(3)
     with pytest.raises(OpTableError, match="^cell value 7 "):
-        OpTable(lat, (0, 1), ((0, 7), (300, -1)))
+        OpTable(lat, (0, 1), (0, 7, 300, -1))
     with pytest.raises(OpTableError, match="^cell value 7 "):
-        OpTable.from_cells(lat, (0, 1), bytes([0, 7, 9, 1]))
+        OpTable(lat, (0, 1), bytes([0, 7, 9, 1]))
     with pytest.raises(OpTableError, match="^cell value 'x' "):
-        OpTable(lat, (0, 1), ((0, "x"), (300, 1)))
+        OpTable(lat, (0, 1), (0, "x", 300, 1))
 
 
 def test_tables_are_immutable():

@@ -1,46 +1,56 @@
-"""Every producer of tables hands over the buffer the tuple constructor builds.
+"""Every producer of tables hands over the buffer its rows spell out.
 
-A table's cells are one row-major ``bytes`` buffer.  The file reader, the
+A table's cells are one row-major ``bytes`` buffer, handed to the one
+constructor, ``OpTable(lattice, carrier, cells)``.  The file reader, the
 two constructions, ``rewrap``, ``meet_table``, ``join_table``,
-``pinch_tnorm``, ``gen_uninorm`` (skeletons and kept mutations),
-``restrict`` and ``table_from_function`` build that buffer without going
-through ``values`` tuples; each table they return must be the table
-``OpTable(lattice, carrier, values)`` builds from its own ``values`` view:
-the same bytes, an immutable ``bytes`` object, the carrier's position map,
-equal and equally hashed, with the same battery report at every neutral.
+``pinch_tnorm``, ``gen_uninorm`` (skeletons and kept mutations) and
+``restrict`` build that buffer without going through ``values`` tuples;
+each table they return must be the table ``rows_table`` builds from its
+own ``values`` view: the same bytes, an immutable ``bytes`` object, the
+carrier's position map, equal and equally hashed, with the same battery
+report at every neutral.  The rows themselves are no cells: the
+constructor refuses them.
 
-The lattice operations, the pinch t-norms and the generator's skeletons
-are built a row at a time; each must also be the table that
-``table_from_function``, the per-cell builder, makes from its cell rule,
-kept here as the reference, on shuffled carriers and sub-carriers too.
+The lattice operations are built in one comprehension, and the pinch
+t-norms, the generator's skeletons and ``restrict`` a row at a time, each
+row one ``_gather``; each must also be the table that
+``table_from_function``, the per-cell builder kept in ``families``, makes
+from its cell rule, on shuffled carriers and sub-carriers too.
 """
 
 import random
 from itertools import chain
 
+import pytest
+
 from latnorm import gen as gen_module
+from latnorm.catalogue import lattice_catalogue
 from latnorm.construct import construct_eq1, construct_eq2, dual_spec, pinch_tnorm
 from latnorm.fileio import parse_table, read_table, render_table_json, write_instance
 from latnorm.gen import GenConfig, gen_lattice, gen_uninorm
 from latnorm.optable import (
     OpTable,
+    OpTableError,
+    _gather,
     is_uninorm,
     join_table,
     meet_table,
     restrict,
     rewrap,
-    table_from_function,
 )
 
-from families import boolean, catalogue_specs, meet_core
+from families import boolean, catalogue_specs, meet_core, rows_table, table_from_function
 
 
 def assert_well_formed(t):
     assert type(t.buf) is bytes
     assert t.buf == bytes(chain.from_iterable(t.values))
     assert t.pos == {a: i for i, a in enumerate(t.carrier)}
-    rebuilt = OpTable(t.lattice, t.carrier, t.values)
+    rebuilt = rows_table(t.lattice, t.carrier, t.values)
     assert t == rebuilt and hash(t) == hash(rebuilt)
+    if t.carrier:  # k rows of k cells are no k * k cells
+        with pytest.raises(OpTableError):
+            OpTable(t.lattice, t.carrier, t.values)
     for e in t.carrier:
         assert is_uninorm(t, e) == is_uninorm(rebuilt, e)
 
@@ -107,6 +117,26 @@ def test_table_from_function_and_restrict():
     assert_well_formed(t)
     assert_well_formed(restrict(t, (3, 1, 7, 0)))
     assert_well_formed(meet_core(lat, lat.index("0111"), lat.index("0011")))
+    # every interval, shuffled, of a meet table and a generated uninorm on
+    # each catalogue lattice with at most 6 elements: the per-cell reference
+    rng = random.Random(6)
+    sizes = set()
+    for n in range(3, 7):
+        for i, lat in enumerate(lattice_catalogue(n)):
+            carrier = list(range(lat.n))
+            rng.shuffle(carrier)
+            tables = (meet_table(lat, carrier),
+                      gen_uninorm(lat, range(lat.n), i % lat.n, GenConfig(seed=i)))
+            for lo in range(lat.n):
+                for hi in lat.interval(lo, lat.top):
+                    sub = list(lat.interval(lo, hi))
+                    rng.shuffle(sub)
+                    sizes.add(len(sub))
+                    for t in tables:
+                        got = restrict(t, sub)
+                        assert got == table_from_function(lat, sub, t.value)
+                        assert_well_formed(got)
+    assert {1, 2, 3} <= sizes
 
 
 def test_the_file_reader(entries, tmp_path):
@@ -159,6 +189,10 @@ def test_row_built_tables_match_their_per_cell_rules():
     for seed in range(30):
         lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 8)))
         rng = random.Random(seed)
+        # the gather every row builder uses, on any index into any values
+        values = rng.randbytes(rng.randint(1, 256))
+        index = bytes(rng.randrange(len(values)) for _ in range(rng.randint(0, 300)))
+        assert _gather(index, values) == bytes(values[i] for i in index)
         shuffled = list(range(lat.n))
         rng.shuffle(shuffled)
         for carrier in (range(lat.n), shuffled, shuffled[:rng.randint(1, lat.n)]):

@@ -23,7 +23,6 @@ from latnorm.gen import (
 )
 from latnorm.lattice import build_lattice, case_regions, ids_of
 from latnorm.optable import (
-    OpTable,
     first_associativity_witness,
     is_uninorm,
     meet_table,
@@ -37,7 +36,7 @@ from latnorm.verify import (
     verify_equivalence,
 )
 
-from families import catalogue_specs, chain
+from families import catalogue_specs, chain, rows_table
 
 
 def random_commutative_table(rng, n):
@@ -47,7 +46,7 @@ def random_commutative_table(rng, n):
         for b in range(a, n):
             v = rng.randrange(n)
             vals[a][b] = vals[b][a] = v
-    return OpTable(lattice=lat, carrier=tuple(range(n)), values=tuple(tuple(r) for r in vals))
+    return rows_table(lat, range(n), vals)
 
 
 def random_partition(rng, n):
@@ -120,7 +119,7 @@ def test_six_region_partition_on_every_catalogue_construction():
 
 def test_not_commutative_precondition():
     lat = chain(3)
-    t = OpTable(lattice=lat, carrier=(0, 1, 2), values=((0, 0, 2), (0, 1, 2), (1, 2, 2)))
+    t = rows_table(lat, (0, 1, 2), ((0, 0, 2), (0, 1, 2), (1, 2, 2)))
     with pytest.raises(NotCommutative):
         assoc_partitioned(t, Partition((frozenset({0, 1, 2}),)))
 
