@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construct import ConstructionSpec, construct_for
+from .fileio import _build_table
 from .lattice import BoundedLattice, build_lattice
 from .optable import OpTable, is_uninorm
 
@@ -68,15 +69,12 @@ class CorpusEntry:
 
 
 def _parse_grid(lat: BoundedLattice, carrier_names, text: str) -> OpTable:
-    carrier = tuple(lat.index(name) for name in carrier_names)
-    cells = []
     lines = [line.split() for line in text.strip().splitlines()]
-    assert len(lines) == len(carrier), "grid has wrong row count"
+    assert len(lines) == len(carrier_names), "grid has wrong row count"
     for row_name, line in zip(carrier_names, lines):
         assert line[0] == row_name, f"row label {line[0]} != {row_name}"
-        assert len(line) == len(carrier) + 1, f"row {row_name} has wrong width"
-        cells += map(lat.index, line[1:])
-    return OpTable(lat, carrier, cells)
+        assert len(line) == len(carrier_names) + 1, f"row {row_name} has wrong width"
+    return _build_table(lat, list(carrier_names), [line[1:] for line in lines])
 
 
 def _apply_errata(printed: OpTable, errata) -> OpTable:

@@ -26,7 +26,7 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
-from .lattice import MAX_ELEMENTS, BoundedLattice, build_lattice, ids_of, lattice_from_edges
+from .lattice import BoundedLattice, _check_names, _successor_masks, ids_of, lattice_from_edges
 from .optable import OpTable, OpTableError
 
 
@@ -80,75 +80,44 @@ def render_lattice(lat: BoundedLattice, name: str) -> str:
 
 
 def parse_lattice(text: str) -> tuple[str, BoundedLattice]:
+    """The name and lattice of a lattice file, its checks run in order in
+    one pass: the order keys (one of ``covers`` and ``le_pairs``), the
+    name, the elements, the shape of every pair, the least unknown name,
+    the element names (:func:`~latnorm.lattice._check_names`), then
+    the order (:func:`~latnorm.lattice.lattice_from_edges`).  The pairs are
+    resolved in one pass; only when a lookup fails are they looked at
+    again, to name the fault."""
     doc, (name, elements) = _json_object(text, "lattice", ("name", "elements"))
-    succ = _resolve_pairs(doc, name, elements)
-    if succ is None:
-        return name, _checked_lattice(doc, name, elements)
-    return name, lattice_from_edges(elements, succ)
-
-
-def _resolve_pairs(doc: dict, name, elements):
-    """One mask of direct successors per element, resolved in one pass, for
-    a lattice file whose name, elements and one order key are well formed;
-    ``None`` when a key, a type, a name or the size is off.  Only strings
-    are keys of the name -> element map, so every name that resolves is
-    one."""
-    if ("covers" in doc) == ("le_pairs" in doc) or type(name) is not str:
-        return None
-    pairs = doc["covers"] if "covers" in doc else doc["le_pairs"]
-    if type(elements) is not list or type(pairs) is not list:
-        return None
-    n = len(elements)
-    if not 0 < n <= MAX_ELEMENTS or set(map(type, elements)) != {str}:
-        return None
-    index = dict(zip(elements, range(n)))
-    if len(index) != n or "" in index:
-        return None
-    succ = [0] * n
-    try:
-        for pair in pairs:
-            if type(pair) is not list or len(pair) != 2:
-                return None
-            lo, hi = pair
-            i, j = index[lo], index[hi]
-            if i != j:
-                succ[i] |= 1 << j
-    except (KeyError, TypeError):  # an unknown name, or an unhashable one
-        return None
-    return succ
-
-
-def _checked_lattice(doc: dict, name, elements) -> BoundedLattice:
-    """The lattice of a file :func:`_resolve_pairs` turned down: the key,
-    type and name checks in order, then :func:`build_lattice`, so the
-    first fault is the one raised."""
-    if "covers" in doc and "le_pairs" in doc:
-        raise FileFormatError("lattice file has both 'covers' and 'le_pairs': give one")
     if "covers" in doc:
+        if "le_pairs" in doc:
+            raise FileFormatError("lattice file has both 'covers' and 'le_pairs': give one")
         pairs = doc["covers"]
     elif "le_pairs" in doc:
         pairs = doc["le_pairs"]
     else:
         raise FileFormatError("lattice file needs a 'covers' or 'le_pairs' key")
-    if not isinstance(name, str):
+    if type(name) is not str:
         raise FileFormatError("'name' must be a string")
-    if not _is_str_list(elements):
+    if type(elements) is not list or not set(map(type, elements)) <= {str}:
         raise FileFormatError("'elements' must be a list of strings")
-    if not isinstance(pairs, list) or not all(
-        _is_str_list(p) and len(p) == 2 for p in pairs
-    ):
-        raise FileFormatError("order pairs must be two-element lists of strings")
-    unknown = {x for p in pairs for x in p} - set(elements)
-    if unknown:
-        raise FileFormatError(f"order pair references unknown element {min(unknown)!r}")
+    if type(pairs) is not list or not set(map(type, pairs)) <= {list}:
+        raise FileFormatError(_NOT_PAIRS)
     try:
-        return build_lattice(elements, [tuple(p) for p in pairs])
+        # only strings are keys of the index, so every name that resolves is one
+        succ = _successor_masks(dict(zip(elements, range(len(elements)))), len(elements), pairs)
+    except (KeyError, TypeError, ValueError):  # an unknown or unhashable name, a pair's length
+        if not all(len(pair) == 2 and set(map(type, pair)) == {str} for pair in pairs):
+            raise FileFormatError(_NOT_PAIRS) from None
+        unknown = min(set(chain.from_iterable(pairs)) - set(elements))
+        raise FileFormatError(f"order pair references unknown element {unknown!r}") from None
+    try:
+        _check_names(elements)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
+    return name, lattice_from_edges(elements, succ)
 
 
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+_NOT_PAIRS = "order pairs must be two-element lists of strings"
 
 
 # -- tables ------------------------------------------------------------------
@@ -169,51 +138,39 @@ def parse_table(text: str, lat: BoundedLattice) -> tuple[str, OpTable]:
 
 
 def _build_table(lat: BoundedLattice, carrier_names, rows) -> OpTable:
-    resolved = _resolve_names(lat._index, carrier_names, rows)
-    if resolved is None:
-        resolved = _checked_names(lat, carrier_names, rows)
-    carrier, cells = resolved
+    """The table of the carrier and rows of element names, its checks run
+    in order: the carrier's type, the rows' type, every name, squareness,
+    then :class:`OpTable`'s own.  The names are resolved in one lookup;
+    only when it fails are they looked at again, to name the first
+    non-string, else the first unknown name (the carrier's, then the rows'
+    in row-major order)."""
+    if type(carrier_names) is not list or not set(map(type, carrier_names)) <= {str}:
+        raise FileFormatError("'carrier' must be a list of strings")
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise FileFormatError(_NOT_ROWS)
+    size = len(carrier_names)
     try:
-        return OpTable(lat, carrier, cells)
+        # every name in one C loop; only strings are keys of the index, so
+        # every name that resolves is one
+        ids = bytes(itemgetter(*carrier_names, *chain.from_iterable(rows))(lat._index))
+    except (KeyError, TypeError):  # an unknown or unhashable name, or none at all
+        if not all(set(map(type, row)) <= {str} for row in rows):
+            raise FileFormatError(_NOT_ROWS) from None
+        for name in chain(carrier_names, *rows):
+            if name not in lat._index:
+                raise FileFormatError(f"unknown element name {name!r}") from None
+        ids = b""  # the empty table: itemgetter takes no key
+    # a lone name gives itemgetter's result as an int, not a tuple, and
+    # `ids` is no table; no table of one name is square
+    if len(rows) != size or not set(map(len, rows)) <= {size}:
+        raise FileFormatError("table is not square over its carrier")
+    try:
+        return OpTable(lat, tuple(ids[:size]), ids[size:])
     except OpTableError as exc:
         raise FileFormatError(str(exc)) from None
 
 
-def _resolve_names(index: dict, carrier_names, rows):
-    """(carrier, cells) as ids, one lookup per name, for a square table of
-    element names: the cells are the table's row-major buffer.  ``None``
-    when a type, a name or the shape is off.  Only strings are keys of
-    ``index`` (the lattice's name -> element map), so every name that
-    resolves is one."""
-    size = len(carrier_names) if type(carrier_names) is list else -1
-    if type(rows) is not list or len(rows) != size:
-        return None
-    for row in rows:
-        if type(row) is not list or len(row) != size:
-            return None
-    try:
-        # every name in one C loop; two or more keys give a tuple, and no
-        # key (an empty table) is a TypeError, left to the checked path
-        ids = bytes(itemgetter(*carrier_names, *chain.from_iterable(rows))(index))
-    except (KeyError, TypeError):  # an unknown name, or an unhashable cell
-        return None
-    return tuple(ids[:size]), ids[size:]
-
-
-def _checked_names(lat: BoundedLattice, carrier_names, rows):
-    """The type, name and shape checks, in order: raise the first failure."""
-    if not _is_str_list(carrier_names):
-        raise FileFormatError("'carrier' must be a list of strings")
-    if not isinstance(rows, list) or not all(_is_str_list(row) for row in rows):
-        raise FileFormatError("'rows' must be a list of lists of strings")
-    try:
-        carrier = tuple(lat.index(name) for name in carrier_names)
-        cells = [lat.index(cell) for row in rows for cell in row]
-    except KeyError as exc:
-        raise FileFormatError(str(exc)) from None
-    if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
-        raise FileFormatError("table is not square over its carrier")
-    return carrier, cells
+_NOT_ROWS = "'rows' must be a list of lists of strings"
 
 
 def render_table_text(table: OpTable) -> str:

@@ -360,17 +360,32 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
     This is the name front-end of :func:`lattice_from_edges`.
     ``order_pairs`` lists (lower, upper) name pairs: the cover edges, or
     any other subset of the order that generates it; a pair (x, x) is
-    reflexivity.  The names are checked first: an empty carrier, more
-    than :data:`MAX_ELEMENTS` elements (``ValueError``), an empty or
-    repeated name, then a pair that names no element.  The pairs are
+    reflexivity.  The names are checked first (:func:`_check_names`), then
+    the first pair that names no element is refused.  The pairs are
     resolved to one mask of direct successors per element, and the core
     closes the order and checks every other invariant.
     """
     names = tuple(names)
-    if not names:
+    _check_names(names)
+    try:
+        succ = _successor_masks(dict(zip(names, range(len(names)))), len(names), order_pairs)
+    except KeyError as exc:  # the first unknown name, lower before upper
+        raise NotAPoset(f"order pair references unknown name {exc.args[0]!r}") from None
+    return lattice_from_edges(names, succ)
+
+
+def _check_names(names) -> None:
+    """Refuse a carrier that :func:`lattice_from_edges` cannot take: an
+    empty one (``NotAPoset``), more than :data:`MAX_ELEMENTS` elements
+    (``ValueError``), then the first empty or repeated name.  One test
+    passes a good carrier; only a bad one is walked, to name its fault."""
+    n = len(names)
+    if 0 < n <= MAX_ELEMENTS and all(names) and len(set(names)) == n:
+        return
+    if not n:
         raise NotAPoset("empty carrier")
-    if len(names) > MAX_ELEMENTS:
-        raise ValueError(f"{len(names)} elements exceed the limit of {MAX_ELEMENTS}")
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"{n} elements exceed the limit of {MAX_ELEMENTS}")
     seen = set()
     for name in names:
         if not name:
@@ -378,26 +393,30 @@ def build_lattice(names, order_pairs) -> BoundedLattice:
         if name in seen:
             raise BadElementName(f"duplicate element name {name!r}")
         seen.add(name)
-    index = {name: i for i, name in enumerate(names)}
-    succ = [0] * len(names)
-    for lo, hi in order_pairs:
-        if lo not in index or hi not in index:
-            bad = lo if lo not in index else hi
-            raise NotAPoset(f"order pair references unknown name {bad!r}")
+
+
+def _successor_masks(index: dict, n: int, pairs) -> list[int]:
+    """One mask of direct successors per element of an ``n``-element
+    carrier, from the (lower, upper) name pairs ``pairs`` resolved through
+    ``index`` (name -> element); a pair (x, x) sets no bit.  An unknown
+    name raises the ``KeyError`` of its lookup, the lower name of a pair
+    looked up first."""
+    succ = [0] * n
+    for lo, hi in pairs:
         i, j = index[lo], index[hi]
         if i != j:
             succ[i] |= 1 << j
-    return lattice_from_edges(names, succ)
+    return succ
 
 
 def lattice_from_edges(names, succ) -> BoundedLattice:
     """Build and fully validate a bounded lattice from id masks.
 
     ``names`` are distinct, non-empty and at most :data:`MAX_ELEMENTS`
-    (:func:`build_lattice` checks names; this core does not).  ``succ[i]``
-    is the mask of the elements given directly above element ``i``: the
-    upper covers, or any other edges whose reflexive-transitive closure is
-    the order.  A mask with a bit outside the carrier or with its own
+    (:func:`build_lattice` and the file reader check names with
+    :func:`_check_names`; this core does not).  ``succ[i]`` is the mask
+    of the elements given directly above element ``i``: the upper covers,
+    or any other edges whose reflexive-transitive closure is the order.  A mask with a bit outside the carrier or with its own
     element's bit raises ``ValueError``.  Then every invariant is checked,
     in this order: antisymmetry, global bounds, and a unique join and meet
     for each pair.

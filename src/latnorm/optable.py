@@ -12,11 +12,10 @@ fits in a byte), built once per table and handed to the one constructor,
 ``OpTable(lattice, carrier, cells)``.  The join-form construction, the
 pinch t-norms, the generator's skeletons and :func:`restrict` build it a
 row at a time, each row one gather (:func:`_gather`, a ``bytes.translate``
-through the row's values); the file reader builds it a row at a time from
-the names, :func:`meet_table` and :func:`join_table` in one comprehension;
-mutations and errata copy another table's and set cells; :func:`rewrap`
-shares it.  ``values``, the rows as tuples, is a view derived from it on
-first use.
+through the row's values); the file reader resolves it from the names in
+one lookup, :func:`meet_table` in one comprehension; mutations and errata
+copy another table's and set cells; :func:`rewrap` shares it.
+``values``, the rows as tuples, is a view derived from it on first use.
 
 Witnesses are the lexicographically first in carrier presentation order,
 so reports are reproducible run to run.  The scans read the buffer whole,
@@ -222,11 +221,6 @@ def rewrap(t: OpTable, lattice: BoundedLattice) -> OpTable:
 def meet_table(lattice: BoundedLattice, carrier=None) -> OpTable:
     carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
     return OpTable(lattice, carrier, lattice.dual().join_cells(carrier))
-
-
-def join_table(lattice: BoundedLattice, carrier=None) -> OpTable:
-    carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
-    return OpTable(lattice, carrier, lattice.join_cells(carrier))
 
 
 # -- axiom verification ----------------------------------------------------
@@ -483,11 +477,20 @@ def is_uninorm(t: OpTable, e: ElementId) -> AxiomReport:
     """Run all five uninorm checks exhaustively with the given neutral.
     Computed once per table and neutral and kept on the table."""
     if e not in t.pos:
-        _refuse_ids(t.lattice.n, NeutralOutsideCarrier, ("neutral", (e,)))
-        raise NeutralOutsideCarrier(
-            f"neutral {t.lattice.name(e)!r} is outside the table carrier"
-        )
+        raise _outside_carrier(t, (e,), NeutralOutsideCarrier, "neutral", _NEUTRAL_OUTSIDE)
     return _kept(t, "uninorm", _axiom_battery, e)
+
+
+_NEUTRAL_OUTSIDE = "neutral {} is outside the table carrier"
+
+
+def _outside_carrier(t: OpTable, ids, error: type, what: str, text: str) -> OpTableError:
+    """The refusal of ``ids``, some of which lie outside the carrier of
+    ``t``: raise ``error`` naming the first id that is no element of the
+    lattice (``what`` names its role), else return ``error`` with ``text``
+    naming the least element outside the carrier."""
+    _refuse_ids(t.lattice.n, error, (what, ids))
+    return error(text.format(repr(t.lattice.name(min(set(ids) - t.pos.keys())))))
 
 
 def _axiom_battery(t: OpTable, e: ElementId) -> AxiomReport:
@@ -507,11 +510,9 @@ def restrict(t: OpTable, sub) -> OpTable:
     row of ``sub`` gathered through the carrier positions of ``sub``."""
     sub = tuple(sub)
     pos = t.pos
-    missing = set(sub) - pos.keys()
-    if missing:
-        _refuse_ids(t.lattice.n, SubNotContained, ("sub-carrier element", sub))
-        name = t.lattice.name(sorted(missing)[0])
-        raise SubNotContained(f"element {name!r} is not in the table carrier")
+    if not pos.keys() >= set(sub):
+        raise _outside_carrier(t, sub, SubNotContained, "sub-carrier element",
+                               "element {} is not in the table carrier")
     cols, k, buf = bytes(map(pos.__getitem__, sub)), len(t.carrier), t.buf
     cells = b"".join([_gather(cols, buf[i * k:i * k + k]) for i in cols])
     return OpTable(t.lattice, sub, cells)
@@ -522,9 +523,10 @@ def restrict(t: OpTable, sub) -> OpTable:
 
 def _below_in_carrier(t: OpTable, e: ElementId) -> int:
     """The mask of the carrier's elements in [bottom, e], bottom the
-    carrier's own; the carrier must be an interval."""
+    carrier's own; ``e`` must lie in the carrier, and the carrier must be
+    an interval."""
     if e not in t.pos:
-        _refuse_ids(t.lattice.n, NeutralOutsideCarrier, ("neutral", (e,)))
+        raise _outside_carrier(t, (e,), NeutralOutsideCarrier, "neutral", _NEUTRAL_OUTSIDE)
     cm = t.carrier_mask
     bounds = t.lattice.extremes(cm)
     if bounds is None:

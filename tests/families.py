@@ -27,6 +27,13 @@ def table_from_function(lattice, carrier, fn):
     return OpTable(lattice, carrier, [fn(a, b) for a in carrier for b in carrier])
 
 
+def join_table(lattice, carrier=None):
+    """The join on ``carrier`` (every element by default): the t-conorm
+    of a join-form construction's inner table."""
+    carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
+    return OpTable(lattice, carrier, lattice.join_cells(carrier))
+
+
 def rows_table(lattice, carrier, rows):
     """The table whose rows, in carrier order, are ``rows``."""
     carrier = tuple(carrier)

@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,20 @@ def test_corpus_replay_exit_zero(capsys):
     assert main(["corpus", "--replay"]) == 0
     out = capsys.readouterr().out
     assert "5/5 entries reproduce" in out
+
+
+def test_corpus_replay_exits_one_when_an_entry_fails(monkeypatch, capsys):
+    replay_all = corpus.replay_all
+
+    def one_failing():
+        first, *rest = replay_all().entries
+        return corpus.ReplayReport((replace(first, verdict_ok=False), *rest))
+
+    monkeypatch.setattr(corpus, "replay_all", one_failing)
+    assert main(["corpus", "--replay"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("L11: FAIL (") and "verdict-ok=False" in out[0]
+    assert out[-1] == "4/5 entries reproduce"
 
 
 def test_check_lattice_ok(golden, capsys):
@@ -373,6 +388,11 @@ def test_formats_render_same_content():
     assert text_cells == names
     assert csv_cells == names
     assert json_doc["rows"] == names
+
+
+def test_unknown_table_format_is_refused():
+    with pytest.raises(ValueError, match="^unknown table format 'xml'$"):
+        render_table(corpus.load("L11").stored, "xml")
 
 
 def test_csv_quotes_names_with_commas_and_quotes():

@@ -19,10 +19,10 @@ from latnorm.construct import (
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
 from latnorm.lattice import case_regions
-from latnorm.optable import is_uninorm, join_table, rewrap
+from latnorm.optable import is_uninorm, rewrap
 from latnorm.verify import verify_equivalence
 
-from families import chain, rows_table, table_from_function
+from families import chain, join_table, rows_table, table_from_function
 
 
 def random_specs(count, **cfg_kwargs):
@@ -209,6 +209,25 @@ def test_pinched_three_chain_example():
     for x in range(3):
         assert t.value(2, x) == x
     assert is_uninorm(t, lat.top).ok
+
+
+@pytest.mark.parametrize(
+    "side, carrier, cells, message",
+    [
+        ("upper", (0, 1), "meet", "upper table carrier is not [pivot, top]"),
+        ("upper", (1, 2), "join", "upper table fails t-norm axioms: neutral"),
+        ("lower", (1, 2), "join", "lower table carrier is not [bottom, pivot]"),
+        ("lower", (0, 1), "meet", "lower table fails t-conorm axioms: neutral"),
+    ],
+    ids=["t-norm-carrier", "not-a-t-norm", "t-conorm-carrier", "not-a-t-conorm"],
+)
+def test_pinch_refuses_a_table_off_its_interval_or_axioms(side, carrier, cells, message):
+    lat = chain(3)  # bottom, pivot, top
+    table = table_from_function(lat, carrier, getattr(lat, cells))
+    pinch = construct_pinched_tnorm if side == "upper" else construct_pinched_tconorm
+    with pytest.raises(SpecInvalid) as info:
+        pinch(lat, 1, table)
+    assert str(info.value) == message
 
 
 def test_pinched_outputs_verify_on_random_lattices():

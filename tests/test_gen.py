@@ -49,6 +49,20 @@ def test_config_validation():
         GenConfig(seed=-3)
 
 
+@pytest.mark.parametrize(
+    "carrier, e, message",
+    [
+        (("0", "a"), "1", "neutral element must belong to the carrier"),
+        (("a", "b"), "a", "carrier is not an interval"),
+    ],
+    ids=["neutral-outside", "not-an-interval"],
+)
+def test_gen_uninorm_refuses_a_bad_carrier(carrier, e, message):
+    lat = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_uninorm(lat, map(lat.index, carrier), lat.index(e), GenConfig(seed=0))
+
+
 def test_lattice_determinism():
     for seed in (0, 7, 123, 9999):
         cfg = GenConfig(seed=seed)

@@ -6,7 +6,8 @@ swapped), and the subcommands that read it run on the result with flag
 values that may name unknown elements.  JSON nested too deep to decode, or
 holding an integer too long to convert, is one parse error, and a malformed
 table or lattice file is rejected with the message of its first failing
-check.  A
+check.  The ordered checks, run one at a time, are kept here as the
+reference the one-pass readers must match on mutated corpus files.  A
 malformed command line (a value that is not an integer or not one of the
 choices, a required flag left out, an unknown flag, no subcommand) is one
 ``latnorm <command>: error: ...`` line, and ``main`` returns 2.
@@ -17,13 +18,15 @@ import io
 import json
 import re
 import tempfile
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latnorm import THEOREMS, corpus, fileio
+from latnorm import THEOREMS, corpus
 from latnorm.cli import main
 from latnorm.fileio import (
     FileFormatError,
@@ -33,6 +36,7 @@ from latnorm.fileio import (
     render_table,
 )
 from latnorm.lattice import NotALattice, NotAPoset, NotBounded, build_lattice
+from latnorm.optable import OpTable, OpTableError
 
 NAMES = ["0", "1", "e", "q", "rho", "m", "s", "", "nope"]
 
@@ -335,29 +339,134 @@ def test_well_formed_lattice_resolves_every_pair(key):
         want.names, want.up, want.down, want.upper_covers)
 
 
+# -- the ordered checks, one at a time: the reference of the one-pass readers
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _checked_lattice(doc: dict, name, elements):
+    """The lattice of a lattice file: the key, type and name checks in
+    order, then :func:`build_lattice`, so the first fault is the one raised."""
+    if "covers" in doc and "le_pairs" in doc:
+        raise FileFormatError("lattice file has both 'covers' and 'le_pairs': give one")
+    if "covers" in doc:
+        pairs = doc["covers"]
+    elif "le_pairs" in doc:
+        pairs = doc["le_pairs"]
+    else:
+        raise FileFormatError("lattice file needs a 'covers' or 'le_pairs' key")
+    if not isinstance(name, str):
+        raise FileFormatError("'name' must be a string")
+    if not _is_str_list(elements):
+        raise FileFormatError("'elements' must be a list of strings")
+    if not isinstance(pairs, list) or not all(
+        _is_str_list(p) and len(p) == 2 for p in pairs
+    ):
+        raise FileFormatError("order pairs must be two-element lists of strings")
+    unknown = {x for p in pairs for x in p} - set(elements)
+    if unknown:
+        raise FileFormatError(f"order pair references unknown element {min(unknown)!r}")
+    try:
+        return build_lattice(elements, [tuple(p) for p in pairs])
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from None
+
+
+def _resolve_names(index: dict, carrier_names, rows):
+    """(carrier, cells) as ids for a square table of element names, one
+    lookup per name; ``None`` when a type, a name or the shape is off."""
+    size = len(carrier_names) if type(carrier_names) is list else -1
+    if type(rows) is not list or len(rows) != size:
+        return None
+    for row in rows:
+        if type(row) is not list or len(row) != size:
+            return None
+    try:
+        ids = bytes(itemgetter(*carrier_names, *chain.from_iterable(rows))(index))
+    except (KeyError, TypeError):
+        return None
+    return tuple(ids[:size]), ids[size:]
+
+
+def _checked_names(lat, carrier_names, rows):
+    """The type, name and shape checks, in order: raise the first failure."""
+    if not _is_str_list(carrier_names):
+        raise FileFormatError("'carrier' must be a list of strings")
+    if not isinstance(rows, list) or not all(_is_str_list(row) for row in rows):
+        raise FileFormatError("'rows' must be a list of lists of strings")
+    try:
+        carrier = tuple(lat.index(name) for name in carrier_names)
+        cells = [lat.index(cell) for row in rows for cell in row]
+    except KeyError as exc:
+        raise FileFormatError(str(exc)) from None
+    if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
+        raise FileFormatError("table is not square over its carrier")
+    return carrier, cells
+
+
+def _checked_table(lat, carrier_names, rows):
+    """The table of a table file's carrier and rows: the names resolved in
+    one lookup, or the ordered checks when anything is off."""
+    resolved = _resolve_names(lat._index, carrier_names, rows)
+    if resolved is None:
+        resolved = _checked_names(lat, carrier_names, rows)
+    try:
+        return OpTable(lat, *resolved)
+    except OpTableError as exc:
+        raise FileFormatError(str(exc)) from None
+
+
+def _same_outcome(reference, reader):
+    """``reader()`` raises what ``reference()`` raises, type and text, or
+    returns what it returns."""
+    try:
+        want = reference()
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            reader()
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    assert reader() == want
+
+
+def _named_lattice(name, lat):
+    return name, lat.names, lat.up, lat.down, lat.upper_covers
+
+
 @settings(max_examples=200, deadline=None)
 @given(entry_id=st.sampled_from(corpus.ENTRY_IDS), key=st.sampled_from(("covers", "le_pairs")),
        data=st.data())
 def test_mutated_lattice_files_meet_the_ordered_checks(entry_id, key, data):
-    # the one-pass reader falls back to the ordered checks when anything is
-    # off, so it raises what they raise, type and text, or builds what they build
+    # the one-pass reader names the first fault of the ordered checks, type
+    # and text, or builds what they build
     doc = json.loads(render_lattice(corpus.load(entry_id).lattice, entry_id))
     doc[key] = doc.pop("covers")
     doc = _mutate(data, doc)
-    name, elements = doc.get("name"), doc.get("elements")
-    try:
-        want = fileio._checked_lattice(doc, name, elements)
-    except Exception as exc:
-        if "name" not in doc or "elements" not in doc:
-            return
-        with pytest.raises(Exception) as info:
-            parse_lattice(json.dumps(doc))
-        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    if "name" not in doc or "elements" not in doc:
         return
-    got_name, got = parse_lattice(json.dumps(doc))
-    assert got_name == name
-    assert (got.names, got.up, got.down, got.upper_covers) == (
-        want.names, want.up, want.down, want.upper_covers)
+    _same_outcome(
+        lambda: _named_lattice(doc["name"], _checked_lattice(doc, doc["name"], doc["elements"])),
+        lambda: _named_lattice(*parse_lattice(json.dumps(doc))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_id=st.sampled_from(corpus.ENTRY_IDS), target=st.sampled_from(("Ustar", "stored")),
+       data=st.data())
+def test_mutated_table_files_meet_the_ordered_checks(entry_id, target, data):
+    # the one-lookup reader names the first fault of the ordered checks,
+    # type and text, or builds the carrier and buffer they build
+    entry = corpus.load(entry_id)
+    table = entry.spec.inner if target == "Ustar" else entry.stored
+    doc = _mutate(data, json.loads(render_table(table, "json", lattice_name=entry_id)))
+    if not doc.keys() >= {"lattice", "carrier", "rows"}:
+        return
+    _same_outcome(
+        lambda: _checked_table(entry.lattice, doc["carrier"], doc["rows"]),
+        lambda: parse_table(json.dumps(doc), entry.lattice)[1],
+    )
 
 
 def test_well_formed_table_resolves_every_name():

@@ -1,6 +1,7 @@
 import pytest
 
 from latnorm.gen import GenConfig, gen_lattice, gen_uninorm
+from latnorm.lattice import build_lattice
 from latnorm.optable import (
     NeutralOutsideCarrier,
     OpTable,
@@ -11,12 +12,11 @@ from latnorm.optable import (
     in_class_umin,
     in_class_ut,
     is_uninorm,
-    join_table,
     meet_table,
     restrict,
 )
 
-from families import catalogue_specs, chain, rows_table, table_from_function
+from families import catalogue_specs, chain, join_table, rows_table, table_from_function
 
 
 def test_meet_is_t_norm():
@@ -61,8 +61,15 @@ def test_l13_stored_monotone_witness(l13):
 def test_neutral_outside_carrier():
     lat = chain(4)
     t = meet_table(lat, (0, 1, 2))
-    with pytest.raises(NeutralOutsideCarrier, match="^neutral '3' is outside the table carrier$"):
-        is_uninorm(t, 3)
+    # an element of the lattice outside the carrier, above it or below it:
+    # the class predicates once answered True where is_uninorm refused it
+    for carrier, e in (((0, 1, 2), 3), ((1, 2, 3), 0)):
+        outside = meet_table(lat, carrier)
+        for check in (is_uninorm, in_class_ub, in_class_umax, in_class_ut, in_class_umin):
+            message = f"^neutral '{e}' is outside the table carrier$"
+            with pytest.raises(NeutralOutsideCarrier, match=message):
+                check(outside, e)
+        assert not outside.kept
     # an id that is no element is named itself: 99 once raised a bare
     # IndexError, is_uninorm named -1 by names[-1] ('3'), and in_class_ub
     # read -1 as the top
@@ -85,6 +92,22 @@ def test_restrict_identity_and_errors(l11):
         message = f"^sub-carrier element {bad} is no element of the {n}-element lattice$"
         with pytest.raises(SubNotContained, match=message):
             restrict(inner, (inner.carrier[0], bad))
+
+
+def test_diff_over_different_carriers_is_refused():
+    lat = chain(4)
+    with pytest.raises(OpTableError, match="^cannot diff tables over different carriers$"):
+        meet_table(lat, (0, 1, 2)).diff(meet_table(lat, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("check", [in_class_ub, in_class_umax, in_class_ut, in_class_umin])
+def test_class_predicate_needs_an_interval_carrier(check):
+    # the atoms of the diamond: neither is least or greatest
+    lat = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    atoms = (lat.index("a"), lat.index("b"))
+    t = meet_table(lat, atoms)
+    with pytest.raises(OpTableError, match="^carrier has no extreme element; not an interval$"):
+        check(t, atoms[0])
 
 
 def test_restrict_table1_to_low_interval_is_t_norm(l11):

@@ -2,13 +2,13 @@
 
 A table's cells are one row-major ``bytes`` buffer, handed to the one
 constructor, ``OpTable(lattice, carrier, cells)``.  The file reader, the
-two constructions, ``rewrap``, ``meet_table``, ``join_table``,
-``pinch_tnorm``, ``gen_uninorm`` (skeletons and kept mutations) and
-``restrict`` build that buffer without going through ``values`` tuples;
-each table they return must be the table ``rows_table`` builds from its
-own ``values`` view: the same bytes, an immutable ``bytes`` object, the
-carrier's position map, equal and equally hashed, with the same battery
-report at every neutral.  The rows themselves are no cells: the
+two constructions, ``rewrap``, ``meet_table``, the test families'
+``join_table``, ``pinch_tnorm``, ``gen_uninorm`` (skeletons and kept
+mutations) and ``restrict`` build that buffer without going through
+``values`` tuples; each table they return must be the table
+``rows_table`` builds from its own ``values`` view: the same bytes, an
+immutable ``bytes`` object, the carrier's position map, equal and equally
+hashed, with the same battery report at every neutral.  The rows themselves are no cells: the
 constructor refuses them.
 
 The lattice operations are built in one comprehension, and the pinch
@@ -33,13 +33,14 @@ from latnorm.optable import (
     OpTableError,
     _gather,
     is_uninorm,
-    join_table,
     meet_table,
     restrict,
     rewrap,
 )
 
-from families import boolean, catalogue_specs, meet_core, rows_table, table_from_function
+from families import (
+    boolean, catalogue_specs, join_table, meet_core, rows_table, table_from_function,
+)
 
 
 def assert_well_formed(t):

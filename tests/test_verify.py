@@ -117,6 +117,16 @@ def test_six_region_partition_on_every_catalogue_construction():
     assert failing  # both verdicts occur
 
 
+def test_partitioned_skips_intermediates_outside_the_carrier():
+    # the meet on 0 < 1 < 2 with U(2, 2) = 3, outside the carrier: every
+    # triple through that cell is closure's business, so both routes pass
+    lat = chain(4)
+    t = rows_table(lat, (0, 1, 2), ((0, 0, 0), (0, 1, 1), (0, 1, 3)))
+    assert first_associativity_witness(t) is None
+    for classes in (({0, 1, 2},), ({0, 1}, {2}), ({2}, {0, 1}), ({0}, {1}, {2})):
+        assert assoc_partitioned(t, Partition(tuple(map(frozenset, classes)))) is None
+
+
 def test_not_commutative_precondition():
     lat = chain(3)
     t = rows_table(lat, (0, 1, 2), ((0, 0, 2), (0, 1, 2), (1, 2, 2)))
