@@ -12,6 +12,11 @@ element.  The join form fills the cell (x, y) as follows:
     threshold                                   -> x v y v anchor
   * anything else                               -> top
 
+Every extension of a table from an interval follows the one rule of
+:func:`_extend` (inner cells, absorbed arguments, a block, a fill); the
+join form, the pinch-point t-norm and the generator's skeletons are each
+one call of it.
+
 The meet form is the order dual (meets, bottom, and the upper interval),
 and the code treats it as such: the meet-form construction, the t-conorm
 pinch and the meet-form hypothesis reports are the join-form (t-norm)
@@ -266,47 +271,54 @@ def dual_spec(spec: ConstructionSpec) -> ConstructionSpec:
 # -- the two constructions --------------------------------------------------
 
 
+def _extend(
+    lat: BoundedLattice, carrier, inner: OpTable, inside: int, absorbs: int, fill: ElementId,
+    block: int = 0, block_cells: bytes = b"",
+) -> OpTable:
+    """The table on the sequence ``carrier`` that extends ``inner`` from
+    I = ``inside``, the one rule of every extension here.  A cell with both
+    arguments in I is ``inner``'s.  Where one argument lies outside I, the
+    cell is that argument when the other lies in ``absorbs`` (part of I),
+    else the cell of ``block_cells`` on ``block`` x ``block`` (``block``
+    lies outside I; its cells are row-major in carrier order), else ``fill``.
+
+    Each row is one gather (one ``bytes.translate``): a column index
+    string shared by the rows of its kind, read through the row's values
+    (element ids stay below ``MAX_ELEMENTS`` = 64), so no Python runs per
+    cell.  The rows, joined, are the table's buffer."""
+    pos, size = inner.pos, len(inner.carrier)
+    # a row in I reads its inner row, then the carrier ids (x in absorbs) or fills
+    inner_pick = bytes([pos[y] if inside >> y & 1 else size + j for j, y in enumerate(carrier)])
+    ids, fills = bytes(carrier), bytes([fill]) * len(carrier)
+    # a row outside I reads fill, then x on the absorbs columns
+    outer_pick = bytes([absorbs >> y & 1 for y in carrier])
+    rows = [
+        _gather(inner_pick, inner.row(x) + (ids if absorbs >> x & 1 else fills))
+        if inside >> x & 1 else _gather(outer_pick, bytes((fill, x)))
+        for x in carrier
+    ]
+    if block:
+        # a row in the block reads its block cells on the block columns too
+        block_pick = bytearray(outer_pick)
+        cols = [j for j, y in enumerate(carrier) if block >> y & 1]
+        for i, j in enumerate(cols, 2):
+            block_pick[j] = i
+        k = len(cols)
+        for i, j in enumerate(cols):
+            rows[j] = _gather(block_pick, bytes((fill, carrier[j])) + block_cells[i * k:i * k + k])
+    return OpTable(lat, carrier, b"".join(rows))
+
+
 def _join_form(spec: ConstructionSpec) -> OpTable:
-    """The join-form construction of a validated spec, built a row at a
-    time from the ``case_regions`` blocks of its frame.  With I = [bottom,
-    threshold] = ``low | mid | side_inner``, a row x in I is x's inner row
-    on the I columns and, on the others, y when x is in ``low``, else top;
-    a row x outside I is x on the ``low`` columns, x v y v anchor on the
-    ``isolated`` columns when x is isolated, and top on the rest.  Each row
-    is one gather (one ``bytes.translate``): a column index string shared
-    by the rows of its kind, read through the row's values (element ids
-    stay below ``MAX_ELEMENTS`` = 64), so no Python runs per cell.  The
-    rows, joined, are the table's buffer."""
+    """The join-form construction of a validated spec: :func:`_extend` from
+    I = [bottom, threshold], absorbed by ``low``, filled with top, and
+    x v y v anchor on the ``isolated`` block (its join read through v anchor)."""
     lat = spec.lattice
-    n, top = lat.n, lat.top
     regions = case_regions(lat, spec.neutral, spec.threshold)
     low, iso = regions.low, regions.isolated
-    inner_mask = low | regions.mid | regions.side_inner
-    inner = spec.inner
-    inner_pos = inner.pos
-    size = len(inner.carrier)
-    iso_ids = ids_of(iso)
-    # a row in I reads its inner row, then `ids` (x in low) or `tops`
-    inner_pick = bytes([inner_pos[y] if inner_mask >> y & 1 else size + y for y in range(n)])
-    ids, tops = bytes(range(n)), bytes([top]) * n
-    # a row outside I reads top, x, then its values on the isolated columns
-    outer_pick = bytearray(1 if low >> y & 1 else 0 for y in range(n))
-    for j, y in enumerate(iso_ids, 2):
-        outer_pick[y] = j
-    not_isolated = bytes([top]) * len(iso_ids)
-    anchor = spec.anchor
-
-    def row(x: ElementId) -> bytes:
-        if inner_mask >> x & 1:
-            return _gather(inner_pick, inner.row(x) + (ids if low >> x & 1 else tops))
-        if iso >> x & 1:
-            # (x v y) v anchor = (x v anchor) v y
-            values = bytes(lat.joins(lat.join(x, anchor), iso_ids))
-        else:
-            values = not_isolated
-        return _gather(outer_pick, bytes((top, x)) + values)
-
-    return OpTable(lat, range(n), b"".join(map(row, range(n))))
+    with_anchor = bytes(lat.joins(spec.anchor, range(lat.n)))
+    return _extend(lat, range(lat.n), spec.inner, low | regions.mid | regions.side_inner,
+                   low, lat.top, iso, _gather(lat.join_cells(ids_of(iso)), with_anchor))
 
 
 def construct_eq1(spec: ConstructionSpec, *, check_inner: bool = True) -> OpTable:
@@ -333,34 +345,23 @@ def pinch_tnorm(
     """Pinch-point t-norm on [lo, hi] around a t-norm ``upper`` on [pivot, hi].
 
     Cells keep the inner value on [pivot, hi], take meets when ``hi``
-    participates, and collapse to ``lo`` otherwise.  Each row is one gather
-    of a column index string, as in :func:`_join_form`.
+    participates, and collapse to ``lo`` otherwise: the :func:`_extend` of
+    ``upper`` from [pivot, hi], absorbed by ``hi``, filled with ``lo``.
     """
-    carrier = lat.interval(lo, hi)
-    upper_mask = lat.interval_mask(pivot, hi)
-    size = len(upper.carrier)
-    # a row in [pivot, hi] reads its upper row, then the carrier ids or `los`
-    upper_pick = bytes([upper.pos[y] if upper_mask >> y & 1 else size + j
-                        for j, y in enumerate(carrier)])
-    ids, los = bytes(carrier), bytes([lo]) * len(carrier)
-    # any other row reads lo, then x on column hi
-    outer_pick = bytes([y == hi for y in carrier])
-
-    def row(x: ElementId) -> bytes:
-        if upper_mask >> x & 1:
-            return _gather(upper_pick, upper.row(x) + (ids if x == hi else los))
-        return _gather(outer_pick, bytes((lo, x)))
-
-    return OpTable(lat, carrier, b"".join(map(row, carrier)))
+    return _extend(lat, lat.interval(lo, hi), upper, lat.interval_mask(pivot, hi), 1 << hi, lo)
 
 
 _PINCH_SIDES = {"upper": ("[pivot, top]", "t-norm"), "lower": ("[bottom, pivot]", "t-conorm")}
 
 
-def _validate_pinch(table: OpTable, want, neutral: ElementId, side: str) -> None:
+def _validate_pinch(
+    lat: BoundedLattice, table: OpTable, want, neutral: ElementId, side: str
+) -> None:
     interval, kind = _PINCH_SIDES[side]
     if set(table.carrier) != set(want):
         raise SpecInvalid(f"{side} table carrier is not {interval}")
+    if table.lattice != lat:
+        raise SpecInvalid(f"{side} table belongs to a different lattice")
     report = is_uninorm(table, neutral)
     if not report.ok:
         raise SpecInvalid(f"{side} table fails {kind} axioms: " + ", ".join(report.failures()))
@@ -368,13 +369,13 @@ def _validate_pinch(table: OpTable, want, neutral: ElementId, side: str) -> None
 
 def construct_pinched_tnorm(lat: BoundedLattice, pivot: ElementId, upper: OpTable) -> OpTable:
     """Extend a t-norm on [pivot, top] to the carrier (see :func:`pinch_tnorm`)."""
-    _validate_pinch(upper, lat.interval(pivot, lat.top), lat.top, "upper")
+    _validate_pinch(lat, upper, lat.interval(pivot, lat.top), lat.top, "upper")
     return pinch_tnorm(lat, lat.bottom, lat.top, pivot, upper)
 
 
 def construct_pinched_tconorm(lat: BoundedLattice, pivot: ElementId, lower: OpTable) -> OpTable:
     """Extend a t-conorm on [bottom, pivot] to the carrier: the dual pinch."""
-    _validate_pinch(lower, lat.interval(lat.bottom, pivot), lat.bottom, "lower")
+    _validate_pinch(lat, lower, lat.interval(lat.bottom, pivot), lat.bottom, "lower")
     dual = lat.dual()
     return rewrap(pinch_tnorm(dual, dual.bottom, dual.top, pivot, rewrap(lower, dual)), lat)
 

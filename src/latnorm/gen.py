@@ -22,13 +22,14 @@ spec stream given an anchor class picks its pair only among the hosting
 ones; the class-free stream of the clause-drop search draws the pair
 first and redraws on an empty class (see :func:`gen_spec_candidates`).
 Uninorms are not rejection-sampled: :func:`gen_uninorm` builds a valid
-skeleton, keeps only mutations that pass, and never redraws.  Skeletons
-and their t-norm cores are built a row at a time, one ``bytes.translate``
-per row.  A mutation whose two cells drop against the rest of their
-columns fails monotonicity, so it is refused before the battery (75 of
-the 87 proposals that reached it over seeds 0..149, sizes 3..8).  A spec
-stream validates its config once and hands each draw its seed in a
-``_Draw``, building no ``GenConfig`` per draw.
+skeleton, keeps only mutations that pass, and never redraws.  A skeleton
+and each pinch of its t-norm core are one call of the construction
+builder ``_extend``, one ``bytes.translate`` per row.  A mutation whose
+two cells drop against the rest of their columns fails monotonicity, so
+it is refused before the battery (75 of the 87 proposals that reached it
+over seeds 0..149, sizes 3..8).  A spec stream validates its config once
+and hands each draw its seed in a ``_Draw``, building no ``GenConfig``
+per draw.
 
 A lattice is drawn as id masks: one mask of upper covers per element,
 with the names ``x0``, ``x1``, ... fixed by the size.  Most draws repeat
@@ -61,6 +62,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .construct import (
     ConstructionSpec,
+    _extend,
     anchor_class_mask,
     anchor_class_rule,
     dual_class,
@@ -79,7 +81,6 @@ from .lattice import (
 )
 from .optable import (
     OpTable,
-    _gather,
     in_class_ub,
     in_class_umax,
     in_class_umin,
@@ -219,24 +220,12 @@ def _meet_core_uninorm(
     lat: BoundedLattice, carrier, e: ElementId, lo: ElementId, hi: ElementId, rng: random.Random
 ) -> OpTable:
     """A random t-norm core on [lo, e]; outside it the other argument wins,
-    and two outside arguments give ``hi``.  One gather of a column index
-    string per row, as in :func:`~latnorm.construct.pinch_tnorm`."""
+    and two outside arguments give ``hi``: the
+    :func:`~latnorm.construct._extend` of the core from [lo, e], absorbed
+    by [lo, e] and filled with ``hi``."""
     core = _rand_tnorm(lat, lo, e, rng)
     core_mask = lat.interval_mask(lo, e)
-    size = len(core.carrier)
-    # a core row reads its core row, then the carrier ids
-    core_pick = bytes([core.pos[y] if core_mask >> y & 1 else size + j
-                       for j, y in enumerate(carrier)])
-    ids = bytes(carrier)
-    # any other row reads x, then hi
-    outer_pick = bytes([not core_mask >> y & 1 for y in carrier])
-
-    def row(x: ElementId) -> bytes:
-        if core_mask >> x & 1:
-            return _gather(core_pick, core.row(x) + ids)
-        return _gather(outer_pick, bytes((x, hi)))
-
-    return OpTable(lat, carrier, b"".join(map(row, carrier)))
+    return _extend(lat, carrier, core, core_mask, core_mask, hi)
 
 
 def _mutate(t: OpTable, e: ElementId, rng: random.Random) -> Optional[OpTable]:
@@ -287,8 +276,9 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
     carrier = tuple(carrier)
     if e not in carrier:
         raise ValueError("neutral element must belong to the carrier")
-    bounds = lat.extremes(mask_of(carrier))
-    if bounds is None:
+    mask = mask_of(carrier)
+    bounds = lat.extremes(mask)
+    if bounds is None or lat.interval_mask(*bounds) != mask:
         raise ValueError("carrier is not an interval")
     lo, hi = bounds
     rng = random.Random(cfg.seed)

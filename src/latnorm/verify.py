@@ -80,6 +80,12 @@ def assoc_partitioned(t: OpTable, partition: Partition):
       (ii)  two from one class, one from another;
       (iii) one from one class, two from another;
       (iv)  all three from a single class.
+
+    Clause (iii) has no loop of its own.  On a commutative table its
+    triple (a, b, c) compares U(a, U(b, c)) with U(U(a, b), c) through the
+    same two intermediates as the (ii) triple (c, b, a), which the (ii)
+    loop checks with the same two classes, so a (iii) triple never finds
+    a first violation that (ii) has not.
     """
     partition.validate(t.carrier)
     comm = first_commutativity_witness(t)
@@ -119,18 +125,12 @@ def assoc_partitioned(t: OpTable, partition: Partition):
                     if defined(bc) and defined(ac):
                         if val(a, bc) != val(b, ac):
                             return (a, b, c, val(a, bc), val(b, ac))
-    # (ii)/(iii) two classes
+    # (ii) two classes, each in turn holding the pair; this covers (iii)
     for ci, cj in combinations(classes, 2):
         for pair_cls, single_cls in ((ci, cj), (cj, ci)):
             for a in pair_cls:
                 for b in pair_cls:
                     for c in single_cls:
-                        hit = bracket_pair(a, b, c)
-                        if hit:
-                            return hit
-            for a in single_cls:
-                for b in pair_cls:
-                    for c in pair_cls:
                         hit = bracket_pair(a, b, c)
                         if hit:
                             return hit

@@ -18,8 +18,8 @@ from latnorm.construct import (
     validate_spec,
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
-from latnorm.lattice import case_regions
-from latnorm.optable import is_uninorm, rewrap
+from latnorm.lattice import build_lattice, case_regions
+from latnorm.optable import is_uninorm, meet_table, rewrap
 from latnorm.verify import verify_equivalence
 
 from families import chain, join_table, rows_table, table_from_function
@@ -211,22 +211,36 @@ def test_pinched_three_chain_example():
     assert is_uninorm(t, lat.top).ok
 
 
+CHAIN3 = chain(3)  # bottom, pivot 1, top
+DIAMOND = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+# the diamond's names ordered 0 < a < b < 1: its meet and join pass the
+# carrier and axiom checks, but are no operations of the diamond
+DIAMOND_NAMES_CHAIN = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("a", "b"), ("b", "1")])
+
+
 @pytest.mark.parametrize(
-    "side, carrier, cells, message",
+    "side, lat, pivot, table, message",
     [
-        ("upper", (0, 1), "meet", "upper table carrier is not [pivot, top]"),
-        ("upper", (1, 2), "join", "upper table fails t-norm axioms: neutral"),
-        ("lower", (1, 2), "join", "lower table carrier is not [bottom, pivot]"),
-        ("lower", (0, 1), "meet", "lower table fails t-conorm axioms: neutral"),
+        ("upper", CHAIN3, 1, table_from_function(CHAIN3, (0, 1), CHAIN3.meet),
+         "upper table carrier is not [pivot, top]"),
+        ("upper", CHAIN3, 1, table_from_function(CHAIN3, (1, 2), CHAIN3.join),
+         "upper table fails t-norm axioms: neutral"),
+        ("lower", CHAIN3, 1, table_from_function(CHAIN3, (1, 2), CHAIN3.join),
+         "lower table carrier is not [bottom, pivot]"),
+        ("lower", CHAIN3, 1, table_from_function(CHAIN3, (0, 1), CHAIN3.meet),
+         "lower table fails t-conorm axioms: neutral"),
+        ("upper", DIAMOND, DIAMOND.bottom, meet_table(DIAMOND_NAMES_CHAIN),
+         "upper table belongs to a different lattice"),
+        ("lower", DIAMOND, DIAMOND.top, join_table(DIAMOND_NAMES_CHAIN),
+         "lower table belongs to a different lattice"),
     ],
-    ids=["t-norm-carrier", "not-a-t-norm", "t-conorm-carrier", "not-a-t-conorm"],
+    ids=["t-norm-carrier", "not-a-t-norm", "t-conorm-carrier", "not-a-t-conorm",
+         "t-norm-of-another-lattice", "t-conorm-of-another-lattice"],
 )
-def test_pinch_refuses_a_table_off_its_interval_or_axioms(side, carrier, cells, message):
-    lat = chain(3)  # bottom, pivot, top
-    table = table_from_function(lat, carrier, getattr(lat, cells))
+def test_pinch_refuses_a_table_off_its_interval_or_axioms(side, lat, pivot, table, message):
     pinch = construct_pinched_tnorm if side == "upper" else construct_pinched_tconorm
     with pytest.raises(SpecInvalid) as info:
-        pinch(lat, 1, table)
+        pinch(lat, pivot, table)
     assert str(info.value) == message
 
 

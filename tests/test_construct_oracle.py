@@ -1,7 +1,9 @@
 """Differential tests of the join-form construction.
 
-``_join_form`` builds the table a row at a time from the ``case_regions``
-blocks.  It must give exactly the cells of the per-cell closure it
+``_join_form`` is one call of ``_extend``, the row builder every
+extension shares, with I = [bottom, threshold] from the ``case_regions``
+blocks, absorbed by ``low``, filled with top and given the isolated
+block's cells.  It must give exactly the cells of the per-cell closure it
 replaced, kept here verbatim as the reference; the meet form is that
 closure run on the dual spec and read back.  Both forms are compared on
 every catalogue frame with n <= 7, on every corpus spec at every anchor,

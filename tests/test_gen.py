@@ -54,8 +54,10 @@ def test_config_validation():
     [
         (("0", "a"), "1", "neutral element must belong to the carrier"),
         (("a", "b"), "a", "carrier is not an interval"),
+        # bounded but not an interval: a lies between 0 and 1
+        (("0", "1"), "0", "carrier is not an interval"),
     ],
-    ids=["neutral-outside", "not-an-interval"],
+    ids=["neutral-outside", "not-an-interval", "bounded-not-an-interval"],
 )
 def test_gen_uninorm_refuses_a_bad_carrier(carrier, e, message):
     lat = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])

@@ -11,11 +11,12 @@ immutable ``bytes`` object, the carrier's position map, equal and equally
 hashed, with the same battery report at every neutral.  The rows themselves are no cells: the
 constructor refuses them.
 
-The lattice operations are built in one comprehension, and the pinch
-t-norms, the generator's skeletons and ``restrict`` a row at a time, each
-row one ``_gather``; each must also be the table that
-``table_from_function``, the per-cell builder kept in ``families``, makes
-from its cell rule, on shuffled carriers and sub-carriers too.
+The lattice operations are built in one comprehension, ``restrict`` a row
+at a time, and the pinch t-norms and the generator's skeletons by one call
+each of ``construct._extend``, the extension builder; every row is one
+``_gather``.  Each must also be the table that ``table_from_function``,
+the per-cell builder kept in ``families``, makes from its cell rule, on
+shuffled carriers and sub-carriers too.
 """
 
 import random

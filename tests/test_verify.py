@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -39,21 +40,50 @@ from latnorm.verify import (
 from families import catalogue_specs, chain, rows_table
 
 
-def random_commutative_table(rng, n):
-    lat = chain(n)
-    vals = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            v = rng.randrange(n)
-            vals[a][b] = vals[b][a] = v
-    return rows_table(lat, range(n), vals)
+def random_commutative_table(rng, lat, carrier):
+    """Symmetric cells on ``carrier``, drawn anywhere in ``lat``."""
+    k = len(carrier)
+    vals = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            vals[a][b] = vals[b][a] = rng.randrange(lat.n)
+    return rows_table(lat, carrier, vals)
 
 
-def random_partition(rng, n):
+def random_partition(rng, carrier):
+    n = len(carrier)
     k = rng.randint(1, n)
     labels = [rng.randrange(k) for _ in range(n)]
-    classes = [frozenset(i for i in range(n) if labels[i] == c) for c in range(k)]
+    classes = [frozenset(x for x, label in zip(carrier, labels) if label == c) for c in range(k)]
     return Partition(tuple(c for c in classes if c))
+
+
+def check_partitioned_witnesses(count):
+    """The sha256 of the witnesses ``assoc_partitioned`` returns on
+    ``count`` seeded commutative tables, and how many of those are not
+    associative.  Table i is drawn from ``random.Random(i)``: a chain of 3
+    to 6 elements, a carrier of two or more of its elements, symmetric
+    cells anywhere in the chain (so closure fails too) and a random
+    partition of the carrier."""
+    digest = hashlib.sha256()
+    failing = 0
+    for seed in range(count):
+        rng = random.Random(seed)
+        lat = chain(rng.randint(3, 6))
+        carrier = sorted(rng.sample(range(lat.n), rng.randint(2, lat.n)))
+        t = random_commutative_table(rng, lat, carrier)
+        witness = assoc_partitioned(t, random_partition(rng, carrier))
+        digest.update(repr(witness).encode())
+        failing += witness is not None
+    return digest.hexdigest(), failing
+
+
+def test_partitioned_witnesses_are_pinned():
+    # the first violating triple itself, not only the verdict, over 3,000
+    # tables (CI runs 30,000); recorded while clause (iii) had its own loop
+    digest, failing = check_partitioned_witnesses(3000)
+    assert digest == "9c89a3739f8e5b3a34644e9650333bcf33c05cdabd09a7e3e5c355268959765f"
+    assert failing == 2014
 
 
 def test_partition_validation():
@@ -69,7 +99,7 @@ def test_single_class_equals_naive():
     rng = random.Random(1)
     for _ in range(200):
         n = rng.randint(2, 6)
-        t = random_commutative_table(rng, n)
+        t = random_commutative_table(rng, chain(n), range(n))
         naive = first_associativity_witness(t)
         part = Partition((frozenset(range(n)),))
         partitioned = assoc_partitioned(t, part)
@@ -81,8 +111,8 @@ def test_partitioned_agrees_with_naive_oracle():
     non_associative = 0
     for _ in range(400):
         n = rng.randint(2, 6)
-        t = random_commutative_table(rng, n)
-        part = random_partition(rng, n)
+        t = random_commutative_table(rng, chain(n), range(n))
+        part = random_partition(rng, range(n))
         naive = first_associativity_witness(t)
         partitioned = assoc_partitioned(t, part)
         assert (naive is None) == (partitioned is None)
@@ -370,5 +400,5 @@ def test_meet_table_is_associative_under_any_partition():
     for seed in range(20):
         lat = gen_lattice(GenConfig(seed=seed, size_range=(3, 7)))
         t = meet_table(lat)
-        part = random_partition(rng, lat.n)
+        part = random_partition(rng, range(lat.n))
         assert assoc_partitioned(t, part) is None
