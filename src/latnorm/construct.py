@@ -48,7 +48,7 @@ license are exactly the equivalences the verification module fuzzes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
@@ -133,9 +133,14 @@ class HypothesisReport:
             failed.append("inner-class")
         return tuple(failed)
 
+    def admits(self, dropped: Optional[str] = None) -> bool:
+        """Whether the standing clauses that fail are exactly ``dropped``
+        (none, when it is ``None``): the one admission rule of a check."""
+        return self.standing_failures() == (() if dropped is None else (dropped,))
+
     @property
     def standing_ok(self) -> bool:
-        return not self.standing_failures()
+        return self.admits()
 
 
 @dataclass(frozen=True)
@@ -392,15 +397,7 @@ def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
         raise SpecInvalid("theorem checkers require an interior threshold")
     join_spec = validate_spec(spec, profile.orientation)
     frame = frame_report(join_spec.lattice, spec.threshold, spec.neutral, spec.anchor, theorem)
-    return HypothesisReport(
-        theorem=frame.theorem,
-        anchor_class=frame.anchor_class,
-        join_pairs_ok=frame.join_pairs_ok,
-        join_anchor_ok=frame.join_anchor_ok,
-        parallel_condition_ok=frame.parallel_condition_ok,
-        inner_in_ub=in_class_ub(join_spec.inner, spec.neutral),
-        nonempty_guard=frame.nonempty_guard,
-    )
+    return replace(frame, inner_in_ub=in_class_ub(join_spec.inner, spec.neutral))
 
 
 def frame_report(

@@ -43,20 +43,19 @@ computed again.  The table serves 43.7% of the lattice draws of 1,250
 ``fuzz-equiv`` ops, and about a third of those of the class-free
 clause-drop stream.
 
-:func:`gen_spec` wanting the hypotheses checks each candidate's frame
-(lattice, threshold, neutral, anchor) before it draws the inner table, and
-draws no table for a frame that fails; the inner seed is drawn either way,
-so each seed yields the spec it would if every table were drawn.  The frame
-decides: the inner table is always in ``ub``, so the ``inner-class`` clause
-holds for every spec drawn.  The frame report stays on the lattice; the
-spec keeps no report.
+A spec stream yields each candidate's frame report (lattice, threshold,
+neutral, anchor) with a deferred draw of its inner table, and both searches
+draw only the tables of the frames they admit; the inner seed is drawn
+either way, so the stream does not move.  The frame decides: the inner
+table is always in ``ub``, so the ``inner-class`` clause holds for every
+spec drawn.  The frame report stays on the lattice; the spec keeps none.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
@@ -277,6 +276,8 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
     if e not in carrier:
         raise ValueError("neutral element must belong to the carrier")
     mask = mask_of(carrier)
+    if mask.bit_count() != len(carrier):
+        raise ValueError("carrier has repeated elements")
     bounds = lat.extremes(mask)
     if bounds is None or lat.interval_mask(*bounds) != mask:
         raise ValueError("carrier is not an interval")
@@ -330,17 +331,14 @@ def _hosting_pairs(lat: BoundedLattice, join_class: str) -> list[tuple[ElementId
 
 
 def gen_spec_candidates(
-    cfg: GenConfig,
-    theorem: str,
-    anchor_class: Optional[str] = None,
-    *,
-    _frames_first: bool = False,
+    cfg: GenConfig, theorem: str, anchor_class: Optional[str] = None
 ) -> Iterator:
-    """Endless deterministic stream of valid specs for one theorem.
-
-    Hypotheses are NOT enforced here; callers filter.  For the meet-form
-    theorems, candidates are generated in the join form and transported
-    across duality.
+    """Endless deterministic stream of candidates ``(frame, draw)`` for
+    one theorem.  ``frame`` is the :func:`~latnorm.construct.frame_report`,
+    kept on the join-form lattice; ``draw()`` draws the inner table from
+    the candidate's inner seed, drawn either way, and returns the spec:
+    valid, its inner table in ``ub``, transported across duality for the
+    meet-form theorems.  Hypotheses are NOT enforced here; callers filter.
 
     With ``anchor_class`` the draw is directed: each lattice is scanned
     for the (threshold, neutral) pairs that host the class, one of them is
@@ -356,19 +354,15 @@ def gen_spec_candidates(
 
     An ``anchor_class`` that is not one of the theorem's classes raises
     ``ValueError`` naming them, on the first ``next``, before any draw.
-
-    ``_frames_first`` is :func:`gen_spec`'s: each candidate is then a pair
-    (its :func:`~latnorm.construct.frame_report`, the spec), and a frame
-    that fails a standing clause comes with ``None`` for a spec, its inner
-    table not drawn.
     """
     profile = theorem_profile(theorem)
     if anchor_class not in (None, *profile.anchor_classes):
         classes = ", ".join(profile.anchor_classes)
         raise ValueError(f"{theorem} has no anchor class {anchor_class!r}; its classes: {classes}")
+    meet = profile.orientation == "meet"
     join_class = anchor_class
     join_classes = profile.anchor_classes
-    if profile.orientation == "meet":
+    if meet:
         join_class = None if anchor_class is None else dual_class(anchor_class)
         join_classes = tuple(map(dual_class, join_classes))
     rng = random.Random(cfg.seed)
@@ -401,19 +395,20 @@ def gen_spec_candidates(
         anchor = rng.choice(candidates)
         inner_seed = rng.getrandbits(48)
         dry_run = 0
-        if _frames_first:
-            frame = frame_report(lat, threshold, neutral, anchor, theorem)
-            if frame.standing_failures():
-                yield frame, None
-                continue
-        below = lat.interval(lat.bottom, threshold)
-        inner = gen_uninorm(lat, below, neutral, _Draw(inner_seed, size_range, "ub"))
-        spec = ConstructionSpec(
-            lattice=lat, threshold=threshold, neutral=neutral, anchor=anchor, inner=inner
-        )
-        if profile.orientation == "meet":
-            spec = dual_spec(spec)
-        yield (frame, spec) if _frames_first else spec
+        yield (frame_report(lat, threshold, neutral, anchor, theorem),
+               partial(_draw_spec, lat, threshold, neutral, anchor,
+                       _Draw(inner_seed, size_range, "ub"), meet))
+
+
+def _draw_spec(
+    lat: BoundedLattice, threshold: ElementId, neutral: ElementId, anchor: ElementId,
+    inner_draw: _Draw, meet: bool,
+) -> ConstructionSpec:
+    """A stream candidate's spec: its ``ub`` inner table drawn on the
+    join-form frame, the spec transported when ``meet``."""
+    inner = gen_uninorm(lat, lat.interval(lat.bottom, threshold), neutral, inner_draw)
+    spec = ConstructionSpec(lat, threshold, neutral, anchor, inner)
+    return dual_spec(spec) if meet else spec
 
 
 def gen_spec(
@@ -426,17 +421,15 @@ def gen_spec(
 
     Every candidate's anchor is drawn from that class.  With
     ``want_hypotheses`` the theorem's standing clauses must hold as well:
-    the spec returned is the first drawn, a spec being drawn only for a
-    frame that passes (see :func:`gen_spec_candidates`).  Sampling is
-    capped at ``ATTEMPT_CAP`` candidates and the exhaustion error names
+    the spec returned is that of the first candidate whose frame admits,
+    the only inner table drawn (see :func:`gen_spec_candidates`).  Sampling
+    is capped at ``ATTEMPT_CAP`` candidates and the exhaustion error names
     the first failing clause of the last frame.
     """
-    if not want_hypotheses:
-        return next(gen_spec_candidates(cfg, theorem, anchor_class=anchor_class))
-    candidates = gen_spec_candidates(cfg, theorem, anchor_class=anchor_class, _frames_first=True)
-    for frame, spec in islice(candidates, ATTEMPT_CAP):
-        if spec is not None:
-            return spec
+    candidates = gen_spec_candidates(cfg, theorem, anchor_class=anchor_class)
+    for frame, draw in islice(candidates, ATTEMPT_CAP):
+        if not want_hypotheses or frame.admits():
+            return draw()
     raise ExhaustedRejection(
         f"no spec within cap; last failing clause: {frame.standing_failures()[0]}"
     )

@@ -9,9 +9,10 @@ agreement on random commutative tables is part of the acceptance suite.
 :func:`verify_equivalence`, the one check that the fuzz suite, ``latnorm
 theorem`` and :func:`find_counterexample` share, sets a theorem prediction
 beside the brute-force axiom verdict on the constructed table.  The search
-passes it a dropped clause and keeps the first seeded random spec that is
-predicted a uninorm and observed to fail.  The example corpus is not
-searched: no entry isolates a single clause.
+admits each seeded random candidate on its frame by the check's rule with
+a dropped clause, draws the spec of an admitted frame only, and keeps the
+first that is predicted a uninorm and observed to fail.  The example
+corpus is not searched: no entry isolates a single clause.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .construct import (
     ConstructionSpec,
     HypothesesNotMet,
     HypothesisReport,
-    SpecInvalid,
     check_for,
     construct_for,
     theorem_profile,
@@ -172,7 +172,7 @@ def verify_equivalence(
     :func:`~latnorm.gen.gen_spec` has its frame read, not checked again.
     """
     report = check_for(spec, theorem)
-    if report.standing_failures() != (() if drop_clause is None else (drop_clause,)):
+    if not report.admits(drop_clause):
         raise HypothesesNotMet(report, drop_clause)
     table = construct_for(spec, theorem)
     axioms = is_uninorm(table, spec.neutral)
@@ -211,9 +211,10 @@ def find_counterexample(
 ) -> Optional[Counterexample]:
     """Search for an instance proving the dropped clause necessary.
 
-    A candidate counts when :func:`verify_equivalence` admits it with
-    ``drop_clause`` and predicts a uninorm that the axioms refute.  Tries
-    the first ``budget`` seeded random specs with sizes in
+    A candidate counts when its frame admits ``drop_clause`` and
+    :func:`verify_equivalence` on its drawn spec predicts a uninorm that
+    the axioms refute; no other candidate's inner table is drawn.  Tries
+    the first ``budget`` seeded random candidates with sizes in
     ``size_range``, so results are deterministic for a given seed and
     range.  Returns ``None`` when the budget is exhausted; with
     ``drop_clause=None`` that is the only possible outcome.  Raises
@@ -229,11 +230,11 @@ def find_counterexample(
         )
 
     cfg = GenConfig(seed=seed, size_range=size_range)
-    for i, spec in enumerate(islice(gen_spec_candidates(cfg, theorem), budget)):
-        try:
-            verdict = verify_equivalence(spec, theorem, drop_clause)
-        except (SpecInvalid, HypothesesNotMet):
+    for i, (frame, draw) in enumerate(islice(gen_spec_candidates(cfg, theorem), budget)):
+        if not frame.admits(drop_clause):
             continue
+        spec = draw()
+        verdict = verify_equivalence(spec, theorem, drop_clause)
         if verdict.predicted and not verdict.observed:
             return Counterexample(spec, theorem, drop_clause or "", verdict.hypotheses,
                                   verdict.report, f"generated:{seed}:{i}")

@@ -50,7 +50,8 @@ def _meet_specs():
     """Seeded meet-form specs from both theorems, re-anchored at every element."""
     for theorem, seed in (("th34", 11), ("th36", 12)):
         stream = gen_spec_candidates(GenConfig(seed=seed, size_range=(4, 9)), theorem)
-        for _, spec in zip(range(20), stream):
+        for _, (_, draw) in zip(range(20), stream):
+            spec = draw()
             for anchor in range(spec.lattice.n):
                 yield theorem, replace(spec, anchor=anchor)
 

@@ -56,8 +56,9 @@ def test_config_validation():
         (("a", "b"), "a", "carrier is not an interval"),
         # bounded but not an interval: a lies between 0 and 1
         (("0", "1"), "0", "carrier is not an interval"),
+        (("0", "a", "b", "b", "1"), "a", "carrier has repeated elements"),
     ],
-    ids=["neutral-outside", "not-an-interval", "bounded-not-an-interval"],
+    ids=["neutral-outside", "not-an-interval", "bounded-not-an-interval", "repeated-element"],
 )
 def test_gen_uninorm_refuses_a_bad_carrier(carrier, e, message):
     lat = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -519,7 +520,8 @@ def test_directed_stream_discards_only_lattices_without_a_host(monkeypatch, theo
     stream = gen_spec_candidates(GenConfig(seed=11, size_range=(4, 9)), theorem, anchor_class)
     discarded = 0
     for _ in range(25):
-        spec = next(stream)
+        frame, draw = next(stream)
+        spec = draw()
         *rejected, kept = drawn
         drawn.clear()
         assert all(not _brute_hosts(lat, join_class) for lat in rejected)
@@ -527,6 +529,7 @@ def test_directed_stream_discards_only_lattices_without_a_host(monkeypatch, theo
         if THEOREMS[theorem].orientation == "meet":
             spec = dual_spec(spec)
         assert spec.lattice == kept
+        assert frame is frame_report(kept, spec.threshold, spec.neutral, spec.anchor, theorem)
         assert (spec.threshold, spec.neutral) in _brute_hosts(kept, join_class)
         assert spec.anchor in ids_of(_brute_classes(kept, spec.neutral, spec.threshold)[join_class])
     if join_class == "beside_neutral":

@@ -2,9 +2,9 @@
 
 ``gen_spec`` checks each candidate's frame before it draws the inner
 table.  It must return the spec of the loop it replaced, which drew every
-candidate's table and ran ``check_for`` on each; that loop is kept here
-verbatim as the reference (reading the cap from the module, so a test can
-lower it), over the plain candidate stream.  Both run on
+candidate's table and ran ``check_for`` on each; that loop is kept here as
+the reference (reading the cap from the module, so a test can lower it),
+calling every candidate's ``draw``.  Both run on
 the six (theorem, anchor class) pairs of the fuzz suite, at 100 seeds with
 sizes 4..9 and 30 seeds with sizes 4..12, and under a tiny candidate cap,
 where both must raise the same exhaustion error.  A fuzz op (``gen_spec``,
@@ -29,8 +29,9 @@ def _reference_gen_spec(cfg, anchor_class, want_hypotheses, theorem):
     ATTEMPT_CAP = gen_module.ATTEMPT_CAP
     candidates = gen_spec_candidates(cfg, theorem, anchor_class=anchor_class)
     if not want_hypotheses:
-        return next(candidates)
-    for spec in islice(candidates, ATTEMPT_CAP):
+        return next(candidates)[1]()
+    for _, draw in islice(candidates, ATTEMPT_CAP):
+        spec = draw()
         failures = check_for(spec, theorem).standing_failures()
         if not failures:
             return spec

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import latnorm.gen as gen_module
 import latnorm.verify as verify_module
 from latnorm.construct import (
     THEOREMS,
@@ -309,18 +310,63 @@ def test_unknown_theorem_id_is_a_value_error(l13, call):
 @pytest.mark.parametrize("budget", [0, 5])
 def test_search_draws_exactly_its_budget(monkeypatch, budget):
     # seed 0 isolates join-pairs only at candidate 145, so the whole budget
-    # is spent, and not one spec more
+    # is spent, and not one candidate more
     real = verify_module.gen_spec_candidates
     drawn = []
 
     def counting(*args, **kwargs):
-        for spec in real(*args, **kwargs):
-            drawn.append(spec)
-            yield spec
+        for candidate in real(*args, **kwargs):
+            drawn.append(candidate)
+            yield candidate
 
     monkeypatch.setattr(verify_module, "gen_spec_candidates", counting)
     assert find_counterexample("th31", "join-pairs", budget=budget, seed=0) is None
     assert len(drawn) == budget
+
+
+def check_search_draws(theorems, seed=0, budget=500):
+    """The inner tables drawn by the clause-drop search of each droppable
+    clause of each theorem, and then of none: ``find_counterexample`` at
+    ``seed`` and ``budget`` in its default size window.  Each search must
+    draw one table per frame that admits its clause among the candidates
+    it scanned, and no other.  Returns the counts and the searches'
+    sources (``None`` where nothing was found)."""
+    real_stream, real_draw = verify_module.gen_spec_candidates, gen_module.gen_uninorm
+    scanned, drawn = [], []
+
+    def stream(*args, **kwargs):
+        for frame, draw in real_stream(*args, **kwargs):
+            scanned.append(frame)
+            yield frame, draw
+
+    def draw_table(*args, **kwargs):
+        drawn.append(args)
+        return real_draw(*args, **kwargs)
+
+    counts, sources = [], []
+    verify_module.gen_spec_candidates, gen_module.gen_uninorm = stream, draw_table
+    try:
+        for theorem in theorems:
+            for clause in (*THEOREMS[theorem].droppable_clauses, None):
+                scanned.clear()
+                drawn.clear()
+                hit = find_counterexample(theorem, clause, budget, seed)
+                admitted = sum(frame.admits(clause) for frame in scanned)
+                assert len(drawn) == admitted, (theorem, clause, len(drawn), admitted)
+                counts.append(len(drawn))
+                sources.append(hit and hit.source)
+    finally:
+        verify_module.gen_spec_candidates, gen_module.gen_uninorm = real_stream, real_draw
+    return counts, sources
+
+
+def test_search_draws_only_for_admitted_frames():
+    # join-pairs stops at candidate 145, its 31st admitted frame; join-anchor
+    # admits 16 of 500 frames and the search with no clause dropped 324.
+    # CI runs all ten default searches
+    counts, sources = check_search_draws(["th31"])
+    assert counts == [31, 16, 324]
+    assert sources[0] == "generated:0:145"
 
 
 def test_drop_nothing_finds_nothing():
