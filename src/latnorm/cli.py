@@ -169,7 +169,7 @@ def cmd_check_lattice(args) -> None:
         except (KeyError, LatticeError) as exc:
             raise _Failure(BAD_INPUT, str(exc))
     print(
-        f"{name}: bounded lattice with {lat.n} elements, "
+        f"{name}: bounded lattice with {lat.n} {'element' if lat.n == 1 else 'elements'}, "
         f"bottom {lat.name(lat.bottom)!r}, top {lat.name(lat.top)!r}"
     )
     if args.e is not None:

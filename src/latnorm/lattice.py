@@ -11,11 +11,14 @@ join and meet for every pair.  There is one validation path.  Its core,
 :func:`lattice_from_edges`, takes the names and one mask of direct
 successors per element; :func:`build_lattice` is its name front-end, which
 checks the names and resolves (lower, upper) name pairs to those masks.
-The core closes the order in O(n + edges), takes the upper covers from
-the edges (every cover is a generating edge), and checks one join per pair
-of upper covers of one element: a finite poset with a bottom in which
-those joins exist is a lattice.  No join or meet table is stored: a join
-is one dict lookup of ``up[a] & up[b]``, a meet the same over ``down``.
+The core walks the edges twice, along the ids when every edge goes up
+(as generated, catalogued and corpus lattices list them), else along
+Kahn's order: backwards to close ``up`` and take the upper covers, which
+are generating edges, forwards to push ``down`` along the covers.  It
+checks one join per pair of upper covers of one element: a finite poset
+with a bottom in which those joins exist is a lattice.  No join or meet
+table is stored: a join is one dict lookup of ``up[a] & up[b]``, a meet
+the same over ``down``.
 Instances are immutable and safe to share across threads: the dual and
 the hypothesis frame reports are derived once, on first use, and kept;
 the :func:`case_regions` blocks are derived on every call, a few mask
@@ -303,23 +306,6 @@ def _closure(up: list[int], n: int) -> None:
                 up[i] |= row_k
 
 
-def _close(order, edges: list[int]) -> list[int]:
-    """The mask of each element and everything it reaches along ``edges``
-    (each element's direct successors, or predecessors), filled along
-    ``order``, in which every element comes after those its edges reach.
-    Set bits are walked inline, with no generator per element."""
-    masks = [0] * len(edges)
-    for v in order:
-        mask = 1 << v
-        rest = edges[v]
-        while rest:
-            low = rest & -rest
-            mask |= masks[low.bit_length() - 1]
-            rest ^= low
-        masks[v] = mask
-    return masks
-
-
 def _cycle_error(names: tuple[str, ...], succ: list[int]) -> NotAPoset:
     """The antisymmetry error of a cyclic relation (``succ`` holds each
     element's direct successors): the first element, in id order, that
@@ -409,6 +395,24 @@ def _successor_masks(index: dict, n: int, pairs) -> list[int]:
     return succ
 
 
+def _kahn_order(names: tuple[str, ...], succ: list[int]) -> list[int]:
+    """An order in which every edge goes forward (Kahn's algorithm); when
+    it comes out short the edges hold a cycle, named by :func:`_cycle_error`."""
+    indegree = [0] * len(succ)
+    for mask in succ:
+        for w in _bits(mask):
+            indegree[w] += 1
+    order = [i for i, d in enumerate(indegree) if not d]
+    for v in order:
+        for w in _bits(succ[v]):
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) < len(succ):
+        raise _cycle_error(names, succ)
+    return order
+
+
 def lattice_from_edges(names, succ) -> BoundedLattice:
     """Build and fully validate a bounded lattice from id masks.
 
@@ -416,94 +420,86 @@ def lattice_from_edges(names, succ) -> BoundedLattice:
     (:func:`build_lattice` and the file reader check names with
     :func:`_check_names`; this core does not).  ``succ[i]`` is the mask
     of the elements given directly above element ``i``: the upper covers,
-    or any other edges whose reflexive-transitive closure is the order.  A mask with a bit outside the carrier or with its own
-    element's bit raises ``ValueError``.  Then every invariant is checked,
-    in this order: antisymmetry, global bounds, and a unique join and meet
-    for each pair.
+    or any other edges whose reflexive-transitive closure is the order.
+    A mask with a bit outside the carrier or with its own element's bit
+    raises ``ValueError``.  Then every invariant is checked, in this
+    order: antisymmetry, global bounds, and a unique join and meet for
+    each pair.
 
-    The closure costs O(n + edges): Kahn's algorithm orders the elements
-    so that every edge goes forward, then :func:`_close` fills ``up`` in one
-    pass backwards along that order and ``down``, its mirror image, in one
-    pass forwards.  When the order comes out short the edges hold a cycle;
-    only then is Warshall's O(n^2) closure run, to name the pair that
-    breaks antisymmetry.
+    A valid input costs two walks of its edges along an order in which
+    each edge goes forward: the ids, when the mask check sees every edge
+    go up (no cycle is then possible), else :func:`_kahn_order`.
+    Backwards, ``up[v]`` is v, its successors and ``beyond``, the union
+    of their strict up-sets; every cover is a generating edge, so the
+    upper covers of v are ``succ[v] & ~beyond``.  Forwards, ``down`` is
+    pushed along the covers, which generate the order.  A finite poset
+    has a bottom iff it has exactly one minimal element: the first of the
+    order is the bottom iff its up-set is the carrier, the last the top
+    iff its down-set is; else the first minimal (maximal) id is named.
 
-    Every cover is a generating edge, so the upper covers are taken from
-    the edges in O(edges): an edge a -> b is a cover unless b lies
-    strictly above another edge of a.  The lattice check reads only the
-    covers.  A finite poset with a bottom is a lattice iff any two
-    distinct upper covers of one element have a join.  Proof, by
-    downward induction on z, that any x, y >= z have a join (with x = z
-    or y = z it is the other): pick z < x1 <= x and z < y1 <= y with x1
-    and y1 covering z, and let w = x1 v y1 (when x1 = y1, induction at
-    x1 gives x v y).  Then u = x v w exists by induction at x1, v = y v u
-    by induction at y1, and every upper bound of x and y lies above w,
-    then u, then v, so v = x v y.  With every join, the meet of a and b
-    is the join of their common lower bounds, which include the bottom.
-    A join of two covers exists iff ``up[x1] & up[y1]`` is some element's
-    up-mask, one dict lookup per pair: 240 pairs on the Boolean lattice
-    2^6, against 1,351 incomparable pairs.  Only when a join is missing
-    does the full id-order scan run, to name the first pair without a
-    unique join or meet (the join before the meet) in
-    :class:`NotALattice`.  No join or meet table is stored: each join is
-    looked up on use (see :meth:`BoundedLattice.join`).
+    A finite poset with a bottom is a lattice iff any two distinct upper
+    covers of one element have a join.  Proof, by downward induction on
+    z, that any x, y >= z have a join (with x = z or y = z it is the
+    other): pick z < x1 <= x and z < y1 <= y with x1 and y1 covering z,
+    and let w = x1 v y1 (when x1 = y1, induction at x1 gives x v y).
+    Then u = x v w exists by induction at x1, v = y v u by induction at
+    y1, and every upper bound of x and y lies above w, then u, then v, so
+    v = x v y.  With every join, the meet of a and b is the join of their
+    common lower bounds, which include the bottom.  A join of two covers
+    exists iff ``up[x1] & up[y1]`` is some element's up-mask, one dict
+    lookup per pair: 240 pairs on the Boolean lattice 2^6, against 1,351
+    incomparable pairs.  Only when a join is missing does the full
+    id-order scan run, to name the first pair without a unique join or
+    meet (the join before the meet) in :class:`NotALattice`.  No join or
+    meet table is stored: each join is looked up on use (see
+    :meth:`BoundedLattice.join`).
     """
     names = tuple(names)
     n = len(names)
     if len(succ) != n:
         raise ValueError(f"{len(succ)} successor masks for {n} elements")
     all_mask = (1 << n) - 1
-    pred = [0] * n
+    forward = True
     for i, mask in enumerate(succ):
         if mask & ~all_mask or mask >> i & 1:
             raise ValueError(f"successor mask of element {i} is not a set of other elements")
-        while mask:
-            low = mask & -mask
-            pred[low.bit_length() - 1] |= 1 << i
-            mask ^= low
+        if mask & ((1 << i) - 1):
+            forward = False
+    order = range(n) if forward else _kahn_order(names, succ)
 
-    # Kahn: an element joins the order once all its predecessors have
-    indegree = [mask.bit_count() for mask in pred]
-    order = [i for i in range(n) if not pred[i]]
-    for v in order:
-        rest = succ[v]
+    up = [0] * n
+    covers = [0] * n
+    for v in reversed(order):
+        beyond = 0
+        rest = mask = succ[v]
         while rest:
             low = rest & -rest
-            w = low.bit_length() - 1
-            indegree[w] -= 1
-            if not indegree[w]:
-                order.append(w)
+            beyond |= up[low.bit_length() - 1] ^ low
             rest ^= low
-    if len(order) < n:
-        raise _cycle_error(names, succ)
+        up[v] = 1 << v | mask | beyond
+        covers[v] = mask & ~beyond
+    down = [1 << i for i in range(n)]
+    for v in order:
+        below = down[v]
+        rest = covers[v]
+        while rest:
+            low = rest & -rest
+            down[low.bit_length() - 1] |= below
+            rest ^= low
 
-    up = _close(reversed(order), succ)
-    down = _close(order, pred)
-
-    bottoms = [i for i in range(n) if up[i] == all_mask]
-    tops = [i for i in range(n) if down[i] == all_mask]
-    if not bottoms:
+    bottom, top = order[0], order[-1]
+    if up[bottom] != all_mask:
         minimal = [i for i in range(n) if down[i] == 1 << i]
         raise NotBounded(f"no bottom element; minimal elements include {names[minimal[0]]!r}")
-    if not tops:
+    if down[top] != all_mask:
         maximal = [i for i in range(n) if up[i] == 1 << i]
         raise NotBounded(f"no top element; maximal elements include {names[maximal[0]]!r}")
 
-    by_up = {mask: c for c, mask in enumerate(up)}
-    by_down = {mask: c for c, mask in enumerate(down)}
-    covers = []
-    for mask in succ:
-        # an edge a -> b is a cover unless b lies strictly above another edge of a
-        beyond = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            beyond |= up[low.bit_length() - 1] & ~low
-            rest ^= low
-        rest = mask & ~beyond
-        covers.append(rest)
-        # every two upper covers of a have a join
-        while rest:
+    by_up = dict(zip(up, range(n)))
+    by_down = dict(zip(down, range(n)))
+    for rest in covers:
+        # every two upper covers of one element have a join
+        while rest & (rest - 1):
             low = rest & -rest
             rest ^= low
             up_x = up[low.bit_length() - 1]
@@ -518,12 +514,12 @@ def lattice_from_edges(names, succ) -> BoundedLattice:
         names=names,
         up=tuple(up),
         down=tuple(down),
-        bottom=bottoms[0],
-        top=tops[0],
+        bottom=bottom,
+        top=top,
         upper_covers=tuple(covers),
         _by_up=by_up,
         _by_down=by_down,
-        _index={name: i for i, name in enumerate(names)},
+        _index=dict(zip(names, range(n))),
     )
 
 

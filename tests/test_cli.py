@@ -52,6 +52,13 @@ def test_check_lattice_ok(golden, capsys):
     assert "11 elements" in capsys.readouterr().out
 
 
+def test_check_lattice_one_element(tmp_path, capsys):
+    path = tmp_path / "one.lattice.json"
+    path.write_text(json.dumps({"name": "one", "elements": ["x"], "covers": []}))
+    assert main(["check-lattice", str(path)]) == 0
+    assert capsys.readouterr().out == "one: bounded lattice with 1 element, bottom 'x', top 'x'\n"
+
+
 def test_check_lattice_regions(golden, capsys):
     code = main(["check-lattice", str(golden / "L11.lattice.json"), "--e", "e", "--rho", "rho"])
     assert code == 0

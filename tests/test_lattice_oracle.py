@@ -1,12 +1,14 @@
 """Differential tests of ``build_lattice``.
 
-``build_lattice`` closes the order in one pass each way along a topological
-order, checks only the joins of pairs of upper covers of one element, and
-stores no join or meet table.  It must build exactly what the build it
-replaced built, and reject exactly what that build rejected, with the same
-exception and message.  That build is kept here as the reference:
-Warshall's closure over bit rows, the ``down`` transpose, the antisymmetry
-and bound checks, and the full id-order scan of the join and meet tables.
+``build_lattice`` closes the order in one walk of the edges each way along
+an order in which every edge goes forward (the ids when every edge goes up
+in id order, else Kahn's order), checks only the joins of pairs of upper
+covers of one element, and stores no join or meet table.  It must build
+exactly what the build it replaced built, and reject exactly what that
+build rejected, with the same exception and message.  That build is kept
+here as the reference: Warshall's closure over bit rows, the ``down``
+transpose, the antisymmetry and bound checks, and the full id-order scan
+of the join and meet tables.
 
 ``build_lattice`` is the name front-end of ``lattice_from_edges``, which
 takes one mask of direct successors per element.  Inputs: the core's
@@ -19,13 +21,18 @@ lattice by deleting one element other than the bounds or one cover edge,
 which stresses the cover-pair lattice check where it is closest to wrong
 (CI runs that check at n = 9 too, with :func:`check_derived_posets`).  On
 the random DAGs, with and without bounds and with a cycle closed, the core
-raises exactly what the front-end raises.
+raises exactly what the front-end raises.  Kahn's order runs only for
+inputs listed out of id order; every catalogue lattice rebuilt with its
+ids reversed, which takes that path, equals its forward build under the
+relabelling (CI runs n = 9 and 10 with :func:`check_reversed_catalogue`).
 """
 
+import json
 import random
 
 import pytest
 
+import latnorm.fileio as fileio
 import latnorm.gen as gen
 import latnorm.lattice as lattice
 from latnorm.catalogue import lattice_catalogue
@@ -328,6 +335,25 @@ def test_closure_and_full_scan_run_only_on_rejection(count_calls):
     assert calls == ["_closure", "_unbounded_pair_error"]
 
 
+def test_kahn_runs_only_for_inputs_out_of_id_order(count_calls, l11):
+    calls = count_calls(lattice, "_kahn_order")
+    boolean(6)
+    next(lattice_catalogue(8))
+    gen._interned_lattice.cache_clear()
+    # an empty intern table, so that every draw reaches the core
+    drawn = [gen._attempt_lattice(random.Random(seed), gen.GenConfig(0, (4, 9))) for seed in range(20)]
+    gen._interned_lattice.cache_clear()
+    assert any(drawn)
+    assert calls == []
+    names, pairs, _ = _random_dag(random.Random(0), 12, 0.3)
+    assert_same_build(names, pairs)
+    assert calls == ["_kahn_order"]
+    doc = json.loads(fileio.render_lattice(l11.lattice, "L11"))
+    doc["covers"] = [[b, a] for a, b in doc["covers"]]
+    assert fileio.parse_lattice(json.dumps(doc))[1].up == l11.lattice.down
+    assert calls == ["_kahn_order"] * 2
+
+
 def derived_posets(lat):
     """(names, pairs) of every poset made from ``lat`` by deleting one
     element other than the bounds (the order induced on the rest), or one
@@ -359,3 +385,37 @@ DERIVED_POSETS = {2: (1, 1), 3: (3, 2), 4: (11, 7), 5: (40, 25), 6: (157, 96), 7
 @pytest.mark.parametrize("n", sorted(DERIVED_POSETS))
 def test_posets_derived_from_catalogue_lattices(n):
     assert check_derived_posets(n) == DERIVED_POSETS[n]
+
+
+def _reversed_ids(mask, n):
+    """``mask`` with element ``i`` renamed ``n - 1 - i``."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
+
+
+def check_reversed_catalogue(n):
+    """Rebuild every catalogue lattice with ``n`` elements with its ids
+    reversed, from its full order as the catalogue gives it, so that every
+    edge goes down and the core orders the elements by Kahn's algorithm:
+    each field equals the forward build's under the relabelling.  Returns
+    the number of lattices checked."""
+    flip = [n - 1 - i for i in range(n)]
+    count = 0
+    for lat in lattice_catalogue(n):
+        succ = [_reversed_ids(lat.up[flip[i]], n) & ~(1 << i) for i in range(n)]
+        got = lattice_from_edges(lat.names[::-1], succ)
+        for field in ("up", "down", "upper_covers"):
+            assert getattr(got, field) == tuple(_reversed_ids(getattr(lat, field)[flip[i]], n)
+                                                for i in range(n))
+        assert (got.bottom, got.top) == (flip[lat.bottom], flip[lat.top])
+        count += 1
+    return count
+
+
+# n -> lattices with n elements (OEIS A006966); n = 9 (1,078) and n = 10
+# (5,994) run in CI
+CATALOGUE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+
+
+@pytest.mark.parametrize("n", sorted(CATALOGUE_COUNTS))
+def test_reversed_ids_build_the_same_catalogue_lattice(n):
+    assert check_reversed_catalogue(n) == CATALOGUE_COUNTS[n]
