@@ -49,10 +49,10 @@ license are exactly the equivalences the verification module fuzzes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
-from .optable import OpTable, _gather, in_class_ub, is_uninorm, rewrap
+from .optable import OpTable, _gather, _refuse_ids, in_class_ub, is_uninorm, rewrap
 
 
 class SpecInvalid(Exception):
@@ -198,34 +198,19 @@ ANCHOR_CLASS_BLOCKS = {
 }
 
 
-def anchor_class_rule(
-    lat: BoundedLattice, join_class: str
-) -> Callable[[ElementId, ElementId], int]:
-    """The join-form anchor class ``join_class`` of ``lat``, as a function
-    (threshold, neutral) -> mask of the carrier: its
-    :data:`ANCHOR_CLASS_BLOCKS` block of the ``case_regions`` of the pair,
-    read off the order masks by :data:`~latnorm.lattice.ANCHOR_BLOCK_RULES`,
-    less bottom and neutral, which only ``low`` holds.  No regions are
-    derived or kept, so a scan over every pair of a lattice costs a few
-    integer operations per pair.  The classes are disjoint; an anchor in
-    none of them is of class ``"other"``."""
-    block = ANCHOR_BLOCK_RULES[ANCHOR_CLASS_BLOCKS[join_class]]
-    up, down, bottom_bit = lat.up, lat.down, 1 << lat.bottom
-
-    def mask(threshold: ElementId, neutral: ElementId) -> int:
-        return block(up[neutral], down[neutral], up[threshold], down[threshold]) & ~(
-            bottom_bit | 1 << neutral
-        )
-
-    return mask
-
-
 def anchor_class_mask(
     lat: BoundedLattice, threshold: ElementId, neutral: ElementId, join_class: str
 ) -> int:
     """The mask of the join-form anchor class ``join_class`` in the frame
-    (``neutral`` <= ``threshold``); see :func:`anchor_class_rule`."""
-    return anchor_class_rule(lat, join_class)(threshold, neutral)
+    (``neutral`` <= ``threshold``): its :data:`ANCHOR_CLASS_BLOCKS` block of
+    the ``case_regions`` of the pair, read off the order masks by
+    :data:`~latnorm.lattice.ANCHOR_BLOCK_RULES`, less bottom and neutral,
+    which only ``low`` holds.  No regions are derived or kept: a scan over
+    every pair of a lattice costs a few integer operations per pair.  The
+    classes are disjoint; an anchor in none of them is of class "other"."""
+    up, down, drop = lat.up, lat.down, 1 << lat.bottom | 1 << neutral
+    block = ANCHOR_BLOCK_RULES[ANCHOR_CLASS_BLOCKS[join_class]]
+    return block(up[neutral], down[neutral], up[threshold], down[threshold]) & ~drop
 
 
 # -- spec validation --------------------------------------------------------
@@ -235,9 +220,14 @@ def validate_spec(
     spec: ConstructionSpec, orientation: str, *, check_inner: bool = True
 ) -> ConstructionSpec:
     """Raise :class:`SpecInvalid` unless ``spec`` is valid; return its join
-    form (``spec``, or a meet-form spec transported once by :func:`dual_spec`)."""
+    form (``spec``, or a meet-form spec transported once by :func:`dual_spec`).
+    A threshold, neutral or anchor that is no element is refused first."""
     if orientation not in ("join", "meet"):
         raise ValueError(f"unknown orientation {orientation!r}")
+    n = spec.lattice.n
+    if not (0 <= spec.threshold < n and 0 <= spec.neutral < n and 0 <= spec.anchor < n):
+        _refuse_ids(n, SpecInvalid, ("threshold", (spec.threshold,)),
+                    ("neutral", (spec.neutral,)), ("anchor", (spec.anchor,)))
     join_spec = spec if orientation == "join" else dual_spec(spec)
     lat = join_spec.lattice
     if not lat.leq(spec.neutral, spec.threshold):
@@ -321,7 +311,7 @@ def _join_form(spec: ConstructionSpec) -> OpTable:
     lat = spec.lattice
     regions = case_regions(lat, spec.neutral, spec.threshold)
     low, iso = regions.low, regions.isolated
-    with_anchor = bytes(lat.joins(spec.anchor, range(lat.n)))
+    with_anchor = bytes([lat.join(spec.anchor, y) for y in range(lat.n)])
     return _extend(lat, range(lat.n), spec.inner, low | regions.mid | regions.side_inner,
                    low, lat.top, iso, _gather(lat.join_cells(ids_of(iso)), with_anchor))
 

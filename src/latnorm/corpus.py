@@ -88,7 +88,7 @@ def _apply_errata(printed: OpTable, errata) -> OpTable:
         cell = pos[lat.index(erratum.row)] * k + pos[lat.index(erratum.col)]
         assert cells[cell] == lat.index(erratum.printed)
         cells[cell] = lat.index(erratum.formula)
-    return OpTable(lat, printed.carrier, cells, pos)
+    return OpTable(lat, printed.carrier, cells)
 
 
 def _entry(

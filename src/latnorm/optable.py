@@ -9,12 +9,13 @@ that can be re-evaluated against the table.
 A table stores its cells as one row-major ``bytes`` buffer of element
 ids (:attr:`OpTable.buf`; ids stay below ``MAX_ELEMENTS`` = 64, so each
 fits in a byte), built once per table and handed to the one constructor,
-``OpTable(lattice, carrier, cells)``.  The join-form construction, the
-pinch t-norms, the generator's skeletons and :func:`restrict` build it a
-row at a time, each row one gather (:func:`_gather`, a ``bytes.translate``
-through the row's values); the file reader resolves it from the names in
-one lookup, :func:`meet_table` in one comprehension; mutations and errata
-copy another table's and set cells; :func:`rewrap` shares it.
+``OpTable(lattice, carrier, cells)``, which maps the carrier's positions
+itself.  The join-form construction, the pinch t-norms, the generator's
+skeletons and :func:`restrict` build it a row at a time, each row one
+gather (:func:`_gather`, a ``bytes.translate`` through the row's values);
+the file reader resolves it from the names in one lookup,
+:func:`meet_table` in one comprehension; mutations and errata copy another
+table's and set cells; :func:`rewrap` shares it.
 ``values``, the rows as tuples, is a view derived from it on first use.
 
 Witnesses are the lexicographically first in carrier presentation order,
@@ -113,22 +114,19 @@ class OpTable:
 
     ``OpTable(lattice, carrier, cells)`` takes the row-major cells:
     ``bytes``, which the table keeps as its buffer, or any sequence of ids.
-    ``pos`` is the position map of ``carrier`` when the caller holds one
-    (another table's, on the same carrier), shared rather than rebuilt.  It
-    raises :class:`OpTableError` when the table is not square, the carrier
-    repeats an element, or an id is no element of ``lattice``.  Tables are
-    immutable.
+    It raises :class:`OpTableError` when the table is not square, the
+    carrier repeats an element, or an id is no element of ``lattice``.
+    Tables are immutable.
     """
 
-    def __init__(self, lattice: BoundedLattice, carrier, cells, pos=None):
+    def __init__(self, lattice: BoundedLattice, carrier, cells):
         carrier = tuple(carrier)
         k = len(carrier)
         if len(cells) != k * k:
             raise OpTableError("values table is not square over the carrier")
-        if pos is None:
-            pos = dict(zip(carrier, range(k)))
-            if len(pos) != k:
-                raise OpTableError("carrier has repeated elements")
+        pos = dict(zip(carrier, range(k)))
+        if len(pos) != k:
+            raise OpTableError("carrier has repeated elements")
         try:
             carrier_ids, buf = bytes(carrier), bytes(cells)  # bytes(b) is b
         except (TypeError, ValueError):  # an id that is no byte
@@ -209,13 +207,12 @@ def _rows(buf: bytes, k: int) -> list[bytes]:
 
 
 def rewrap(t: OpTable, lattice: BoundedLattice) -> OpTable:
-    """The same cells on the same carrier, read in ``lattice``; the buffer
-    and the position map are shared.
+    """The same cells on the same carrier, read in ``lattice``, sharing the buffer.
 
     With ``lattice = t.lattice.dual()`` this transports a table across
     duality; a second call with the original lattice brings it back.
     """
-    return OpTable(lattice, t.carrier, t.buf, t.pos)
+    return OpTable(lattice, t.carrier, t.buf)
 
 
 def meet_table(lattice: BoundedLattice, carrier=None) -> OpTable:

@@ -18,8 +18,8 @@ from latnorm.construct import (
     validate_spec,
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
-from latnorm.lattice import build_lattice, case_regions
-from latnorm.optable import is_uninorm, meet_table, rewrap
+from latnorm.lattice import build_lattice, case_regions, lattice_from_edges
+from latnorm.optable import in_class_ub, is_uninorm, meet_table, rewrap
 from latnorm.verify import verify_equivalence
 
 from families import chain, join_table, rows_table, table_from_function
@@ -101,6 +101,20 @@ def test_invalid_specs_rejected(l11):
     bad = ConstructionSpec(lat, spec.threshold, spec.neutral, spec.anchor, small)
     with pytest.raises(SpecInvalid):
         construct_eq1(bad)
+    # ids that are no elements: the first of threshold, neutral, anchor is
+    # named, before the neutral is compared with the threshold
+    for fields, message in [
+        ({"anchor": -1}, "anchor -1"),
+        ({"anchor": 99}, "anchor 99"),
+        ({"neutral": 99}, "neutral 99"),
+        ({"neutral": -1, "anchor": 99}, "neutral -1"),
+        ({"threshold": 11, "neutral": 99}, "threshold 11"),
+    ]:
+        bad = replace(spec, **fields)
+        for check in (construct_eq1, lambda s: check_for(s, "th31")):
+            with pytest.raises(SpecInvalid) as exc:
+                check(bad)
+            assert str(exc.value) == message + " is no element of the 11-element lattice"
 
 
 def _broken_inner(spec):
@@ -391,7 +405,9 @@ def _at_once(fn, count=8):
 def test_kept_state_is_one_object_across_threads(l11):
     # threads that ask a fresh spec for its dual and reports at once all
     # get the one dual that is kept, and equal reports; threads that check
-    # one fresh table at once all get equal axiom reports
+    # one fresh table at once all get equal axiom reports, and equal ub
+    # verdicts with one kept; threads that ask a fresh lattice for its dual
+    # all get the one that is kept
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -411,6 +427,16 @@ def test_kept_state_is_one_object_across_threads(l11):
             reports = _at_once(lambda: is_uninorm(table, l11.spec.neutral))
             assert all(report == is_uninorm(table, l11.spec.neutral) for report in reports)
             assert reports[0].ok
+
+            lat = lattice_from_edges(l11.lattice.names, l11.lattice.upper_covers)
+            duals = _at_once(lat.dual)
+            assert all(dual is lat.dual() for dual in duals)
+            assert lat.dual().dual() is lat
+
+            table = rows_table(l11.lattice, l11.spec.inner.carrier, l11.spec.inner.values)
+            verdicts = _at_once(lambda: in_class_ub(table, l11.spec.neutral))
+            assert verdicts == [in_class_ub(table, l11.spec.neutral)] * len(verdicts)
+            assert [key for key in table.kept if key[0] == "ub"] == [("ub", l11.spec.neutral)]
     finally:
         sys.setswitchinterval(switch)
 

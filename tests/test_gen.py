@@ -11,7 +11,6 @@ from latnorm.construct import (
     ANCHOR_CLASS_BLOCKS,
     THEOREMS,
     anchor_class_mask,
-    anchor_class_rule,
     check_for,
     dual_class,
     frame_report,
@@ -479,11 +478,10 @@ def test_class_rule_is_the_case_regions_block(join_class):
     # class's block of the asserted six-block partition, less bottom and neutral
     block = ANCHOR_CLASS_BLOCKS[join_class]
     for lat in _fresh_lattices():
-        class_mask = anchor_class_rule(lat, join_class)
         for t in range(lat.n):
             for n in lat.interval(lat.bottom, t):
                 want = getattr(case_regions(lat, n, t), block) & ~(1 << lat.bottom | 1 << n)
-                assert class_mask(t, n) == want, (lat.names, t, n)
+                assert anchor_class_mask(lat, t, n, join_class) == want, (lat.names, t, n)
 
 
 def test_gen_spec_rejects_a_class_outside_the_theorem(monkeypatch):

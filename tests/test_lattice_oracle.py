@@ -231,6 +231,11 @@ def test_core_rejects_masks_outside_the_carrier():
         lattice_from_edges(("0", "1"), [0b11, 0])  # its own bit: reflexivity is implied
 
 
+def test_core_refuses_an_empty_carrier_as_the_front_end_does():
+    # NotAPoset("empty carrier"), the refusal of build_lattice's name check
+    assert assert_core_is_the_front_end((), []) is NotAPoset
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_random_dags_as_redundant_le_pairs(seed):
     rng = random.Random(seed)
