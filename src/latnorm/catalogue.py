@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
-from .lattice import BoundedLattice, ids_of, lattice_from_edges
+from .lattice import BoundedLattice, ids_of, lattice_from_edges, transpose
 
 
 def lattice_catalogue(n: int) -> Iterator[BoundedLattice]:
@@ -58,7 +58,7 @@ def _codes(n: int) -> tuple[tuple[int, ...], ...]:
 def _up_sets(up: Sequence[int]) -> Iterator[int]:
     """The up-closure of each non-empty antichain of non-bottom elements,
     each antichain once, its elements in ascending id order."""
-    down = _transpose(up)
+    down = transpose(up)
 
     def extend(closure: int, candidates: int) -> Iterator[int]:
         for x in ids_of(candidates):
@@ -68,14 +68,6 @@ def _up_sets(up: Sequence[int]) -> Iterator[int]:
             yield from extend(grown, candidates & ~(up[x] | down[x]) & ~((2 << x) - 1))
 
     return extend(0, (1 << len(up)) - 2)
-
-
-def _transpose(up: Sequence[int]) -> list[int]:
-    down = [0] * len(up)
-    for a, mask in enumerate(up):
-        for b in ids_of(mask):
-            down[b] |= 1 << a
-    return down
 
 
 def _ranks(keys: list) -> list[int]:
@@ -97,7 +89,7 @@ def canonical_code(up: Sequence[int]) -> tuple[int, ...]:
     over those orderings, each mask read in the new ids."""
     n = len(up)
     above = [ids_of(mask) for mask in up]
-    below = [ids_of(mask) for mask in _transpose(up)]
+    below = [ids_of(mask) for mask in transpose(up)]
     colour = _ranks([(len(below[x]), len(above[x])) for x in range(n)])
     while True:
         refined = _ranks([

@@ -177,7 +177,7 @@ def render_table_text(table: OpTable) -> str:
     """Row/column layout mirroring the printed source tables."""
     lat = table.lattice
     names = [lat.names[a] for a in table.carrier]
-    width = max(1, *(len(n) for n in names))
+    width = max([1, *map(len, names)])
     # every lattice element padded once; a cell may lie outside the carrier
     padded = [name.ljust(width) for name in lat.names]
     header = "U".ljust(width) + " | " + " ".join(padded[a] for a in table.carrier)

@@ -174,35 +174,6 @@ class BoundedLattice:
             return None
         return lo, hi
 
-    def upper_covers_within(self, mask: int) -> tuple[int, ...]:
-        """Mask of the upper covers of each element of ``mask`` in the order
-        the lattice induces on ``mask`` (0 for elements outside it).  When
-        ``mask`` is convex (its up-closure and down-closure meet in
-        ``mask``, as an interval's do) these are the lattice's covers inside
-        ``mask`` (on a 2-core Xeon, 19-20 us against 76 us for the scan on
-        56 elements of the 8 x 8 grid, 21 against 136 on 2^6, 21 against
-        47-49 on 63 of the 64-chain); otherwise they include pairs
-        the lattice does not cover, found by a scan along a linear extension."""
-        up, down = self.up, self.down
-        above = below = 0
-        for x in _bits(mask):
-            above |= up[x]
-            below |= down[x]
-        if above & below == mask:
-            return tuple(c & mask if mask >> a & 1 else 0 for a, c in enumerate(self.upper_covers))
-        # a linear extension, bottom first: anything above x comes after x
-        rank = sorted(_bits(mask), key=lambda x: down[x].bit_count())
-        covers = [0] * self.n
-        for r, v in enumerate(rank):
-            rest = up[v] & mask & ~(1 << v)
-            for w in rank[r + 1:]:
-                if not rest:
-                    break
-                if rest >> w & 1:  # nothing left lies below w: a cover
-                    covers[v] |= 1 << w
-                    rest &= ~up[w]
-        return tuple(covers)
-
     @cached_property
     def kept(self) -> dict:
         """The hypothesis frame reports of
@@ -219,13 +190,9 @@ class BoundedLattice:
         ``lat.dual().dual() is lat``."""
         dual = self.__dict__.get("_dual")
         if dual is None:
-            lower_covers = [0] * self.n
-            for a, mask in enumerate(self.upper_covers):
-                for b in _bits(mask):
-                    lower_covers[b] |= 1 << a
             built = BoundedLattice(
                 names=self.names, up=self.down, down=self.up, bottom=self.top, top=self.bottom,
-                upper_covers=tuple(lower_covers),
+                upper_covers=tuple(transpose(self.upper_covers)),
                 _by_up=self._by_down, _by_down=self._by_up, _index=self._index,
             )
             built.__dict__["_dual"] = self
@@ -309,10 +276,7 @@ def _cycle_error(names: tuple[str, ...], succ: list[int]) -> NotAPoset:
     n = len(names)
     up = [1 << i | succ[i] for i in range(n)]
     _closure(up, n)
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
+    down = transpose(up)
     for i in range(n):
         cycle = up[i] & down[i] & ~(1 << i)
         if cycle:
@@ -530,3 +494,13 @@ def mask_of(ids) -> int:
 
 def ids_of(mask: int) -> tuple[ElementId, ...]:
     return tuple(_bits(mask))
+
+
+def transpose(masks) -> list[int]:
+    """The converse relation: bit i of entry j is bit j of entry i of
+    ``masks``, so ``transpose(up)`` is ``down``."""
+    out = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        for j in _bits(mask):
+            out[j] |= 1 << i
+    return out

@@ -30,8 +30,9 @@ line (a row, plus its column when both arguments are checked) is one int
 whose field c is the down-set mask of the cell (all lines at once: one
 ``bytes.translate`` of the buffer, or of rows and columns interleaved,
 per byte of the mask), and the ints are ANDed down the covers of the
-carrier, so one comparison per element decides it (O(lines * (n +
-carrier covers)) big-int operations on ints of n * ceil(n / 8) bytes);
+lattice, on a sub-carrier down a relation read off them that holds every
+cover of the order it inherits, so one comparison per element decides it
+(O(lines * (n + covers)) big-int operations on ints of n * ceil(n / 8) bytes);
 the same ints name the witness, one AND per element above the failing
 one.  Only where a commutativity, neutral or associativity row fails does
 a walk of its cells name the witness.  Every witness is the one a
@@ -357,23 +358,32 @@ def first_monotonicity_witness(
     (a strided slice), and go through one ``bytes.translate`` per byte of w
     into every w-th byte of one buffer, which each line reads a slice of.
     From the top of the carrier down, ``N[a]`` is ``D[a]`` ANDed with
-    ``N[b]`` for every upper cover b of a in the order induced on the
-    carrier: a meet of down-sets is a down-set, so ``N[a]`` holds in field c the down-set of the meet of
+    ``N[b]`` for every b in R(a), below: a meet of down-sets is a
+    down-set, so ``N[a]`` holds in field c the down-set of the meet of
     U(b, c) over all b >= a, and it differs from ``D[a]`` exactly when
     some b > a and some c have U(a, c) not <= U(b, c).  The first such
-    ``a`` in carrier order is the witness's.  Its b is the
-    first b > a in carrier order with ``drop = D[a] & ~D[b]`` non-zero: a
-    set field c of the first half is U(a, c) not <= U(b, c), of the second
-    U(c, a) not <= U(c, b).  The lowest set field of each half gives c, the
-    left side winning at equal c, which is the witness a per-cell
-    (b, c, side) scan would name.  O(lines * (n + carrier covers)) big-int
-    operations on n * w-byte ints instead of O(n^3) cell comparisons.
+    ``a`` in carrier order is the witness's.  Its b is the first b > a in
+    carrier order with ``drop = D[a] & ~D[b]`` non-zero: a set field c of
+    the first half is U(a, c) not <= U(b, c), of the second U(c, a) not
+    <= U(c, b).  The lowest set field of each half gives c, the left side
+    winning at equal c, which is the witness a per-cell (b, c, side) scan
+    would name.  O(lines * (n + |R|)) big-int operations on n * w-byte
+    ints instead of O(n^3) cell comparisons; an empty carrier has no line
+    and passes.
+
+    On the whole lattice R(a) is a's upper covers.  On another carrier C,
+    R(a) is the elements of C strictly above a that lie strictly above
+    none of a's lattice covers in C (those covers included), one OR per
+    cover.  Every element of R(a) lies above a, and R(a) holds every cover
+    d of a in the order C inherits: were d strictly above a cover b of a
+    in C, then a < b < d in C.  So the ANDs down R reach every b > a in
+    C, and no other.
     """
     lat = t.lattice
     carrier = t.carrier
     k = len(carrier)
-    cm = t.carrier_mask
-    covers = lat.upper_covers if cm == lat.all_mask else lat.upper_covers_within(cm)
+    if not k:
+        return None
     width = (lat.n + 7) // 8
     cells = t.buf  # every line's cells, line after line
     if both_sides:
@@ -393,11 +403,24 @@ def first_monotonicity_witness(
         for a, start in zip(carrier, range(0, len(fields), size))
     }
     N = {}
-    up = lat.up
+    up, covers = lat.up, lat.upper_covers
+    cm = t.carrier_mask
+    whole = cm == lat.all_mask
     # from the top down: anything above a has fewer elements above it than a
     for a in sorted(carrier, key=lambda x: up[x].bit_count()):
         meet = D[a]
         rest = covers[a]
+        if not whole:
+            # R(a): a's covers in the carrier, then what lies above none of them
+            rest &= cm
+            beyond = 1 << a
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                meet &= N[b]
+                beyond |= up[b]
+                rest ^= low
+            rest = up[a] & cm & ~beyond
         while rest:
             low = rest & -rest
             meet &= N[low.bit_length() - 1]

@@ -18,7 +18,9 @@ included.  Those loops are the reference, and read the cells through the
 forms of every catalogue frame with n <= 6 (CI runs n = 7); on seeded
 tables over generated lattices of 2..10 elements (the carrier in id
 order, shuffled, or a sub-carrier that is not an interval; meet and join
-tables, random cells, one mutated cell); and on the 64-element chain,
+tables, random cells, one mutated cell) and on the empty carrier; the
+monotonicity scan alone on every sub-carrier of the catalogue's lattices
+with n <= 6 (CI runs n = 7); and on the 64-element chain,
 Boolean lattice and 8x8 grid, whole, on a sub-carrier that is not convex,
 and with planted cells that pin how the monotonicity witness is named.
 """
@@ -27,10 +29,12 @@ import random
 
 import pytest
 
+from latnorm.catalogue import lattice_catalogue
 from latnorm.construct import construct_eq1, construct_eq2, dual_spec
 from latnorm.gen import GenConfig, gen_lattice
-from latnorm.lattice import mask_of
+from latnorm.lattice import ids_of, mask_of
 from latnorm.optable import (
+    OpTable,
     first_associativity_witness,
     first_closure_witness,
     first_commutativity_witness,
@@ -231,6 +235,44 @@ def test_small_tables_match_the_per_cell_loops(layout, fill):
     assert checked >= 100
 
 
+def test_the_empty_carrier_matches_the_per_cell_loops():
+    for seed in range(10):
+        lat = gen_lattice(GenConfig(seed=seed, size_range=(2, 10)))
+        assert_same_witnesses(rows_table(lat, (), ()))
+
+
+def check_sub_carriers(n):
+    """``first_monotonicity_witness``, on both sides, against its per-cell
+    loop on every non-empty sub-carrier of every catalogue lattice with
+    ``n`` elements, in id order and reversed: on the meet table, and on the
+    same table with one seeded cell set to another element.  Returns the
+    number of sub-carriers."""
+    rng = random.Random(n)
+    count = 0
+    for lat in lattice_catalogue(n):
+        for mask in range(1, 1 << n):
+            ids = ids_of(mask)
+            for carrier in (ids, ids[::-1]):
+                tables = [meet_table(lat, carrier)]
+                if n > 1:  # a one-element lattice has no other element
+                    cells = bytearray(tables[0].buf)
+                    i = rng.randrange(len(cells))
+                    cells[i] = (cells[i] + rng.randrange(1, n)) % n
+                    tables.append(OpTable(lat, carrier, bytes(cells)))
+                for t in tables:
+                    for both_sides in (False, True):
+                        got = first_monotonicity_witness(t, both_sides=both_sides)
+                        assert got == reference_monotonicity(t, both_sides)
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 7), (4, 30), (5, 155), (6, 945)])
+def test_every_sub_carrier_matches_the_per_cell_loop(n, count):
+    # 1,141 sub-carriers in all; CI runs n = 7
+    assert check_sub_carriers(n) == count
+
+
 LATTICES_64 = [chain(64), boolean(6), grid(8, 8)]
 IDS_64 = ["chain64", "bool2^6", "grid8x8"]
 
@@ -259,14 +301,17 @@ def test_64_element_tables_match_the_per_cell_loops(lat):
 
 @pytest.mark.parametrize("lat", LATTICES_64, ids=IDS_64)
 def test_64_element_sub_carriers_match_the_per_cell_loops(lat):
-    # a shuffled sub-carrier that is not convex: the order it inherits has
-    # covers the lattice does not have
+    # a shuffled sub-carrier that is not convex: its up- and down-closures
+    # meet outside it, so the order it inherits has covers the lattice
+    # does not have
     rng = random.Random(40)
     for _ in range(3):
         carrier = rng.sample(range(lat.n), 40)
-        mask = mask_of(carrier)
-        restricted = [lat.upper_covers[a] & mask for a in range(lat.n)]
-        assert list(lat.upper_covers_within(mask)) != restricted
+        above = below = 0
+        for x in carrier:
+            above |= lat.up[x]
+            below |= lat.down[x]
+        assert above & below & ~mask_of(carrier)
         meet = [[lat.meet(a, b) for b in carrier] for a in carrier]
         assert_same_witnesses(rows_table(lat, tuple(carrier), meet))
         meet[rng.randrange(40)][rng.randrange(40)] = rng.randrange(lat.n)

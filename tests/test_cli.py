@@ -376,6 +376,22 @@ def test_empty_lists_render_on_two_lines_and_parse_back():
     assert parse_table(text, lat) == ("one", table)
 
 
+def test_empty_and_one_element_carriers_render_in_every_format():
+    # the one element's cell holds an element outside its carrier
+    lat = build_lattice(("x", "yy"), [("x", "yy")])
+    empty, one = rows_table(lat, (), ()), rows_table(lat, (1,), [[0]])
+    assert render_table(empty, "table") == "U | \n--+-\n"
+    assert render_table(empty, "csv") == "U\n"
+    assert render_table(empty, "json", lattice_name="two") == (
+        '{\n  "lattice": "two",\n  "carrier": [],\n  "rows": [\n  ]\n}\n'
+    )
+    assert render_table(one, "table") == "U  | yy\n---+---\nyy | x \n"
+    assert render_table(one, "csv") == "U,yy\nyy,x\n"
+    assert render_table(one, "json", lattice_name="two") == (
+        '{\n  "lattice": "two",\n  "carrier": ["yy"],\n  "rows": [\n    ["x"]\n  ]\n}\n'
+    )
+
+
 def test_export_twice_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -310,57 +308,22 @@ def test_join_and_meet_tables_match_brute_force(seed):
             assert lat.meet(a, b) == _brute_bound(lat, a, b, lambda x, y: lat.leq(y, x))
 
 
-def _brute_covers(lat, mask):
-    """The covers of the order ``lat`` induces on ``mask``, by definition."""
-    inside = [x for x in range(lat.n) if mask >> x & 1]
+def _brute_covers(lat):
+    """The upper covers of each element, by definition."""
+    ids = range(lat.n)
     return tuple(
-        mask_of(b for b in inside
-                if lat.lt(a, b) and not any(lat.lt(a, c) and lat.lt(c, b) for c in inside))
-        if a in inside else 0
-        for a in range(lat.n)
+        mask_of(b for b in ids
+                if lat.lt(a, b) and not any(lat.lt(a, c) and lat.lt(c, b) for c in ids))
+        for a in ids
     )
-
-
-def _scan_covers(lat, mask):
-    """The sort-and-scan along a linear extension that ``upper_covers_within``
-    keeps for a mask that is not convex."""
-    rank = sorted(ids_of(mask), key=lambda x: lat.down[x].bit_count())
-    covers = [0] * lat.n
-    for r, v in enumerate(rank):
-        rest = lat.up[v] & mask & ~(1 << v)
-        for w in rank[r + 1:]:
-            if rest >> w & 1:
-                covers[v] |= 1 << w
-                rest &= ~lat.up[w]
-    return tuple(covers)
-
-
-def _convex(lat, mask):
-    above = below = 0
-    for x in ids_of(mask):
-        above |= lat.up[x]
-        below |= lat.down[x]
-    return above & below == mask
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_upper_covers_match_brute_force(seed):
-    # the covers taken from the edges, of the lattice and of its dual; then
-    # intervals (convex) and random subsets (mostly not) in the induced order
-    rng = random.Random(seed)
+    # the covers taken from the edges, of the lattice and of its dual
     drawn = random_lattice(seed, 2, 10)
     for lat in (drawn, drawn.dual()):
-        assert lat.upper_covers == _brute_covers(lat, lat.all_mask)
-        intervals = [lat.interval_mask(lo, hi) for lo in range(lat.n) for hi in range(lat.n)]
-        masks = rng.sample(intervals, 4) + [rng.getrandbits(lat.n) for _ in range(5)]
-        if lat.n > 2:
-            bounds = 1 << lat.bottom | 1 << lat.top  # the bounds without what lies between
-            assert not _convex(lat, bounds)
-            masks.append(bounds)
-        for mask in masks:
-            covers = lat.upper_covers_within(mask)
-            assert covers == _brute_covers(lat, mask)
-            assert covers == _scan_covers(lat, mask)
+        assert lat.upper_covers == _brute_covers(lat)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -368,11 +331,7 @@ def test_catalogue_covers_match_brute_force(n):
     # the catalogue gives the whole order as edges: most are not covers
     for lat in lattice_catalogue(n):
         for side in (lat, lat.dual()):
-            assert side.upper_covers == _brute_covers(side, side.all_mask)
-            for lo in range(n):
-                for hi in ids_of(side.up[lo]):
-                    mask = side.interval_mask(lo, hi)
-                    assert side.upper_covers_within(mask) == _scan_covers(side, mask)
+            assert side.upper_covers == _brute_covers(side)
 
 
 def _closed_form_lattices():
