@@ -10,8 +10,6 @@ from .construct import (
     check_for,
     construct_eq1,
     construct_eq2,
-    construct_pinched_tconorm,
-    construct_pinched_tnorm,
     dual_spec,
 )
 from .lattice import (

@@ -17,19 +17,28 @@ Every extension of a table from an interval follows the one rule of
 join form, the pinch-point t-norm and the generator's skeletons are each
 one call of it.
 
+A t-norm is a uninorm whose neutral is top, a t-conorm one whose neutral
+is bottom.  With the neutral at a bound the ``side_inner`` and
+``isolated`` blocks are empty and the anchor is never read, so the
+pinch-point extension of a t-conorm on [bottom, pivot] is the join form
+at threshold ``pivot`` and neutral bottom, and that of a t-norm on
+[pivot, top] the meet form at neutral top, for any anchor.
+:func:`pinch_tnorm` stays for the t-norms on a sub-interval [lo, hi]
+that the generator builds, where no threshold form applies.
+
 The meet form is the order dual (meets, bottom, and the upper interval),
-and the code treats it as such: the meet-form construction, the t-conorm
-pinch and the meet-form hypothesis reports are the join-form (t-norm)
-code run on the spec transported to the dual lattice with
-:func:`dual_spec`, the result read back in the original order.  A spec's
-dual is built once and kept both ways, as a lattice's is, so a meet-form
-spec goes to join form once however many checks read it.  Spec validation
-returns the join form; its texts name the caller's side.  The inner
-table's axiom verdict stays with the join-form table, not with the spec:
+and the code treats it as such: the meet-form construction and the
+meet-form hypothesis reports are the join-form code run on the spec
+transported to the dual lattice with :func:`dual_spec`, the result read
+back in the original order.  A spec's dual is built once and kept both
+ways, as a lattice's is, so a meet-form spec goes to join form once
+however many checks read it.  Spec validation returns the join form; its
+texts name the caller's side.  The inner table's axiom verdict stays with
+the join-form table, not with the spec:
 :func:`~latnorm.optable.is_uninorm` keeps it on the table, so every spec
 on that table, in either form, reads the one verdict.  Only failure names
-reach the texts, and an axiom holds on a table exactly when it holds on the
-same cells read in the dual lattice, so the texts are the same in both
+reach the texts, and an axiom holds on a table exactly when it holds on
+the same cells read in the dual lattice, so the texts are the same in both
 forms.
 
 A hypothesis report splits along what it reads.  Every clause but
@@ -331,7 +340,7 @@ def construct_for(spec: ConstructionSpec, theorem: str) -> OpTable:
     return construct(spec)
 
 
-# -- pinch-point constructions (one-interval t-norm / t-conorm extensions) --
+# -- the pinch-point t-norm on a sub-interval --------------------------------
 
 
 def pinch_tnorm(
@@ -341,38 +350,11 @@ def pinch_tnorm(
 
     Cells keep the inner value on [pivot, hi], take meets when ``hi``
     participates, and collapse to ``lo`` otherwise: the :func:`_extend` of
-    ``upper`` from [pivot, hi], absorbed by ``hi``, filled with ``lo``.
+    ``upper`` from [pivot, hi], absorbed by ``hi``, filled with ``lo``.  On
+    [bottom, top] it is :func:`construct_eq2` at threshold ``pivot`` and
+    neutral top.
     """
     return _extend(lat, lat.interval(lo, hi), upper, lat.interval_mask(pivot, hi), 1 << hi, lo)
-
-
-_PINCH_SIDES = {"upper": ("[pivot, top]", "t-norm"), "lower": ("[bottom, pivot]", "t-conorm")}
-
-
-def _validate_pinch(
-    lat: BoundedLattice, table: OpTable, want, neutral: ElementId, side: str
-) -> None:
-    interval, kind = _PINCH_SIDES[side]
-    if set(table.carrier) != set(want):
-        raise SpecInvalid(f"{side} table carrier is not {interval}")
-    if table.lattice != lat:
-        raise SpecInvalid(f"{side} table belongs to a different lattice")
-    report = is_uninorm(table, neutral)
-    if not report.ok:
-        raise SpecInvalid(f"{side} table fails {kind} axioms: " + ", ".join(report.failures()))
-
-
-def construct_pinched_tnorm(lat: BoundedLattice, pivot: ElementId, upper: OpTable) -> OpTable:
-    """Extend a t-norm on [pivot, top] to the carrier (see :func:`pinch_tnorm`)."""
-    _validate_pinch(lat, upper, lat.interval(pivot, lat.top), lat.top, "upper")
-    return pinch_tnorm(lat, lat.bottom, lat.top, pivot, upper)
-
-
-def construct_pinched_tconorm(lat: BoundedLattice, pivot: ElementId, lower: OpTable) -> OpTable:
-    """Extend a t-conorm on [bottom, pivot] to the carrier: the dual pinch."""
-    _validate_pinch(lat, lower, lat.interval(lat.bottom, pivot), lat.bottom, "lower")
-    dual = lat.dual()
-    return rewrap(pinch_tnorm(dual, dual.bottom, dual.top, pivot, rewrap(lower, dual)), lat)
 
 
 # -- hypothesis checkers -----------------------------------------------------

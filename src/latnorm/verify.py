@@ -145,6 +145,17 @@ def assoc_partitioned(t: OpTable, partition: Partition):
     return None
 
 
+def _check_droppable(theorem: str, drop_clause: Optional[str]) -> None:
+    """Raise :class:`UnknownClause` unless ``drop_clause`` is ``None`` or a
+    clause that ``theorem`` can drop; an unknown theorem raises ``ValueError``."""
+    profile = theorem_profile(theorem)
+    if drop_clause is not None and drop_clause not in profile.droppable_clauses:
+        raise UnknownClause(
+            f"{theorem} has no droppable clause {drop_clause!r}; "
+            f"choose from {profile.droppable_clauses}"
+        )
+
+
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     predicted: bool
@@ -163,6 +174,7 @@ def verify_equivalence(
 ) -> EquivalenceVerdict:
     """Theorem prediction vs brute-force axiom verdict for one spec.
 
+    A ``drop_clause`` the theorem cannot drop raises :class:`UnknownClause`.
     Unless the standing clauses hold (all but ``drop_clause``, which must
     fail), raises :class:`HypothesesNotMet` with the report before anything
     is constructed.  The prediction is the parallel condition; the verdict
@@ -171,6 +183,7 @@ def verify_equivalence(
     ones kept on the join-form lattice, so a spec from
     :func:`~latnorm.gen.gen_spec` has its frame read, not checked again.
     """
+    _check_droppable(theorem, drop_clause)
     report = check_for(spec, theorem)
     if not report.admits(drop_clause):
         raise HypothesesNotMet(report, drop_clause)
@@ -222,13 +235,7 @@ def find_counterexample(
     as it does on a size range that holds only chains, so a search that
     drew too few specs is never reported as a negative result.
     """
-    profile = theorem_profile(theorem)
-    if drop_clause is not None and drop_clause not in profile.droppable_clauses:
-        raise UnknownClause(
-            f"{theorem} has no droppable clause {drop_clause!r}; "
-            f"choose from {profile.droppable_clauses}"
-        )
-
+    _check_droppable(theorem, drop_clause)
     cfg = GenConfig(seed=seed, size_range=size_range)
     for i, (frame, draw) in enumerate(islice(gen_spec_candidates(cfg, theorem), budget)):
         if not frame.admits(drop_clause):

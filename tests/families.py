@@ -2,8 +2,8 @@
 the closed-form chain, Boolean lattice and grid (the n = 64 oracle inputs
 among them), a meet-core inner table, every frame of the catalogue's
 lattices (the shared input of the differential oracles), the per-cell
-table builders, the brute-force uninorm enumerator, and the cell readers
-of the text and CSV renderings.
+table builders and pinch references, the brute-force uninorm enumerator,
+and the cell readers of the text and CSV renderings.
 """
 
 import csv
@@ -13,7 +13,7 @@ from latnorm.catalogue import lattice_catalogue
 from latnorm.construct import THEOREMS, ConstructionSpec
 from latnorm.gen import GenConfig, gen_uninorm
 from latnorm.lattice import build_lattice
-from latnorm.optable import OpTable, OpTableError, is_uninorm
+from latnorm.optable import OpTable, OpTableError, is_uninorm, rewrap
 
 # the (theorem, anchor class) pairs the fuzz suite draws
 FUZZ_PAIRS = [(theorem, anchor_class) for theorem in sorted(THEOREMS)
@@ -119,6 +119,30 @@ def meet_core(lat, threshold, neutral):
         return x if core >> y & 1 else y if core >> x & 1 else threshold
 
     return table_from_function(lat, lat.interval(lat.bottom, threshold), cell)
+
+
+def reference_pinch(lat, lo, hi, pivot, upper):
+    """The pinch t-norm on [lo, hi] around ``upper`` on [pivot, hi], cell by
+    cell: the reference of ``pinch_tnorm`` and, on [bottom, top], of the
+    meet form at neutral top."""
+    upper_mask = lat.interval_mask(pivot, hi)
+
+    def cell(x, y):
+        if upper_mask >> x & 1 and upper_mask >> y & 1:
+            return upper.value(x, y)
+        if x == hi or y == hi:
+            return lat.meet(x, y)
+        return lo
+
+    return table_from_function(lat, lat.interval(lo, hi), cell)
+
+
+def reference_pinch_tconorm(lat, pivot, lower):
+    """The pinch t-conorm on [bottom, top] around ``lower`` on [bottom,
+    pivot]: :func:`reference_pinch` on the dual lattice, read back.  The
+    reference of the join form at neutral bottom."""
+    dual = lat.dual()
+    return rewrap(reference_pinch(dual, dual.bottom, dual.top, pivot, rewrap(lower, dual)), lat)
 
 
 def frames(lat, seed=0):

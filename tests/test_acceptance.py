@@ -14,8 +14,6 @@ from latnorm.construct import (
     construct_eq1,
     construct_eq2,
     construct_for,
-    construct_pinched_tconorm,
-    construct_pinched_tnorm,
 )
 from latnorm.fileio import parse_lattice, parse_table, render_lattice, render_table
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
@@ -30,7 +28,7 @@ from latnorm.optable import (
 )
 from latnorm.verify import Partition, assoc_partitioned, verify_equivalence
 
-from families import rows_table
+from families import reference_pinch, reference_pinch_tconorm, rows_table
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -187,12 +185,12 @@ def test_criterion_06_remark_suite():
         lower = gen_uninorm(lat, lat.interval(lat.bottom, pivot), lat.bottom,
                             GenConfig(seed=i + 1))
         spec = ConstructionSpec(lat, pivot, lat.bottom, lat.bottom, lower)
-        ok &= construct_eq1(spec).values == construct_pinched_tconorm(lat, pivot, lower).values
+        ok &= construct_eq1(spec) == reference_pinch_tconorm(lat, pivot, lower)
 
         upper = gen_uninorm(lat, lat.interval(pivot, lat.top), lat.top,
                             GenConfig(seed=i + 2))
         spec = ConstructionSpec(lat, pivot, lat.top, lat.top, upper)
-        ok &= construct_eq2(spec).values == construct_pinched_tnorm(lat, pivot, upper).values
+        ok &= construct_eq2(spec) == reference_pinch(lat, lat.bottom, lat.top, pivot, upper)
 
     for i, lat in enumerate(lattices):
         interior = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]

@@ -13,16 +13,16 @@ from latnorm.construct import (
     construct_eq1,
     construct_eq2,
     construct_for,
-    construct_pinched_tconorm,
-    construct_pinched_tnorm,
     validate_spec,
 )
 from latnorm.gen import GenConfig, dual_spec, gen_lattice, gen_spec, gen_uninorm
-from latnorm.lattice import build_lattice, case_regions, lattice_from_edges
-from latnorm.optable import in_class_ub, is_uninorm, meet_table, rewrap
+from latnorm.lattice import case_regions, lattice_from_edges
+from latnorm.optable import in_class_ub, is_uninorm, rewrap
 from latnorm.verify import verify_equivalence
 
-from families import chain, join_table, rows_table, table_from_function
+from families import (
+    chain, join_table, reference_pinch, reference_pinch_tconorm, rows_table, table_from_function,
+)
 
 
 def random_specs(count, **cfg_kwargs):
@@ -115,6 +115,15 @@ def test_invalid_specs_rejected(l11):
             with pytest.raises(SpecInvalid) as exc:
                 check(bad)
             assert str(exc.value) == message + " is no element of the 11-element lattice"
+    # a t-conorm where the meet form wants a t-norm (neutral top), and a
+    # t-norm where the join form wants a t-conorm (neutral bottom)
+    three = chain(3)
+    for construct, neutral, carrier, op in [(construct_eq2, 2, (1, 2), three.join),
+                                            (construct_eq1, 0, (0, 1), three.meet)]:
+        bad = ConstructionSpec(three, 1, neutral, neutral, table_from_function(three, carrier, op))
+        with pytest.raises(SpecInvalid) as exc:
+            construct(bad)
+        assert str(exc.value) == "inner table fails uninorm axioms: neutral"
 
 
 def _broken_inner(spec):
@@ -193,7 +202,7 @@ def test_neutral_bottom_yields_pinched_tconorm():
         below = lat.interval(lat.bottom, pivot)
         inner = gen_uninorm(lat, below, lat.bottom, GenConfig(seed=seed + 9))
         spec = ConstructionSpec(lat, pivot, lat.bottom, lat.bottom, inner)
-        assert construct_eq1(spec).values == construct_pinched_tconorm(lat, pivot, inner).values
+        assert construct_eq1(spec) == reference_pinch_tconorm(lat, pivot, inner)
 
 
 def test_neutral_top_yields_pinched_tnorm():
@@ -206,56 +215,23 @@ def test_neutral_top_yields_pinched_tnorm():
         above = lat.interval(pivot, lat.top)
         inner = gen_uninorm(lat, above, lat.top, GenConfig(seed=seed + 9))
         spec = ConstructionSpec(lat, pivot, lat.top, lat.top, inner)
-        assert construct_eq2(spec).values == construct_pinched_tnorm(lat, pivot, inner).values
+        assert construct_eq2(spec) == reference_pinch(lat, lat.bottom, lat.top, pivot, inner)
 
 
 def test_pinched_three_chain_example():
     lat = chain(3)  # bottom, pivot, top
     lower = join_table(lat, lat.interval(0, 1))
-    s = construct_pinched_tconorm(lat, 1, lower)
+    s = construct_eq1(ConstructionSpec(lat, 1, lat.bottom, lat.bottom, lower))
     assert s.value(0, 2) == 2 and s.value(0, 1) == 1
     assert s.value(1, 1) == 1
     assert s.value(1, 2) == 2
     assert is_uninorm(s, lat.bottom).ok
 
     upper = table_from_function(lat, lat.interval(1, 2), lat.meet)
-    t = construct_pinched_tnorm(lat, 1, upper)
+    t = construct_eq2(ConstructionSpec(lat, 1, lat.top, lat.top, upper))
     for x in range(3):
         assert t.value(2, x) == x
     assert is_uninorm(t, lat.top).ok
-
-
-CHAIN3 = chain(3)  # bottom, pivot 1, top
-DIAMOND = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-# the diamond's names ordered 0 < a < b < 1: its meet and join pass the
-# carrier and axiom checks, but are no operations of the diamond
-DIAMOND_NAMES_CHAIN = build_lattice(("0", "a", "b", "1"), [("0", "a"), ("a", "b"), ("b", "1")])
-
-
-@pytest.mark.parametrize(
-    "side, lat, pivot, table, message",
-    [
-        ("upper", CHAIN3, 1, table_from_function(CHAIN3, (0, 1), CHAIN3.meet),
-         "upper table carrier is not [pivot, top]"),
-        ("upper", CHAIN3, 1, table_from_function(CHAIN3, (1, 2), CHAIN3.join),
-         "upper table fails t-norm axioms: neutral"),
-        ("lower", CHAIN3, 1, table_from_function(CHAIN3, (1, 2), CHAIN3.join),
-         "lower table carrier is not [bottom, pivot]"),
-        ("lower", CHAIN3, 1, table_from_function(CHAIN3, (0, 1), CHAIN3.meet),
-         "lower table fails t-conorm axioms: neutral"),
-        ("upper", DIAMOND, DIAMOND.bottom, meet_table(DIAMOND_NAMES_CHAIN),
-         "upper table belongs to a different lattice"),
-        ("lower", DIAMOND, DIAMOND.top, join_table(DIAMOND_NAMES_CHAIN),
-         "lower table belongs to a different lattice"),
-    ],
-    ids=["t-norm-carrier", "not-a-t-norm", "t-conorm-carrier", "not-a-t-conorm",
-         "t-norm-of-another-lattice", "t-conorm-of-another-lattice"],
-)
-def test_pinch_refuses_a_table_off_its_interval_or_axioms(side, lat, pivot, table, message):
-    pinch = construct_pinched_tnorm if side == "upper" else construct_pinched_tconorm
-    with pytest.raises(SpecInvalid) as info:
-        pinch(lat, pivot, table)
-    assert str(info.value) == message
 
 
 def test_pinched_outputs_verify_on_random_lattices():
@@ -267,8 +243,10 @@ def test_pinched_outputs_verify_on_random_lattices():
         pivot = interior[0]
         lower = gen_uninorm(lat, lat.interval(lat.bottom, pivot), lat.bottom, GenConfig(seed=seed))
         upper = gen_uninorm(lat, lat.interval(pivot, lat.top), lat.top, GenConfig(seed=seed))
-        assert is_uninorm(construct_pinched_tconorm(lat, pivot, lower), lat.bottom).ok
-        assert is_uninorm(construct_pinched_tnorm(lat, pivot, upper), lat.top).ok
+        tconorm = construct_eq1(ConstructionSpec(lat, pivot, lat.bottom, lat.bottom, lower))
+        tnorm = construct_eq2(ConstructionSpec(lat, pivot, lat.top, lat.top, upper))
+        assert is_uninorm(tconorm, lat.bottom).ok
+        assert is_uninorm(tnorm, lat.top).ok
 
 
 def test_eq2_matches_dual_transport(l22):

@@ -10,12 +10,18 @@ every catalogue frame with n <= 7, on every corpus spec at every anchor,
 on the generated specs of 4..12 elements of the fuzz suite's (theorem,
 anchor class) pairs that have more than 7, and on join-form specs with a
 meet-core inner table over the 64-element Boolean lattice and 8x8 grid.
+
+At a neutral on a bound both forms are pinch-point extensions: the join
+form at neutral bottom is the t-conorm pinch, the meet form at neutral
+top the t-norm pinch, whatever the anchor.  They are compared with the
+per-cell pinch references on every catalogue lattice with n <= 7.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from latnorm.catalogue import lattice_catalogue
 from latnorm.construct import (
     THEOREMS,
     ConstructionSpec,
@@ -24,11 +30,14 @@ from latnorm.construct import (
     dual_spec,
     validate_spec,
 )
-from latnorm.gen import GenConfig, gen_spec
+from latnorm.gen import GenConfig, gen_spec, gen_uninorm
 from latnorm.lattice import ElementId, case_regions
-from latnorm.optable import OpTable, is_uninorm, rewrap
+from latnorm.optable import OpTable, is_uninorm, meet_table, rewrap
 
-from families import FUZZ_PAIRS, boolean, catalogue_specs, grid, meet_core, table_from_function
+from families import (
+    FUZZ_PAIRS, boolean, catalogue_specs, grid, join_table, meet_core, reference_pinch,
+    reference_pinch_tconorm, table_from_function,
+)
 
 
 def reference_join_form(spec: ConstructionSpec) -> OpTable:
@@ -116,3 +125,39 @@ def test_64_element_join_form_specs(lat, threshold, neutral):
     assert is_uninorm(base.inner, base.neutral).ok
     for anchor in range(lat.n):
         assert_both_forms_match(replace(base, anchor=anchor))
+
+
+def check_bound_neutral_forms(n):
+    """The join form at neutral bottom against the t-conorm pinch reference
+    and the meet form at neutral top against the t-norm pinch reference, on
+    every catalogue lattice with ``n`` elements, at every pivot (threshold;
+    the bounds included) and every anchor.  Each pivot has two inner tables
+    per form: the lattice's own operation (the join on [bottom, pivot], the
+    meet on [pivot, top]) and a ``gen_uninorm`` draw at seed ``pivot``.
+    Returns the number of (lattice, pivot, inner, anchor) cases, each
+    checked in both forms."""
+    count = 0
+    for lat in lattice_catalogue(n):
+        bottom, top = lat.bottom, lat.top
+        for pivot in range(lat.n):
+            below, above = lat.interval(bottom, pivot), lat.interval(pivot, top)
+            cfg = GenConfig(seed=pivot)
+            for lower, upper in [(join_table(lat, below), meet_table(lat, above)),
+                                 (gen_uninorm(lat, below, bottom, cfg),
+                                  gen_uninorm(lat, above, top, cfg))]:
+                tconorm = reference_pinch_tconorm(lat, pivot, lower)
+                tnorm = reference_pinch(lat, bottom, top, pivot, upper)
+                for anchor in range(lat.n):
+                    eq1 = construct_eq1(ConstructionSpec(lat, pivot, bottom, anchor, lower))
+                    assert eq1 == tconorm
+                    eq2 = construct_eq2(ConstructionSpec(lat, pivot, top, anchor, upper))
+                    assert eq2 == tnorm
+                    count += 1
+    return count
+
+
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 8), (3, 18), (4, 64), (5, 250), (6, 1080),
+                                      (7, 5194)])
+def test_bound_neutral_forms_are_the_pinches(n, count):
+    # 6,616 cases in all; CI runs n = 8
+    assert check_bound_neutral_forms(n) == count

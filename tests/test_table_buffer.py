@@ -40,7 +40,8 @@ from latnorm.optable import (
 )
 
 from families import (
-    boolean, catalogue_specs, join_table, meet_core, rows_table, table_from_function,
+    boolean, catalogue_specs, join_table, meet_core, reference_pinch, rows_table,
+    table_from_function,
 )
 
 
@@ -153,20 +154,6 @@ def test_the_file_reader(entries, tmp_path):
             _, _, read = read_table(tmp_path / f"{entry.id}.{key}.table.json")
             assert read.carrier == table.carrier and read.buf == table.buf
             assert_well_formed(read)
-
-
-def reference_pinch(lat, lo, hi, pivot, upper):
-    """The pinch t-norm, cell by cell."""
-    upper_mask = lat.interval_mask(pivot, hi)
-
-    def cell(x, y):
-        if upper_mask >> x & 1 and upper_mask >> y & 1:
-            return upper.value(x, y)
-        if x == hi or y == hi:
-            return lat.meet(x, y)
-        return lo
-
-    return table_from_function(lat, lat.interval(lo, hi), cell)
 
 
 def reference_meet_core(lat, carrier, e, lo, hi, core):

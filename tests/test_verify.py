@@ -290,6 +290,22 @@ def test_find_counterexample_unknown_clause():
         find_counterexample("th33", "join-pairs", budget=1)
 
 
+@pytest.mark.parametrize("theorem, dropped, choices", [
+    ("th31", "meet-pairs", "('join-pairs', 'join-anchor')"),
+    ("th33", "join-pairs", "('join-anchor',)"),
+    ("th31", "bogus", "('join-pairs', 'join-anchor')"),
+], ids=["th31-meet-pairs", "th33-join-pairs", "th31-bogus"])
+def test_a_clause_the_theorem_cannot_drop_is_unknown_to_both_checks(l11, theorem, dropped,
+                                                                    choices):
+    # the one droppable check runs before the spec is read
+    for check in (lambda: verify_equivalence(l11.spec, theorem, dropped),
+                  lambda: find_counterexample(theorem, dropped, budget=1)):
+        with pytest.raises(UnknownClause) as err:
+            check()
+        assert str(err.value) == (
+            f"{theorem} has no droppable clause {dropped!r}; choose from {choices}")
+
+
 @pytest.mark.parametrize(
     "call",
     [
