@@ -115,15 +115,6 @@ def test_invalid_specs_rejected(l11):
             with pytest.raises(SpecInvalid) as exc:
                 check(bad)
             assert str(exc.value) == message + " is no element of the 11-element lattice"
-    # a t-conorm where the meet form wants a t-norm (neutral top), and a
-    # t-norm where the join form wants a t-conorm (neutral bottom)
-    three = chain(3)
-    for construct, neutral, carrier, op in [(construct_eq2, 2, (1, 2), three.join),
-                                            (construct_eq1, 0, (0, 1), three.meet)]:
-        bad = ConstructionSpec(three, 1, neutral, neutral, table_from_function(three, carrier, op))
-        with pytest.raises(SpecInvalid) as exc:
-            construct(bad)
-        assert str(exc.value) == "inner table fails uninorm axioms: neutral"
 
 
 def _broken_inner(spec):
@@ -232,6 +223,25 @@ def test_pinched_three_chain_example():
     for x in range(3):
         assert t.value(2, x) == x
     assert is_uninorm(t, lat.top).ok
+
+
+CHAIN3 = chain(3)  # bottom, pivot 1, top
+
+
+@pytest.mark.parametrize(
+    "construct, neutral, table",
+    [
+        # a t-conorm where the meet form at neutral top wants a t-norm
+        (construct_eq2, CHAIN3.top, table_from_function(CHAIN3, (1, 2), CHAIN3.join)),
+        # a t-norm where the join form at neutral bottom wants a t-conorm
+        (construct_eq1, CHAIN3.bottom, table_from_function(CHAIN3, (0, 1), CHAIN3.meet)),
+    ],
+    ids=["not-a-t-norm", "not-a-t-conorm"],
+)
+def test_pinch_refuses_a_table_off_its_interval_or_axioms(construct, neutral, table):
+    with pytest.raises(SpecInvalid) as info:
+        construct(ConstructionSpec(CHAIN3, 1, neutral, neutral, table))
+    assert str(info.value) == "inner table fails uninorm axioms: neutral"
 
 
 def test_pinched_outputs_verify_on_random_lattices():
