@@ -57,8 +57,8 @@ license are exactly the equivalences the verification module fuzzes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
 from .optable import OpTable, _gather, _refuse_ids, in_class_ub, is_uninorm, rewrap
@@ -103,14 +103,12 @@ class ConstructionSpec:
     inner: OpTable
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     ok: bool
     witness: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Per-clause outcome of a theorem's hypothesis battery.
 
     Field names follow the join-form reading; for the meet-form theorems
@@ -152,8 +150,7 @@ class HypothesisReport:
         return self.admits()
 
 
-@dataclass(frozen=True)
-class TheoremProfile:
+class TheoremProfile(NamedTuple):
     id: str
     orientation: str                 # "join" or "meet"
     anchor_classes: tuple[str, ...]  # classes the theorem covers
@@ -369,7 +366,7 @@ def check_for(spec: ConstructionSpec, theorem: str) -> HypothesisReport:
         raise SpecInvalid("theorem checkers require an interior threshold")
     join_spec = validate_spec(spec, profile.orientation)
     frame = frame_report(join_spec.lattice, spec.threshold, spec.neutral, spec.anchor, theorem)
-    return replace(frame, inner_in_ub=in_class_ub(join_spec.inner, spec.neutral))
+    return frame._replace(inner_in_ub=in_class_ub(join_spec.inner, spec.neutral))
 
 
 def frame_report(

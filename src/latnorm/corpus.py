@@ -28,8 +28,7 @@ inconsistent.  In particular:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .construct import ConstructionSpec, construct_for
 from .fileio import _build_table
@@ -40,8 +39,7 @@ class UnknownId(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     row: str
     col: str
     printed: str
@@ -50,8 +48,7 @@ class Erratum:
     note: str
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     id: str
     lattice: BoundedLattice
     theorem: str
@@ -369,8 +366,7 @@ def all_entries() -> tuple[CorpusEntry, ...]:
     return tuple(load(entry_id) for entry_id in ENTRY_IDS)
 
 
-@dataclass(frozen=True)
-class EntryReplay:
+class EntryReplay(NamedTuple):
     id: str
     diff_cells: tuple            # construct output vs printed table
     diff_matches_errata: bool
@@ -382,8 +378,7 @@ class EntryReplay:
         return self.diff_matches_errata and self.verdict_ok and self.witness_ok
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     entries: tuple[EntryReplay, ...]
 
     @property

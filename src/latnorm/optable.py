@@ -62,10 +62,9 @@ read in another lattice is another table, with verdicts of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .lattice import BoundedLattice, ElementId, ids_of, mask_of
 
@@ -231,8 +230,7 @@ NeutralWitness = tuple        # (x, got) where U(e,x) or U(x,e) == got != x
 ClosureWitness = tuple        # (a, b, value) with value outside carrier
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of the exhaustive uninorm axiom battery.
 
     Each field is ``None`` on pass, else the lexicographically first

@@ -17,9 +17,8 @@ corpus is not searched: no entry isolates a single clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .construct import (
     ConstructionSpec,
@@ -48,8 +47,7 @@ class UnknownClause(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Disjoint nonempty classes covering a carrier."""
 
     classes: tuple[frozenset, ...]
@@ -156,8 +154,7 @@ def _check_droppable(theorem: str, drop_clause: Optional[str]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(NamedTuple):
     predicted: bool
     observed: bool
     counterwitness: Optional[tuple]
@@ -205,8 +202,7 @@ def verify_equivalence(
     )
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     spec: ConstructionSpec
     theorem: str
     dropped_clause: str

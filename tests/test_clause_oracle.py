@@ -12,8 +12,6 @@ give that report with the anchor class renamed by ``dual_class``:
 duality transports every report.
 """
 
-from dataclasses import replace
-
 from latnorm.construct import (
     THEOREMS,
     Clause,
@@ -107,8 +105,8 @@ def assert_reports_match(specs) -> set:
             report = check_for(spec, join_theorem)
             assert report == reference_report(spec, join_theorem), (join_theorem, spec)
             dual = check_for(meet, meet_theorem)
-            assert dual == replace(report, theorem=meet_theorem,
-                                   anchor_class=dual_class(report.anchor_class)), spec
+            assert dual == report._replace(theorem=meet_theorem,
+                                           anchor_class=dual_class(report.anchor_class)), spec
             clauses = {"pairs": report.join_pairs_ok, "anchor": report.join_anchor_ok,
                        "parallel": report.parallel_condition_ok,
                        "inner": Clause(report.inner_in_ub), "guard": Clause(report.nonempty_guard)}

@@ -1,6 +1,5 @@
 import json
 import shutil
-from dataclasses import replace
 
 import pytest
 
@@ -38,7 +37,7 @@ def test_corpus_replay_exits_one_when_an_entry_fails(monkeypatch, capsys):
 
     def one_failing():
         first, *rest = replay_all().entries
-        return corpus.ReplayReport((replace(first, verdict_ok=False), *rest))
+        return corpus.ReplayReport((first._replace(verdict_ok=False), *rest))
 
     monkeypatch.setattr(corpus, "replay_all", one_failing)
     assert main(["corpus", "--replay"]) == 1

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from latnorm import corpus
@@ -126,7 +124,7 @@ def test_anchor_below_neutral_in_l11(l11):
 
 
 def _replays_with(entry, errata) -> bool:
-    return corpus.replay_entry(replace(entry, errata=tuple(errata))).diff_matches_errata
+    return corpus.replay_entry(entry._replace(errata=tuple(errata))).diff_matches_errata
 
 
 def _other_name(lat, name):
@@ -162,7 +160,7 @@ def test_an_erratum_where_table_and_print_agree_fails_the_replay(entries):
 def test_a_wrong_erratum_value_fails_the_replay(entries, field):
     for entry in entries.values():
         for i, err in enumerate(entry.errata):
-            wrong = replace(err, **{field: _other_name(entry.lattice, getattr(err, field))})
+            wrong = err._replace(**{field: _other_name(entry.lattice, getattr(err, field))})
             errata = entry.errata[:i] + (wrong,) + entry.errata[i + 1:]
             assert not _replays_with(entry, errata), (entry.id, i)
 
