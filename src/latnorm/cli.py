@@ -224,7 +224,8 @@ def _matching_report(spec: ConstructionSpec, orientation: str) -> HypothesisRepo
     up to its inner table, as the construction checked."""
     side, other = ("th33", "th31") if orientation == "join" else ("th36", "th34")
     lat = spec.lattice if orientation == "join" else spec.lattice.dual()
-    beside = join_anchor_class(lat, spec.threshold, spec.neutral, spec.anchor) == "beside_threshold"
+    regions = case_regions(lat, spec.neutral, spec.threshold)
+    beside = join_anchor_class(lat, regions, spec.neutral, spec.anchor) == "beside_threshold"
     return check_for(spec, side if beside else other)
 
 

@@ -30,10 +30,9 @@ The meet form is the order dual (meets, bottom, and the upper interval),
 and the code treats it as such: the meet-form construction and the
 meet-form hypothesis reports are the join-form code run on the spec
 transported to the dual lattice with :func:`dual_spec`, the result read
-back in the original order.  A spec's dual is built once and kept both
-ways, as a lattice's is, so a meet-form spec goes to join form once
-however many checks read it.  Spec validation returns the join form; its
-texts name the caller's side.  The inner table's axiom verdict stays with
+back in the original order (:func:`dual_spec` keeps the dual both
+ways).  Spec validation returns the join form; its texts name the
+caller's side.  The inner table's axiom verdict stays with
 the join-form table, not with the spec:
 :func:`~latnorm.optable.is_uninorm` keeps it on the table, so every spec
 on that table, in either form, reads the one verdict.  Only failure names
@@ -60,7 +59,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .lattice import ANCHOR_BLOCK_RULES, BoundedLattice, ElementId, case_regions, ids_of
+from .lattice import (
+    ANCHOR_BLOCK_RULES,
+    BoundedLattice,
+    CaseRegions,
+    ElementId,
+    case_regions,
+    ids_of,
+)
 from .optable import OpTable, _gather, _refuse_ids, in_class_ub, is_uninorm, rewrap
 
 
@@ -106,6 +112,9 @@ class ConstructionSpec:
 class Clause(NamedTuple):
     ok: bool
     witness: Optional[tuple] = None
+
+
+_HOLDS = Clause(True)
 
 
 class HypothesisReport(NamedTuple):
@@ -204,19 +213,24 @@ ANCHOR_CLASS_BLOCKS = {
 }
 
 
+def _in_class(block: int, bottom: ElementId, neutral: ElementId) -> int:
+    """An anchor class from its :data:`ANCHOR_CLASS_BLOCKS` ``block`` in a
+    frame at ``neutral``: the block less bottom and neutral (only ``low``
+    holds them); the one copy of that rule."""
+    return block & ~(1 << bottom | 1 << neutral)
+
+
 def anchor_class_mask(
     lat: BoundedLattice, threshold: ElementId, neutral: ElementId, join_class: str
 ) -> int:
     """The mask of the join-form anchor class ``join_class`` in the frame
-    (``neutral`` <= ``threshold``): its :data:`ANCHOR_CLASS_BLOCKS` block of
-    the ``case_regions`` of the pair, read off the order masks by
-    :data:`~latnorm.lattice.ANCHOR_BLOCK_RULES`, less bottom and neutral,
-    which only ``low`` holds.  No regions are derived or kept: a scan over
-    every pair of a lattice costs a few integer operations per pair.  The
-    classes are disjoint; an anchor in none of them is of class "other"."""
-    up, down, drop = lat.up, lat.down, 1 << lat.bottom | 1 << neutral
+    (``neutral`` <= ``threshold``), read off the order masks with no
+    regions derived.  The classes are disjoint; an anchor in none of them
+    is of class "other"."""
+    up, down = lat.up, lat.down
     block = ANCHOR_BLOCK_RULES[ANCHOR_CLASS_BLOCKS[join_class]]
-    return block(up[neutral], down[neutral], up[threshold], down[threshold]) & ~drop
+    return _in_class(block(up[neutral], down[neutral], up[threshold], down[threshold]),
+                     lat.bottom, neutral)
 
 
 # -- spec validation --------------------------------------------------------
@@ -390,12 +404,14 @@ def frame_report(
 
 
 def join_anchor_class(
-    lat: BoundedLattice, threshold: ElementId, neutral: ElementId, anchor: ElementId
+    lat: BoundedLattice, regions: CaseRegions, neutral: ElementId, anchor: ElementId
 ) -> str:
-    """The join-form class of ``anchor`` in the frame: the one whose
-    :func:`anchor_class_mask` holds it, else ``"other"``."""
-    return next((name for name in ANCHOR_CLASS_BLOCKS
-                 if anchor_class_mask(lat, threshold, neutral, name) >> anchor & 1), "other")
+    """The join-form class of ``anchor`` in the frame whose ``case_regions``
+    are ``regions``: the one :func:`_in_class` puts it in, else ``"other"``."""
+    for name, block in ANCHOR_CLASS_BLOCKS.items():
+        if _in_class(getattr(regions, block), lat.bottom, neutral) >> anchor & 1:
+            return name
+    return "other"
 
 
 def _join_frame(
@@ -405,29 +421,35 @@ def _join_frame(
     q: ElementId,
     profile: TheoremProfile,
 ) -> HypothesisReport:
-    """Each frame clause's first witness, in id order, read off the frame's
-    masks: the anchor classes, the ``case_regions`` blocks and the anchor's
-    incomparables.  The anchor class is named as ``profile`` names it."""
-    top = lat.top
-    join = lat.join
+    """Each frame clause's first witness, in id order, from one walk of the
+    frame's ``isolated`` block: a pair of its elements may witness the
+    pairs clause, one incomparable to the anchor the anchor clause, a
+    comparable one the parallel clause.  The anchor class is named as
+    ``profile`` names it."""
+    up, down = lat.up, lat.down
+    top = 1 << lat.top  # x v y is top iff up[x] & up[y] == top
     regions = case_regions(lat, neutral, threshold)
     iso = regions.isolated
-    inc_q = lat.incomparables_mask(q)
 
-    pairs: Optional[Clause] = None
-    if profile.has_pairs_clause:
-        iso_ids = ids_of(iso)
-        pairs = _clause((a, b, join(a, b)) for i, a in enumerate(iso_ids)
-                        for b in iso_ids[i + 1:] if join(a, b) != top)
-    anchor_clause = _clause((a, join(a, q)) for a in ids_of(iso & inc_q) if join(a, q) != top)
-    parallel_clause = _clause(
-        (a, b)
-        for a in ids_of(iso & ~inc_q)
-        for b in ids_of(regions.side_inner & ~lat.incomparables_mask(a))
-    )
+    pairs = _HOLDS if profile.has_pairs_clause else None
+    anchor_clause = parallel_clause = _HOLDS
+    up_q, near_q = up[q], up[q] | down[q]
+    iso_ids = ids_of(iso)
+    for i, a in enumerate(iso_ids):
+        up_a = up[a]
+        if pairs is _HOLDS:
+            for b in iso_ids[i + 1:]:
+                if up_a & up[b] != top:
+                    pairs = Clause(False, (a, b, lat.join(a, b)))
+                    break
+        if not near_q >> a & 1:
+            if anchor_clause is _HOLDS and up_a & up_q != top:
+                anchor_clause = Clause(False, (a, lat.join(a, q)))
+        elif parallel_clause is _HOLDS and (beside := regions.side_inner & (up_a | down[a])):
+            parallel_clause = Clause(False, (a, (beside & -beside).bit_length() - 1))
     # some element other than top lies outside [bottom, threshold]
-    outside = (regions.side_outer | iso | regions.high) & ~(1 << top)
-    anchor_class = join_anchor_class(lat, threshold, neutral, q)
+    outside = (regions.side_outer | iso | regions.high) & ~top
+    anchor_class = join_anchor_class(lat, regions, neutral, q)
     if profile.orientation == "meet":
         anchor_class = dual_class(anchor_class)
 
@@ -440,9 +462,3 @@ def _join_frame(
         inner_in_ub=None,
         nonempty_guard=bool(outside),
     )
-
-
-def _clause(witnesses) -> Clause:
-    """The clause holds when ``witnesses`` is empty; else its first one."""
-    witness = next(witnesses, None)
-    return Clause(ok=witness is None, witness=witness)

@@ -15,12 +15,11 @@ kept failing, because a silently vacuous property suite is worse than a
 loud failure.  Two draws are still rejection-sampled: a lattice (random
 covers until every pair has a unique join and meet), and a lattice for a
 spec, which is redrawn when it hosts the anchor class in no (threshold,
-neutral) pair.  That scan reads each pair's class mask off the lattice's
-order masks, a few integer operations per pair, and derives and keeps no
-regions, so a lattice thrown away costs its draw and the scan alone.  A
-spec stream given an anchor class picks its pair only among the hosting
-ones; the class-free stream of the clause-drop search draws the pair
-first and redraws on an empty class (see :func:`gen_spec_candidates`).
+neutral) pair.  That scan keeps nothing on the lattice, so a lattice
+thrown away costs its draw and the scan alone.  A spec stream given an
+anchor class picks its pair only among the hosting ones; the class-free
+stream of the clause-drop search draws the pair first and redraws on an
+empty class (see :func:`gen_spec_candidates`).
 Uninorms are not rejection-sampled: :func:`gen_uninorm` builds a valid
 skeleton, keeps only mutations that pass, and never redraws.  A skeleton
 and each pinch of its t-norm core are one call of the construction
@@ -58,8 +57,10 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .construct import (
+    ANCHOR_CLASS_BLOCKS,
     ConstructionSpec,
     _extend,
+    _in_class,
     anchor_class_mask,
     dual_class,
     dual_spec,
@@ -68,6 +69,7 @@ from .construct import (
     theorem_profile,
 )
 from .lattice import (
+    ANCHOR_BLOCK_RULES,
     BoundedLattice,
     ElementId,
     LatticeError,
@@ -130,8 +132,8 @@ class GenConfig:
 # -- lattices ---------------------------------------------------------------
 
 
-def _attempt_lattice(rng: random.Random, cfg: GenConfig) -> Optional[BoundedLattice]:
-    n = rng.randint(*cfg.size_range)
+def _attempt_lattice(rng: random.Random, size_range: tuple[int, int]) -> Optional[BoundedLattice]:
+    n = rng.randint(*size_range)
     succ = [0] * n  # succ[i]: mask of the nodes drawn as upper covers of i
     if n > 2:
         mids = n - 2
@@ -171,9 +173,14 @@ def _interned_lattice(succ: tuple[int, ...]) -> Optional[BoundedLattice]:
 def gen_lattice(cfg: GenConfig) -> BoundedLattice:
     """Random bounded lattice: layered acyclic covers, rejection-sampled
     until every pair has a unique join and meet."""
-    rng = random.Random(cfg.seed)
+    return _draw_lattice(cfg.seed, cfg.size_range)
+
+
+def _draw_lattice(seed: int, size_range: tuple[int, int]) -> BoundedLattice:
+    """:func:`gen_lattice` without a config, for the spec stream."""
+    rng = random.Random(seed)
     for _ in range(ATTEMPT_CAP):
-        lat = _attempt_lattice(rng, cfg)
+        lat = _attempt_lattice(rng, size_range)
         if lat is not None:
             return lat
     raise ExhaustedRejection("random covers kept failing the unique join/meet check")
@@ -298,21 +305,21 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
 def _hosting_pairs(lat: BoundedLattice, join_class: str) -> list[tuple[ElementId, ElementId, int]]:
     """(threshold, neutral, class mask) for each pair, interior threshold
     and neutral below it, whose ``join_class`` mask is non-empty;
-    thresholds ascending, then neutrals ascending.  Each mask is read off
-    the order masks by :func:`~latnorm.construct.anchor_class_mask`, a few
-    integer operations per pair, so a lattice the stream throws away keeps
-    nothing.  The neutrals are walked bit by bit inline: 3.9-4.5 us per
-    lattice and class against 5.4-6.2 us with ``ids_of`` (300 generated
-    lattices, all three classes; 2-core Xeon, Python 3.11)."""
+    thresholds ascending, then neutrals ascending: 3.3 us per lattice and
+    class against 3.9 us with an ``anchor_class_mask`` call per pair (300
+    generated lattices, all three classes; 2-core Xeon, Python 3.11)."""
+    up, down, bottom = lat.up, lat.down, lat.bottom
+    block = ANCHOR_BLOCK_RULES[ANCHOR_CLASS_BLOCKS[join_class]]
     hosts = []
     for threshold in range(lat.n):
-        if threshold == lat.bottom or threshold == lat.top:
+        if threshold in (bottom, lat.top):
             continue
-        below = lat.down[threshold]
+        up_t = up[threshold]
+        below = down_t = down[threshold]
         while below:
             low = below & -below
             neutral = low.bit_length() - 1
-            if mask := anchor_class_mask(lat, threshold, neutral, join_class):
+            if mask := _in_class(block(up[neutral], down[neutral], up_t, down_t), bottom, neutral):
                 hosts.append((threshold, neutral, mask))
             below ^= low
     return hosts
@@ -363,8 +370,7 @@ def gen_spec_candidates(
                 f"no candidate spec for {theorem}/{anchor_class or 'any class'} "
                 f"in {ATTEMPT_CAP} consecutive attempts"
             )
-        sub_seed = rng.getrandbits(48)
-        lat = gen_lattice(GenConfig(sub_seed, size_range))
+        lat = _draw_lattice(rng.getrandbits(48), size_range)
         if join_class is not None:
             hosts = _hosting_pairs(lat, join_class)
             if not hosts:
@@ -384,17 +390,17 @@ def gen_spec_candidates(
         inner_seed = rng.getrandbits(48)
         dry_run = 0
         yield (frame_report(lat, threshold, neutral, anchor, theorem),
-               partial(_draw_spec, lat, threshold, neutral, anchor,
-                       GenConfig(inner_seed, size_range, "ub"), meet))
+               partial(_draw_spec, lat, threshold, neutral, anchor, inner_seed, size_range, meet))
 
 
 def _draw_spec(
     lat: BoundedLattice, threshold: ElementId, neutral: ElementId, anchor: ElementId,
-    inner_cfg: GenConfig, meet: bool,
+    inner_seed: int, size_range: tuple[int, int], meet: bool,
 ) -> ConstructionSpec:
     """A stream candidate's spec: its ``ub`` inner table drawn on the
     join-form frame, the spec transported when ``meet``."""
-    inner = gen_uninorm(lat, lat.interval(lat.bottom, threshold), neutral, inner_cfg)
+    inner = gen_uninorm(lat, lat.interval(lat.bottom, threshold), neutral,
+                        GenConfig(inner_seed, size_range, "ub"))
     spec = ConstructionSpec(lat, threshold, neutral, anchor, inner)
     return dual_spec(spec) if meet else spec
 

@@ -128,9 +128,6 @@ class BoundedLattice:
     def leq(self, a: ElementId, b: ElementId) -> bool:
         return bool(self.up[a] >> b & 1)
 
-    def lt(self, a: ElementId, b: ElementId) -> bool:
-        return a != b and self.leq(a, b)
-
     def comparable(self, a: ElementId, b: ElementId) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
@@ -180,9 +177,6 @@ class BoundedLattice:
         :func:`latnorm.construct.frame_report`, kept with the lattice by
         tagged key ``("frame", ...)``."""
         return {}
-
-    def incomparables_mask(self, a: ElementId) -> int:
-        return self.all_mask & ~(self.up[a] | self.down[a])
 
     def dual(self) -> "BoundedLattice":
         """Same carrier with the order reversed; an involution.  Built once and

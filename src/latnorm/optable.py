@@ -245,12 +245,6 @@ class AxiomReport(NamedTuple):
     closed: Optional[ClosureWitness]
 
     @property
-    def second_side_checked(self) -> bool:
-        """Whether monotonicity was checked in both arguments, as it must be
-        when commutativity fails."""
-        return self.commutative is not None
-
-    @property
     def ok(self) -> bool:
         return (
             self.commutative is None

@@ -4,9 +4,10 @@
 must return exactly the report of the per-pair loops it replaced, field
 for field; those loops are the reference, with the anchor class read off
 ``case_regions``.  They run for th31 and th33 on every catalogue frame
-with n <= 6, ``other`` anchors included (with these inner tables every
-clause both holds and fails there; at n <= 5 the parallel condition never
-fails), and on the frames of the generated lattices of 3..10 elements,
+with n <= 6 (CI runs n <= 7), ``other`` anchors included (with these
+inner tables every clause both holds and fails there; at n <= 5 the
+parallel condition never fails), and on the frames of the generated
+lattices of 3..10 elements,
 seeds 0..29, that have more than 6.  On each spec's dual, th34 and th36
 give that report with the anchor class renamed by ``dual_class``:
 duality transports every report.
@@ -115,8 +116,16 @@ def assert_reports_match(specs) -> set:
     return seen
 
 
+def check_catalogue_reports(max_n):
+    """:func:`assert_reports_match` on every catalogue frame with at most
+    ``max_n`` elements; returns the number of specs and what they showed."""
+    specs = list(catalogue_specs(max_n))
+    return len(specs), assert_reports_match(specs)
+
+
 def test_check_for_matches_the_clause_loops():
-    seen = assert_reports_match(catalogue_specs(6))
+    count, seen = check_catalogue_reports(6)
+    assert count == 1240
     # every anchor class occurs, and every clause both holds and fails
     classes = {"under_neutral", "over_neutral", "beside_neutral", "beside_threshold", "other"}
     outcomes = {(name, ok) for name in ("pairs", "anchor", "parallel", "inner", "guard")

@@ -119,8 +119,9 @@ def test_cited_witnesses(entries):
 
 def test_anchor_below_neutral_in_l11(l11):
     lat = l11.lattice
-    assert lat.lt(lat.index("q"), lat.index("e"))
-    assert lat.lt(lat.bottom, lat.index("q"))
+    q, e = lat.index("q"), lat.index("e")
+    assert q != e and lat.leq(q, e)
+    assert lat.bottom != q and lat.leq(lat.bottom, q)
 
 
 def _replays_with(entry, errata) -> bool:

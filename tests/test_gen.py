@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import latnorm.gen as gen_module
+from latnorm.catalogue import lattice_catalogue
 from latnorm.construct import (
     ANCHOR_CLASS_BLOCKS,
     THEOREMS,
@@ -424,7 +425,10 @@ JOIN_CLASSES = ("under_neutral", "beside_neutral", "beside_threshold")
 def _brute_classes(lat, neutral, threshold) -> dict[str, int]:
     """The join-form anchor classes by their definitions, element by element."""
 
-    lt, beside = lat.lt, lat.parallel
+    beside = lat.parallel
+
+    def lt(a, b):
+        return a != b and lat.leq(a, b)
 
     def block(member):
         return mask_of(x for x in range(lat.n) if member(x))
@@ -452,9 +456,12 @@ def _fresh_lattices() -> list:
 
 
 def test_hosting_pairs_match_brute_force():
+    # 200 generated lattices and the catalogue's 78 lattices with at most 7 elements
     hosted = dict.fromkeys(JOIN_CLASSES, 0)
     lattices = _fresh_lattices()
     assert max(lat.n for lat in lattices) == 12
+    lattices += [lat for n in range(1, 8) for lat in lattice_catalogue(n)]
+    assert len(lattices) == 278
     for lat in lattices:
         kept = dict(lat.kept)  # an interned lattice may hold reports from earlier draws
         for join_class in JOIN_CLASSES:
@@ -469,7 +476,7 @@ def test_hosting_pairs_match_brute_force():
                 classes = {c: anchor_class_mask(lat, t, n, c) for c in JOIN_CLASSES}
                 assert classes == _brute_classes(lat, n, t)
     # every class is hosted by some lattice and missing from another
-    assert all(0 < count < 200 for count in hosted.values()), hosted
+    assert all(0 < count < len(lattices) for count in hosted.values()), hosted
 
 
 @pytest.mark.parametrize("join_class", JOIN_CLASSES)
@@ -487,10 +494,10 @@ def test_class_rule_is_the_case_regions_block(join_class):
 def test_gen_spec_rejects_a_class_outside_the_theorem(monkeypatch):
     # one ValueError naming the theorem's classes, whatever the sizes, and
     # raised before any lattice is drawn
-    def no_draw(cfg):
+    def no_draw(seed, size_range):
         pytest.fail("a lattice was drawn")
 
-    monkeypatch.setattr(gen_module, "gen_lattice", no_draw)
+    monkeypatch.setattr(gen_module, "_draw_lattice", no_draw)
     for theorem, anchor_class in (("th31", "nope"), ("th31", "beside_threshold"),
                                   ("th34", "under_neutral"), ("th36", "over_neutral")):
         classes = ", ".join(THEOREMS[theorem].anchor_classes)
@@ -508,12 +515,13 @@ def test_gen_spec_rejects_a_class_outside_the_theorem(monkeypatch):
 )
 def test_directed_stream_discards_only_lattices_without_a_host(monkeypatch, theorem, anchor_class):
     drawn = []
+    draw_lattice = gen_module._draw_lattice
 
-    def recording_gen_lattice(cfg):
-        drawn.append(gen_lattice(cfg))
+    def recording_draw_lattice(seed, size_range):
+        drawn.append(draw_lattice(seed, size_range))
         return drawn[-1]
 
-    monkeypatch.setattr(gen_module, "gen_lattice", recording_gen_lattice)
+    monkeypatch.setattr(gen_module, "_draw_lattice", recording_draw_lattice)
     join_class = {"over_neutral": "under_neutral"}.get(anchor_class, anchor_class)
     stream = gen_spec_candidates(GenConfig(seed=11, size_range=(4, 9)), theorem, anchor_class)
     discarded = 0

@@ -141,11 +141,10 @@ def test_every_generated_draw(monkeypatch):
         return lattice_from_edges(names, succ)
 
     monkeypatch.setattr(gen, "lattice_from_edges", recording_core)
-    cfg = gen.GenConfig(seed=0, size_range=(2, 12))
     for seed in range(2000):
         # an empty intern table, so that every draw reaches the core
         gen._interned_lattice.cache_clear()
-        gen._attempt_lattice(random.Random(seed), cfg)
+        gen._attempt_lattice(random.Random(seed), (2, 12))
     gen._interned_lattice.cache_clear()
     pairs = [[(names[i], names[j]) for i in range(len(names)) for j in _bits(succ[i])]
              for names, succ in drawn]
@@ -346,7 +345,7 @@ def test_kahn_runs_only_for_inputs_out_of_id_order(count_calls, l11):
     next(lattice_catalogue(8))
     gen._interned_lattice.cache_clear()
     # an empty intern table, so that every draw reaches the core
-    drawn = [gen._attempt_lattice(random.Random(seed), gen.GenConfig(0, (4, 9))) for seed in range(20)]
+    drawn = [gen._attempt_lattice(random.Random(seed), (4, 9)) for seed in range(20)]
     gen._interned_lattice.cache_clear()
     assert any(drawn)
     assert calls == []

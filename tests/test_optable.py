@@ -245,8 +245,6 @@ def test_witnesses_recheck_on_corrupted_tables():
         if report.neutral is not None:
             x, got = report.neutral
             assert got in (bad.value(e, x), bad.value(x, e)) and got != x
-        if report.commutative is not None:
-            assert report.second_side_checked
 
 
 def test_non_commutative_candidate_representable():
@@ -255,7 +253,6 @@ def test_non_commutative_candidate_representable():
     t = rows_table(lat, (0, 1, 2), values)
     report = is_uninorm(t, 1)
     assert report.commutative is not None
-    assert report.second_side_checked
 
 
 def test_closure_witness():
