@@ -5,7 +5,9 @@ out: they are the t-norm cores and the ``meet_core`` family built on the
 dual lattice and read back, drawing from the generator in the same
 order.  Meet-form specs are generated in join form and transported with
 :func:`~latnorm.construct.dual_spec`, which keeps the join-form spec as
-the dual, so checking the spec later transports nothing again.
+the dual, so checking the spec later transports nothing again.  The
+class filter is ``ub`` or none: a ``ut`` table is the dual ``ub`` draw
+read back.
 
 Everything here is deterministic: generator state is an explicit
 ``random.Random`` seeded from the config, there is no hidden global
@@ -80,9 +82,6 @@ from .lattice import (
 from .optable import (
     OpTable,
     in_class_ub,
-    in_class_umax,
-    in_class_umin,
-    in_class_ut,
     is_uninorm,
     meet_table,
     rewrap,
@@ -98,12 +97,7 @@ INTERNED_LATTICES = 64
 COVER_DENSITY = 0.35  # chance that an earlier node becomes a lower cover of a new node
 _NAMES = tuple(tuple(f"x{i}" for i in range(n)) for n in range(13))  # by size, up to 12
 
-_CLASS_CHECKS = {
-    "ub": in_class_ub,
-    "ut": in_class_ut,
-    "umin": in_class_umin,
-    "umax": in_class_umax,
-}
+_CLASS_CHECKS = {"ub": in_class_ub}
 
 
 class ExhaustedRejection(Exception):
@@ -262,9 +256,11 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
     Builds one of two always-valid skeletons (a t-norm core below the
     neutral with the outside collapsed to the carrier top, or its dual),
     then tries up to two symmetric cell mutations, each kept only if the
-    table stays a uninorm in the class.  ``cfg.class_filter`` narrows the
-    output class.  There is no redraw: a final check that fails is a
-    generator bug and raises ``AssertionError``.
+    table stays a uninorm (in ``ub`` under the ``"ub"`` filter, which also
+    takes the t-norm core skeleton).  A ``ut`` table is the ``ub`` draw on
+    ``lat.dual()``, read back with :func:`~latnorm.optable.rewrap`.  There
+    is no redraw: a final check that fails is a generator bug and raises
+    ``AssertionError``.
     """
     carrier = tuple(carrier)
     if e not in carrier:
@@ -278,12 +274,7 @@ def gen_uninorm(lat: BoundedLattice, carrier, e: ElementId, cfg: GenConfig) -> O
     lo, hi = bounds
     rng = random.Random(cfg.seed)
     cf = cfg.class_filter
-    if cf in ("ub", "umax"):
-        family = "meet_core"
-    elif cf in ("ut", "umin"):
-        family = "join_core"
-    else:
-        family = rng.choice(("meet_core", "join_core"))
+    family = "meet_core" if cf == "ub" else rng.choice(("meet_core", "join_core"))
     if family == "meet_core":
         table = _meet_core_uninorm(lat, carrier, e, lo, hi, rng)
     else:

@@ -1,9 +1,10 @@
 """Lattice families, frames and reference builders shared by the tests:
 the closed-form chain, Boolean lattice and grid (the n = 64 oracle inputs
-among them), a meet-core inner table, every frame of the catalogue's
-lattices (the shared input of the differential oracles), the per-cell
-table builders and pinch references, the brute-force uninorm enumerator,
-and the cell readers of the text and CSV renderings.
+among them), a meet-core inner table, a generated ``ut`` table, every
+frame of the catalogue's lattices (the shared input of the differential
+oracles), the per-cell table builders and pinch references, the
+brute-force uninorm enumerator, and the cell readers of the text and CSV
+renderings.
 """
 
 import csv
@@ -32,6 +33,12 @@ def join_table(lattice, carrier=None):
     of a join-form construction's inner table."""
     carrier = tuple(range(lattice.n)) if carrier is None else tuple(carrier)
     return OpTable(lattice, carrier, lattice.join_cells(carrier))
+
+
+def gen_uninorm_ut(lat, carrier, e, seed):
+    """A generated uninorm in ``ut``: the ``ub`` draw on the dual lattice,
+    read back on ``lat``."""
+    return rewrap(gen_uninorm(lat.dual(), carrier, e, GenConfig(seed, class_filter="ub")), lat)
 
 
 def rows_table(lattice, carrier, rows):

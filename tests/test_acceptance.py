@@ -28,7 +28,7 @@ from latnorm.optable import (
 )
 from latnorm.verify import Partition, assoc_partitioned, verify_equivalence
 
-from families import reference_pinch, reference_pinch_tconorm, rows_table
+from families import gen_uninorm_ut, reference_pinch, reference_pinch_tconorm, rows_table
 
 
 def _report(num: int, desc: str, ok: bool) -> None:
@@ -147,7 +147,7 @@ def test_criterion_05_necessity_of_bounded_class():
         neutral = below[1]
         if neutral == threshold:
             continue
-        inner = gen_uninorm(lat, below, neutral, GenConfig(seed=seed, class_filter="ut"))
+        inner = gen_uninorm_ut(lat, below, neutral, seed)
         if in_class_ub(inner, neutral):
             continue
         spec = ConstructionSpec(lat, threshold, neutral, lat.bottom, inner)

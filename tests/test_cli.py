@@ -16,7 +16,7 @@ from latnorm.lattice import build_lattice
 from latnorm.optable import AxiomReport
 from latnorm.verify import EquivalenceVerdict
 
-from families import rows_table, table_cells_from_csv, table_cells_from_text
+from families import gen_uninorm_ut, rows_table, table_cells_from_csv, table_cells_from_text
 
 
 @pytest.fixture()
@@ -152,7 +152,7 @@ def test_construct_verify_passes_on_l13_formula_output(golden, capsys):
 def _unbounded_inner_argv(tmp_path, anchor):
     """Files and spec flags for a generated lattice whose inner operator
     lies outside the bounded-below class; ``anchor`` is an element id."""
-    from latnorm.gen import GenConfig, gen_lattice, gen_uninorm
+    from latnorm.gen import GenConfig, gen_lattice
 
     lat = gen_lattice(GenConfig(seed=0, size_range=(6, 8)))
     interior = [x for x in range(lat.n) if x not in (lat.bottom, lat.top)]
@@ -163,7 +163,7 @@ def _unbounded_inner_argv(tmp_path, anchor):
     )
     below = lat.interval(lat.bottom, threshold)
     e = below[1]
-    inner = gen_uninorm(lat, below, e, GenConfig(seed=2, class_filter="ut"))
+    inner = gen_uninorm_ut(lat, below, e, seed=2)
     lat_file = tmp_path / "L.lattice.json"
     lat_file.write_text(render_lattice(lat, "L"))
     inner_file = tmp_path / "L.inner.table.json"

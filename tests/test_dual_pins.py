@@ -9,6 +9,10 @@ this module holds sha256 digests of seeded outputs recorded from the
 independent, hand-written versions.  A digest that moves means the
 derived path drifted.
 
+The ``ut`` draw is the ``ub`` draw on the dual lattice read back; its
+digest was recorded from the generator's former ``ut`` filter, which
+gave the same tables as its former ``umin`` filter.
+
 The t-conorm pinch is the join form at threshold ``pivot`` and neutral
 bottom, where the anchor is never read; its digest keeps the name of
 ``construct_pinched_tconorm``, the hand-written version it was recorded
@@ -31,14 +35,13 @@ from latnorm.construct import (
 from latnorm.gen import GenConfig, gen_lattice, gen_spec_candidates, gen_uninorm
 from latnorm.optable import in_class_umin, in_class_ut
 
-from families import rows_table
+from families import gen_uninorm_ut, rows_table
 
 DIGESTS = {
     "construct_eq2": "921cd97f12612f5d2b4b288cff3fba76abe4f4b1f88c2e5337fc7ccb9da2b2cc",
     "check_for_meet": "9c4ae817ac4eab566915442c41099f3222dade70e22a75c1ff004f1b7ea5f267",
     "construct_pinched_tconorm": "5a111463a07027bb935e14bd9cd0db88ccab07642d2888a2afd51c0729d11f45",
     "gen_uninorm_ut": "162b5523882516a591076b1e98c4a70288e2679939c660c84e621d07706d69ad",
-    "gen_uninorm_umin": "162b5523882516a591076b1e98c4a70288e2679939c660c84e621d07706d69ad",
     "gen_uninorm_any": "db526cdebb786698a0ff5f26ce99c7e169753c91384586451fcfc3d073c5a3de",
     "in_class_ut_umin": "35f73a044f6839d9bf5a04e7130676acf8b34fd336f56441a4a0fd791eea6720",
 }
@@ -77,14 +80,18 @@ def _interval_carriers(lat):
         yield lat.interval(lat.bottom, pivot)
 
 
-def _uninorms(class_filter):
-    """gen_uninorm at every neutral of every carrier; ``None`` mixes both families."""
+def _uninorms(draw):
+    """``draw(lat, carrier, e, seed)`` at every neutral of every carrier."""
     for seed, lat in _lattices():
         for k, carrier in enumerate(_interval_carriers(lat)):
             for e in carrier:
-                cfg = GenConfig(seed=1000 * seed + 10 * k + e, class_filter=class_filter)
-                table = gen_uninorm(lat, carrier, e, cfg)
+                table = draw(lat, carrier, e, 1000 * seed + 10 * k + e)
                 yield seed, k, e, table.carrier, table.values
+
+
+def _any_uninorm(lat, carrier, e, seed):
+    """The unfiltered draw, which mixes both families."""
+    return gen_uninorm(lat, carrier, e, GenConfig(seed))
 
 
 def _eq2_tables():
@@ -131,9 +138,8 @@ SOURCES = {
     "construct_eq2": _eq2_tables,
     "check_for_meet": _meet_reports,
     "construct_pinched_tconorm": _pinched_tconorms,
-    "gen_uninorm_ut": lambda: _uninorms("ut"),
-    "gen_uninorm_umin": lambda: _uninorms("umin"),
-    "gen_uninorm_any": lambda: _uninorms(None),
+    "gen_uninorm_ut": lambda: _uninorms(gen_uninorm_ut),
+    "gen_uninorm_any": lambda: _uninorms(_any_uninorm),
     "in_class_ut_umin": _class_verdicts,
 }
 

@@ -26,15 +26,9 @@ from latnorm.gen import (
     gen_uninorm,
 )
 from latnorm.lattice import LatticeError, build_lattice, case_regions, ids_of, mask_of
-from latnorm.optable import (
-    in_class_ub,
-    in_class_umax,
-    in_class_umin,
-    in_class_ut,
-    is_uninorm,
-)
+from latnorm.optable import in_class_ub, in_class_ut, is_uninorm
 
-from families import enumerate_uninorms, rows_table
+from families import enumerate_uninorms, gen_uninorm_ut, rows_table
 
 
 def test_config_validation():
@@ -42,8 +36,10 @@ def test_config_validation():
         GenConfig(seed=0, size_range=(1, 5))
     with pytest.raises(ValueError):
         GenConfig(seed=0, size_range=(5, 13))
-    with pytest.raises(ValueError):
-        GenConfig(seed=0, class_filter="nope")
+    # ub is the one class filter: a ut table is the dual ub draw read back
+    for name in ("nope", "ut", "umin", "umax"):
+        with pytest.raises(ValueError, match=f"unknown class filter '{name}'"):
+            GenConfig(seed=0, class_filter=name)
     # random.Random seeds from abs(seed), so seed -3 would draw seed 3
     with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
         GenConfig(seed=-3)
@@ -216,21 +212,20 @@ def test_gen_uninorm_on_interval_carrier():
 
 
 def test_gen_uninorm_class_filters():
-    checks = {"ub": in_class_ub, "ut": in_class_ut, "umin": in_class_umin, "umax": in_class_umax}
     for seed in range(20):
         lat = gen_lattice(GenConfig(seed=seed, size_range=(4, 8)))
         carrier = tuple(range(lat.n))
         e = (seed + 1) % lat.n
-        for name, check in checks.items():
-            t = gen_uninorm(lat, carrier, e, GenConfig(seed=seed, class_filter=name))
-            assert check(t, e), (seed, name)
+        assert in_class_ub(gen_uninorm(lat, carrier, e, GenConfig(seed, class_filter="ub")), e), seed
+        assert in_class_ut(gen_uninorm_ut(lat, carrier, e, seed), e), seed
 
 
 # gen_uninorm's tables at seeds 0..79 (sizes 3..9), on the whole carrier and
-# on [bottom, t] for an interior t, under every class filter: both skeleton
-# families, their t-norm cores and the kept mutations.  Recorded before the
-# skeletons were built a row at a time and the mutations pre-filtered.
-GEN_UNINORM_DIGEST = "a55e47fced67efae8cd7427e4c7f3b4f12dd07f619bc32ed93f1f8ba9ac7692a"
+# on [bottom, t] for an interior t, unfiltered and in ub: both skeleton
+# families, their t-norm cores and the kept mutations.  Recorded when the
+# generator still took the ut, umin and umax filters, so the two kept
+# filters draw what they drew then.
+GEN_UNINORM_DIGEST = "632a12ec127a431bde96792310eeddf0d7fbd70125aff48e133cf47a5b179377"
 
 
 def test_gen_uninorm_output_is_pinned():
@@ -241,11 +236,34 @@ def test_gen_uninorm_output_is_pinned():
         threshold = interior[seed % len(interior)]
         for carrier in (tuple(range(lat.n)), lat.interval(lat.bottom, threshold)):
             e = carrier[seed % len(carrier)]
-            for class_filter in (None, "ub", "ut", "umin", "umax"):
+            for class_filter in (None, "ub"):
                 cfg = GenConfig(seed=seed * 7 + 1, class_filter=class_filter)
                 t = gen_uninorm(lat, carrier, e, cfg)
                 digest.update(repr((lat.up, carrier, e, class_filter, t.values)).encode() + b"\n")
     assert digest.hexdigest() == GEN_UNINORM_DIGEST
+
+
+def check_dual_draws(seeds, size_range):
+    """Draw each seed's lattice and read the ``ub`` draw on its dual, whole
+    carrier and neutral ``seed % n``, back onto it: every such table is a
+    uninorm in ``ut``.  Returns (count, sha256 of the tables)."""
+    digest = hashlib.sha256()
+    count = 0
+    for seed in seeds:
+        lat = gen_lattice(GenConfig(seed, size_range))
+        e = seed % lat.n
+        t = gen_uninorm_ut(lat, tuple(range(lat.n)), e, seed)
+        assert is_uninorm(t, e).ok and in_class_ut(t, e), seed
+        digest.update(repr((seed, e, t.values)).encode() + b"\n")
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_dual_ub_draws_are_the_former_ut_draws():
+    # recorded from the generator's former ut filter
+    assert check_dual_draws(range(200), (3, 8)) == (
+        200, "81b4a55dddde8cbec6b16c11bfc9378cae067de4e2ad7bab8eb0a0bac494430a"
+    )
 
 
 def check_mutation_prefilter(seeds, size_range):

@@ -186,7 +186,7 @@ def test_umin_violation_on_chain():
     # a uninorm that is not a projection on the upper rectangle
     lat = chain(4)
     e = 1
-    t = gen_uninorm(lat, tuple(range(4)), e, GenConfig(seed=3, class_filter="umax"))
+    t = gen_uninorm(lat, tuple(range(4)), e, GenConfig(seed=3, class_filter="ub"))
     assert in_class_umax(t, e)
     # the meet-core family sends (x, y) with x > e, y < e to x, not y
     assert not in_class_umin(t, e)
